@@ -1,6 +1,6 @@
 //! Macro-benchmark: query execution in both modes on an elected
 //! 100-node network — the per-query cost that snapshot mode trades
-//! against accuracy.
+//! against accuracy — and whole-field scans on a 5000-node one.
 
 use crate::RandomWalkSetup;
 use snapshot_core::{Aggregate, QueryMode, SnapshotQuery, SpatialPredicate};
@@ -42,7 +42,37 @@ fn bench_queries(c: &mut Criterion) {
     });
 }
 
+/// One whole-field drill-through scan on the serving benchmark's
+/// deployment (N = 5000, range 0.05, K = 10) with the aggregation tree
+/// already cached: the per-scan cost a live query pays while nothing
+/// dies or moves. Batteries are infinite, so the tree stays warm
+/// across iterations.
+fn bench_scans_5k(c: &mut Criterion) {
+    let mut sn = RandomWalkSetup {
+        n_nodes: 5000,
+        k: 10,
+        range: 0.05,
+        train_until: 10,
+        elect_at: 20,
+        ..RandomWalkSetup::default()
+    }
+    .build(42);
+    let _ = sn.elect();
+
+    for (name, mode) in [
+        ("regular", QueryMode::Regular),
+        ("snapshot", QueryMode::Snapshot),
+    ] {
+        let q = SnapshotQuery::drill_through(SpatialPredicate::All, mode);
+        let _ = sn.query(&q, NodeId(0));
+        c.bench_function(&format!("query_{name}_all_5k"), |b| {
+            b.iter(|| black_box(sn.query(&q, NodeId(0))))
+        });
+    }
+}
+
 /// Run the suite.
 pub fn benches(c: &mut Criterion) {
     bench_queries(c);
+    bench_scans_5k(c);
 }

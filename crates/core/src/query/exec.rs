@@ -14,10 +14,8 @@
 use super::{QueryMode, SnapshotQuery};
 use crate::election::ProtocolMsg;
 use crate::sensor::SensorNode;
-use crate::snapshot::Snapshot;
 use snapshot_netsim::tree::AggregationTree;
 use snapshot_netsim::{Network, NodeId, Phase, Topology};
-use std::collections::BTreeSet;
 
 /// The outcome of one query execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,32 +69,32 @@ impl QueryResult {
 
 /// Rows assembled for one query execution: who answers, with what.
 pub(crate) struct CollectedRows {
-    /// Nodes that contribute at least one row, in id order.
-    pub responders: BTreeSet<NodeId>,
     /// `(target, value-or-estimate)` rows that passed the filters.
     pub rows: Vec<(NodeId, f64)>,
+    /// `answered_by[i]`: the node that reported `rows[i]` — the target
+    /// itself, or its representative with an estimate.
+    pub answered_by: Vec<NodeId>,
     /// Obtainable measurements pre-value-filter (coverage numerator).
     pub available: usize,
-    /// Per-responder contributed values (the local inputs to
-    /// in-network aggregation).
-    pub contributions: std::collections::BTreeMap<NodeId, Vec<f64>>,
 }
 
 /// Determine who answers a query and with which values — shared by
 /// the idealized executor and the message-level TAG executor.
+///
+/// Each node's mode and representative come straight from its own
+/// protocol state; a representative pointer is authoritative for the
+/// member that holds it (the same reading as
+/// [`Snapshot::from_nodes`](crate::snapshot::Snapshot::from_nodes)).
 pub(crate) fn collect_rows(
     alive: impl Fn(NodeId) -> bool,
     nodes: &[SensorNode],
     values: &[f64],
     query: &SnapshotQuery,
     tree: &AggregationTree,
-    snapshot: Option<&Snapshot>,
     targets: &[NodeId],
 ) -> CollectedRows {
-    let mut responders: BTreeSet<NodeId> = BTreeSet::new();
     let mut rows: Vec<(NodeId, f64)> = Vec::new();
-    let mut contributions: std::collections::BTreeMap<NodeId, Vec<f64>> =
-        std::collections::BTreeMap::new();
+    let mut answered_by: Vec<NodeId> = Vec::new();
     let mut available = 0usize;
 
     // The value filter is evaluated on whatever value would be
@@ -105,68 +103,69 @@ pub(crate) fn collect_rows(
     // paper's alert-style reading: the representative checks the
     // predicate locally and stays silent when nothing matches.
     let passes = |v: f64| query.value_filter.is_none_or(|f| f.matches(v));
-    let mut contribute = |responders: &mut BTreeSet<NodeId>,
-                          rows: &mut Vec<(NodeId, f64)>,
-                          who: NodeId,
-                          target: NodeId,
-                          v: f64| {
-        responders.insert(who);
-        rows.push((target, v));
-        contributions.entry(who).or_default().push(v);
-    };
+    let snapshot = matches!(query.mode, QueryMode::Snapshot);
 
-    // Snapshot collection needs a built snapshot; when the caller asks
-    // for snapshot mode without one, degrade to regular collection
-    // (true readings) rather than panicking mid-simulation.
-    let snap = match query.mode {
-        QueryMode::Regular => None,
-        QueryMode::Snapshot => snapshot,
-    };
-    match snap {
-        None => {
-            for &t in targets {
-                if alive(t) && tree.contains(t) {
-                    available += 1;
-                    let v = values[t.index()];
-                    if passes(v) {
-                        contribute(&mut responders, &mut rows, t, t, v);
-                    }
-                }
-            }
-        }
-        Some(snapshot) => {
-            for &t in targets {
-                let rep = snapshot.representative_of(t);
-                if rep == t {
-                    // Unrepresented: the node answers for itself when
-                    // it is up, active and reachable.
-                    if alive(t) && snapshot.is_active(t) && tree.contains(t) {
-                        available += 1;
-                        let v = values[t.index()];
-                        if passes(v) {
-                            contribute(&mut responders, &mut rows, t, t, v);
-                        }
-                    }
-                } else if alive(rep) && tree.contains(rep) {
-                    // Represented: the representative estimates the
-                    // member's value from its own current measurement.
-                    if let Some(est) = nodes[rep.index()].cache.estimate(t, values[rep.index()]) {
-                        available += 1;
-                        if passes(est) {
-                            contribute(&mut responders, &mut rows, rep, t, est);
-                        }
-                    }
-                }
+    for &t in targets {
+        let (Some(node), Some(&own)) = (nodes.get(t.index()), values.get(t.index())) else {
+            continue;
+        };
+        let rep = if snapshot {
+            node.representative().unwrap_or(t)
+        } else {
+            t
+        };
+        let reading = if rep == t {
+            // Regular mode, or unrepresented: the node answers for
+            // itself when it is up, reachable and — under a snapshot
+            // query — active.
+            (alive(t) && tree.contains(t) && (!snapshot || node.is_active())).then_some(own)
+        } else if alive(rep) && tree.contains(rep) {
+            // Represented: the representative estimates the member's
+            // value from its own current measurement.
+            nodes
+                .get(rep.index())
+                .zip(values.get(rep.index()))
+                .and_then(|(r, &x)| r.cache.estimate(t, x))
+        } else {
+            None
+        };
+        if let Some(v) = reading {
+            available += 1;
+            if passes(v) {
+                rows.push((t, v));
+                answered_by.push(rep);
             }
         }
     }
 
     CollectedRows {
-        responders,
         rows,
+        answered_by,
         available,
-        contributions,
     }
+}
+
+/// The distinct ids in `ids`, ascending: one pass marking a table of
+/// `n` flags, then one sweep of the flags.
+fn ascending_distinct(ids: &[NodeId], n: usize) -> Vec<NodeId> {
+    let mut marked = vec![false; n];
+    for id in ids {
+        if let Some(m) = marked.get_mut(id.index()) {
+            *m = true;
+        }
+    }
+    marked
+        .iter()
+        .enumerate()
+        .filter(|&(_, &m)| m)
+        .map(|(i, _)| NodeId::from_index(i))
+        .collect()
+}
+
+/// True when the query routes through representatives: its tree then
+/// depends on the nodes' modes, not only on topology and liveness.
+fn prefers_representatives(query: &SnapshotQuery) -> bool {
+    query.prefer_representative_routing && matches!(query.mode, QueryMode::Snapshot)
 }
 
 /// Execute a query against *frozen* network state: a topology, an
@@ -174,8 +173,8 @@ pub(crate) fn collect_rows(
 /// Pure — no energy is charged, no clock moves — so the same inputs
 /// always produce the same result, which is what lets time-travel
 /// (`AS OF`) answers from a checkpoint match a replayed simulation
-/// byte-for-byte. Returns the result plus the participant list so the
-/// live wrapper can charge energy.
+/// byte-for-byte. Returns the result plus the participants, in
+/// ascending id order, so the live wrapper can charge energy.
 pub fn execute_frozen(
     topology: &Topology,
     alive: impl Fn(NodeId) -> bool,
@@ -183,34 +182,36 @@ pub fn execute_frozen(
     values: &[f64],
     query: &SnapshotQuery,
     sink: NodeId,
-) -> (QueryResult, BTreeSet<NodeId>) {
-    debug_assert_eq!(nodes.len(), values.len());
-    let snapshot = matches!(query.mode, QueryMode::Snapshot).then(|| Snapshot::from_nodes(nodes));
-    let tree = match &snapshot {
-        Some(s) if query.prefer_representative_routing => {
-            AggregationTree::bfs_preferring(topology, sink, &alive, |id| s.is_active(id))
-        }
-        _ => AggregationTree::bfs(topology, sink, &alive),
+) -> (QueryResult, Vec<NodeId>) {
+    let tree = if prefers_representatives(query) {
+        AggregationTree::bfs_preferring(topology, sink, &alive, |id| {
+            nodes.get(id.index()).is_some_and(SensorNode::is_active)
+        })
+    } else {
+        AggregationTree::bfs(topology, sink, &alive)
     };
-    let targets = query.predicate.targets(topology);
-    let collected = collect_rows(
-        &alive,
-        nodes,
-        values,
-        query,
-        &tree,
-        snapshot.as_ref(),
-        &targets,
-    );
-    let CollectedRows {
-        responders,
-        rows,
-        available,
-        contributions: _,
-    } = collected;
+    execute_on_tree(topology, alive, nodes, values, query, &tree)
+}
 
-    let responder_list: Vec<NodeId> = responders.iter().copied().collect();
-    let participants = tree.participants(&responder_list);
+/// [`execute_frozen`] on an already-built aggregation tree.
+fn execute_on_tree(
+    topology: &Topology,
+    alive: impl Fn(NodeId) -> bool,
+    nodes: &[SensorNode],
+    values: &[f64],
+    query: &SnapshotQuery,
+    tree: &AggregationTree,
+) -> (QueryResult, Vec<NodeId>) {
+    debug_assert_eq!(nodes.len(), values.len());
+    let targets = query.predicate.targets(topology);
+    let CollectedRows {
+        rows,
+        answered_by,
+        available,
+    } = collect_rows(alive, nodes, values, query, tree, &targets);
+
+    let participants = tree.participants(&answered_by);
+    let responders = ascending_distinct(&answered_by, nodes.len());
 
     let value = query
         .aggregate
@@ -232,7 +233,7 @@ pub fn execute_frozen(
 
     let result = QueryResult {
         mode: query.mode,
-        responders: responder_list,
+        responders,
         participants: participants.len(),
         rows,
         value,
@@ -246,6 +247,12 @@ pub fn execute_frozen(
 /// Execute a query with `sink` as the collection point. `values[i]`
 /// is `N_i`'s true current measurement. Participants are charged one
 /// transmission each and counted under the `"query"` phase.
+///
+/// The aggregation tree comes from the network's cache
+/// ([`Network::bfs_tree`]), so consecutive queries at one sink build
+/// it once while nothing dies, revives or moves. A query that prefers
+/// representative routing builds its own: that tree also depends on
+/// the nodes' modes, which the cache does not track.
 pub fn execute(
     net: &mut Network<ProtocolMsg>,
     nodes: &[SensorNode],
@@ -253,14 +260,15 @@ pub fn execute(
     query: &SnapshotQuery,
     sink: NodeId,
 ) -> QueryResult {
-    let (result, participants) = execute_frozen(
-        net.topology(),
-        |id| net.is_alive(id),
-        nodes,
-        values,
-        query,
-        sink,
-    );
+    let cached = !prefers_representatives(query);
+    if cached {
+        net.refresh_bfs_tree(sink);
+    }
+    let alive = |id| net.is_alive(id);
+    let (result, participants) = match net.bfs_tree(sink).filter(|_| cached) {
+        Some(tree) => execute_on_tree(net.topology(), alive, nodes, values, query, tree),
+        None => execute_frozen(net.topology(), alive, nodes, values, query, sink),
+    };
 
     // Charge each participant one transmission (partial aggregates
     // flowing up the tree) and account it under the "query" phase.

@@ -14,12 +14,11 @@
 //! whole subtrees.
 
 use super::exec::collect_rows;
-use super::{QueryMode, SnapshotQuery};
+use super::SnapshotQuery;
 use crate::election::ProtocolMsg;
 use crate::error::CoreError;
 use crate::query::Aggregate;
 use crate::sensor::SensorNode;
-use crate::snapshot::Snapshot;
 use snapshot_netsim::flood::{flood, FloodToken};
 use snapshot_netsim::tree::AggregationTree;
 use snapshot_netsim::{Network, NodeId, Phase};
@@ -126,27 +125,16 @@ pub fn execute_tag(
     let tree = AggregationTree::from_flood(&outcome);
 
     // 2. Local contributions (same row logic as the idealized path).
-    let snapshot = matches!(query.mode, QueryMode::Snapshot).then(|| Snapshot::from_nodes(nodes));
+    //    Each responder folds its rows in row order.
     let targets = query.predicate.targets(net.topology());
-    let collected = collect_rows(
-        |id| net.is_alive(id),
-        nodes,
-        values,
-        query,
-        &tree,
-        snapshot.as_ref(),
-        &targets,
-    );
+    let collected = collect_rows(|id| net.is_alive(id), nodes, values, query, &tree, &targets);
 
     let n = net.len();
     let mut partials: Vec<Partial> = vec![Partial::empty(); n];
-    let mut contributed = 0u64;
-    for (who, vals) in &collected.contributions {
-        for &v in vals {
-            partials[who.index()].add_value(v);
-            contributed += 1;
-        }
+    for (who, &(_, v)) in collected.answered_by.iter().zip(&collected.rows) {
+        partials[who.index()].add_value(v);
     }
+    let contributed = collected.rows.len() as u64;
 
     // 3. Leaf-to-root rounds: at each depth (deepest first), nodes
     //    unicast their accumulated partial to their parent; parents
@@ -227,7 +215,7 @@ pub fn execute_tag(
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
-    use crate::query::{execute, SpatialPredicate};
+    use crate::query::{execute, QueryMode, SpatialPredicate};
     use snapshot_netsim::prelude::*;
 
     fn setup(

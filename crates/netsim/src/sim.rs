@@ -27,6 +27,7 @@ use crate::rng::DetRng;
 use crate::scheduler::{DrainMode, Scheduler, WakeReason};
 use crate::stats::NetStats;
 use crate::topology::Topology;
+use crate::tree::AggregationTree;
 use snapshot_telemetry::{Event, Phase, Recorder as _, SpanKind, Telemetry};
 
 /// The simulated network: topology + link model + energy + statistics.
@@ -61,6 +62,10 @@ pub struct Network<P: Clone> {
     /// Cached alive-node count, maintained by kill/revive and battery
     /// depletion so [`Network::alive_count`] is O(1).
     alive: usize,
+    /// The last BFS aggregation tree built by
+    /// [`Network::refresh_bfs_tree`], with the alive count it was
+    /// built at (see [`Network::bfs_tree`] for the invalidation rule).
+    bfs_tree: Option<(usize, AggregationTree)>,
     round: u64,
 }
 
@@ -117,6 +122,7 @@ impl<P: Clone> Clone for Network<P> {
             faults: self.faults.clone(),
             sched: self.sched.clone(),
             alive: self.alive,
+            bfs_tree: self.bfs_tree.clone(),
             round: self.round,
         }
     }
@@ -144,6 +150,7 @@ impl<P: Clone> Network<P> {
             faults: None,
             sched: Scheduler::new(n),
             alive: n,
+            bfs_tree: None,
             round: 0,
         }
     }
@@ -286,6 +293,7 @@ impl<P: Clone> Network<P> {
         if !self.states[id.index()].is_alive() && self.batteries[id.index()].is_alive() {
             self.states[id.index()] = NodeState::Alive;
             self.alive += 1;
+            self.bfs_tree = None;
             self.sched.wake(id, WakeReason::Fault);
             let tick = self.round;
             self.emit(Event::NodeRecovered { tick, node: id.0 });
@@ -450,7 +458,37 @@ impl<P: Clone> Network<P> {
     // xtask-contract(zero_alloc)
     pub fn move_node(&mut self, id: NodeId, pos: crate::topology::Position) {
         self.topology.set_position(id, pos);
+        self.bfs_tree = None;
         self.sched.wake(id, WakeReason::Mobility);
+    }
+
+    // ---- Cached aggregation tree -----------------------------------------
+
+    /// Make [`Network::bfs_tree`] return the BFS aggregation tree
+    /// rooted at `sink` over the currently alive nodes
+    /// ([`AggregationTree::bfs`]), building it only when the cached
+    /// one does not match.
+    pub fn refresh_bfs_tree(&mut self, sink: NodeId) {
+        if self.bfs_tree(sink).is_none() {
+            let tree = AggregationTree::bfs(&self.topology, sink, |id| self.is_alive(id));
+            self.bfs_tree = Some((self.alive, tree));
+        }
+    }
+
+    /// The cached BFS aggregation tree rooted at `sink`, or `None`
+    /// when there is none or it may be stale.
+    ///
+    /// The tree is a function of the topology and of which nodes are
+    /// alive, and it is keyed by `(sink, alive count)`. Every death —
+    /// [`Network::kill`] or a battery running flat — lowers the alive
+    /// count, so the key stops matching. Only [`Network::revive`]
+    /// raises the count again, and only [`Network::move_node`]
+    /// changes the topology; both drop the cache.
+    pub fn bfs_tree(&self, sink: NodeId) -> Option<&AggregationTree> {
+        match &self.bfs_tree {
+            Some((alive, tree)) if *alive == self.alive && tree.sink() == sink => Some(tree),
+            _ => None,
+        }
     }
 
     // ---- Scheduler & wake-list -------------------------------------------
@@ -1338,6 +1376,41 @@ mod tests {
         net.revive(NodeId(0));
         assert_eq!(net.alive_count(), 5);
         assert_eq!(net.alive_count(), scan(&net));
+    }
+
+    /// The cached tree survives traffic that changes nothing and goes
+    /// stale on every death, revival and move — also when a revival
+    /// restores the alive count a death lowered.
+    #[test]
+    fn cached_bfs_tree_tracks_liveness_and_topology() {
+        // 0 -- 1 -- 2 -- 3, adjacent nodes only; node 3 holds one charge.
+        let topo = line_topology(4, 0.1, 0.15);
+        let mut net: Network<u8> =
+            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        net.batteries[3] = Battery::finite(1.0);
+        let cached = |net: &mut Network<u8>| {
+            net.refresh_bfs_tree(NodeId(0));
+            net.bfs_tree(NodeId(0)).map(AggregationTree::len)
+        };
+
+        assert_eq!(cached(&mut net), Some(4));
+        assert!(net.bfs_tree(NodeId(1)).is_none(), "keyed by sink");
+        net.broadcast(NodeId(1), 1, 4, Phase::Test);
+        net.deliver();
+        assert!(net.bfs_tree(NodeId(0)).is_some(), "traffic keeps the tree");
+
+        net.kill(NodeId(2));
+        assert!(net.bfs_tree(NodeId(0)).is_none(), "kill");
+        assert_eq!(cached(&mut net), Some(2));
+        net.charge(NodeId(3), 1.0, Phase::Test);
+        assert!(net.bfs_tree(NodeId(0)).is_none(), "battery death");
+        net.revive(NodeId(2));
+        assert_eq!(net.alive_count(), 3, "the count the tree was built at");
+        assert!(net.bfs_tree(NodeId(0)).is_none(), "revive");
+        assert_eq!(cached(&mut net), Some(3));
+        net.move_node(NodeId(1), Position::new(0.9, 0.9));
+        assert!(net.bfs_tree(NodeId(0)).is_none(), "move");
+        assert_eq!(cached(&mut net), Some(1), "the move cut the sink off");
     }
 
     /// Delivery marks exactly the receiving nodes; draining unmarks.

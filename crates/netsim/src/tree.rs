@@ -166,22 +166,48 @@ impl AggregationTree {
 
     /// Every node that participates when `responders` report through
     /// this tree: the responders themselves (those actually in the
-    /// tree) plus every ancestor on their paths to the sink.
+    /// tree) plus every ancestor on their paths to the sink, in
+    /// ascending id order.
+    ///
+    /// One pass: each responder walks toward the sink, marking the
+    /// nodes it passes, and stops at the first node already marked —
+    /// a shared path segment is walked once, so the cost is
+    /// O(|responders| + |participants|) plus one sweep of the marks.
     ///
     /// This is the quantity averaged in the paper's Table 3
     /// (`N_regular` and `N_snapshot`).
-    pub fn participants(&self, responders: &[NodeId]) -> BTreeSet<NodeId> {
-        let mut set = BTreeSet::new();
+    pub fn participants(&self, responders: &[NodeId]) -> Vec<NodeId> {
+        let mut marked = vec![false; self.parent.len()];
         for &r in responders {
-            for hop in self.path_to_sink(r) {
-                set.insert(hop);
+            if !self.contains(r) {
+                continue;
+            }
+            let mut cur = r;
+            while let Some(seen) = marked.get_mut(cur.index()) {
+                if *seen {
+                    break;
+                }
+                *seen = true;
+                if cur == self.sink {
+                    break;
+                }
+                match self.parent.get(cur.index()) {
+                    Some(&Some(p)) if p != cur => cur = p,
+                    _ => break, // malformed entry; stop defensively
+                }
             }
         }
-        set
+        marked
+            .iter()
+            .enumerate()
+            .filter(|&(_, &m)| m)
+            .map(|(i, _)| NodeId::from_index(i))
+            .collect()
     }
 
-    /// Participants that only route (are not themselves responders).
-    pub fn routers(&self, responders: &[NodeId]) -> BTreeSet<NodeId> {
+    /// Participants that only route (are not themselves responders),
+    /// in ascending id order.
+    pub fn routers(&self, responders: &[NodeId]) -> Vec<NodeId> {
         let responders_set: BTreeSet<NodeId> = responders.iter().copied().collect();
         self.participants(responders)
             .into_iter()
@@ -251,10 +277,10 @@ mod tests {
         let t = sample_tree();
         let parts = t.participants(&[NodeId(3), NodeId(5)]);
         // 3 -> 1 -> 0 and 5 -> 4 -> 2 -> 0
-        let expect: BTreeSet<NodeId> = [0, 1, 2, 3, 4, 5].into_iter().map(NodeId).collect();
+        let expect: Vec<NodeId> = [0, 1, 2, 3, 4, 5].into_iter().map(NodeId).collect();
         assert_eq!(parts, expect);
         let routers = t.routers(&[NodeId(3), NodeId(5)]);
-        let expect_r: BTreeSet<NodeId> = [0, 1, 2, 4].into_iter().map(NodeId).collect();
+        let expect_r: Vec<NodeId> = [0, 1, 2, 4].into_iter().map(NodeId).collect();
         assert_eq!(routers, expect_r);
     }
 

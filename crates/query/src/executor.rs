@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn as_of_matches_the_live_answer_at_that_tick() {
-        let dir = std::env::temp_dir().join("sq_exec_asof");
+        let dir = std::env::temp_dir().join(format!("sq_exec_asof-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (store, mut sn) = stored_history(11, &dir);
         // The live network sits at tick 30 — same state the last
@@ -361,11 +361,12 @@ mod tests {
             live.value.map(f64::to_bits)
         );
         assert_eq!(hist.epochs[0].result.rows, live.rows);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn as_of_picks_the_latest_version_at_or_before_the_tick() {
-        let dir = std::env::temp_dir().join("sq_exec_asof_pick");
+        let dir = std::env::temp_dir().join(format!("sq_exec_asof_pick-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (store, _sn) = stored_history(12, &dir);
         let p = history_plan("SELECT COUNT(*) FROM sensors AS OF 27");
@@ -376,11 +377,12 @@ mod tests {
         let err = execute_plan_history(&store, &p, NodeId(0)).unwrap_err();
         assert!(matches!(err, QueryError::History { .. }));
         assert!(err.to_string().contains("tick 3"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn between_yields_one_epoch_per_stored_version_oldest_first() {
-        let dir = std::env::temp_dir().join("sq_exec_between");
+        let dir = std::env::temp_dir().join(format!("sq_exec_between-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (store, _sn) = stored_history(13, &dir);
         let p = history_plan("SELECT AVG(value) FROM sensors BETWEEN 20 AND 30");
@@ -397,11 +399,12 @@ mod tests {
         let hist = execute_plan_history(&store, &p, NodeId(0)).unwrap();
         assert!(hist.epochs.is_empty());
         assert_eq!(hist.render(), "-- no stored versions in range\n");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn history_drill_through_renders_locations_from_the_store() {
-        let dir = std::env::temp_dir().join("sq_exec_hist_loc");
+        let dir = std::env::temp_dir().join(format!("sq_exec_hist_loc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (store, sn) = stored_history(14, &dir);
         let p = history_plan("SELECT loc, value FROM sensors AS OF 30");
@@ -414,15 +417,17 @@ mod tests {
         for line in live_text.lines().filter(|l| !l.starts_with("--")) {
             assert!(text.contains(line), "missing row: {line}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_live_plan_is_rejected_by_the_history_executor() {
-        let dir = std::env::temp_dir().join("sq_exec_hist_reject");
+        let dir = std::env::temp_dir().join(format!("sq_exec_hist_reject-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (store, _sn) = stored_history(15, &dir);
         let p = history_plan("SELECT AVG(value) FROM sensors");
         let err = execute_plan_history(&store, &p, NodeId(0)).unwrap_err();
         assert!(err.to_string().contains("no AS OF"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

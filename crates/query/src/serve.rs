@@ -985,7 +985,7 @@ mod tests {
 
     #[test]
     fn history_queries_answer_from_the_attached_store() {
-        let dir = std::env::temp_dir().join("sq_serve_history");
+        let dir = std::env::temp_dir().join(format!("sq_serve_history-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut sn = small_network(12);
         let mut store = SnapshotStore::create(dir.join("serve.store")).unwrap();
@@ -1029,6 +1029,7 @@ mod tests {
         // Neither touched the network.
         assert_eq!(svc.stats().scans, scans_before);
         assert_eq!(svc.stats().epochs_served, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -41,9 +41,11 @@ fn scratch(label: &str) -> PathBuf {
 }
 
 /// A pristine two-checkpoint store plus one serve-state record, with
-/// its bytes in memory.
-fn pristine() -> (Vec<u8>, usize) {
-    let path = scratch("pristine");
+/// its bytes in memory. Each caller passes its own `label`: the tests
+/// run in parallel, and a shared file would be deleted under one
+/// test while the other is still writing it.
+fn pristine(label: &str) -> (Vec<u8>, usize) {
+    let path = scratch(&format!("pristine-{label}"));
     let mut sn = network(11);
     let mut store = SnapshotStore::create(&path).expect("temp dir is writable");
     let v = store.append_checkpoint(&sn.checkpoint()).expect("append");
@@ -76,7 +78,7 @@ fn probe(bytes: &[u8], path: &PathBuf) -> Option<StoreError> {
 
 #[test]
 fn random_bit_flips_surface_as_typed_errors_and_every_detector_fires() {
-    let (bytes, _) = pristine();
+    let (bytes, _) = pristine("flip");
     let path = scratch("flip");
     let mut rng = DetRng::seed_from_u64(0xB17_F11B);
     let mut detected = 0usize;
@@ -148,7 +150,7 @@ fn random_bit_flips_surface_as_typed_errors_and_every_detector_fires() {
 
 #[test]
 fn random_truncations_never_panic_and_name_the_cut() {
-    let (bytes, versions) = pristine();
+    let (bytes, versions) = pristine("cut");
     let path = scratch("cut");
     let mut rng = DetRng::seed_from_u64(0x7_2C47E);
     let mut saw_truncated = false;
