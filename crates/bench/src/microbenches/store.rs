@@ -1,9 +1,12 @@
 //! Micro-benchmark: the snapshot store's codec and file paths — the
-//! costs behind the `store_write` / `store_rebuild` spans.
+//! costs behind the `store_write` / `store_rebuild` spans — and the
+//! time-travel read, cold (the version's query image not yet built)
+//! and warm.
 
 use crate::RandomWalkSetup;
-use snapshot_core::CheckpointState;
+use snapshot_core::{Aggregate, CheckpointState, QueryMode, SnapshotQuery, SpatialPredicate};
 use snapshot_microbench::{BatchSize, Criterion};
+use snapshot_netsim::NodeId;
 use snapshot_store::{format, SnapshotStore};
 use std::hint::black_box;
 
@@ -62,6 +65,22 @@ fn bench_store(c: &mut Criterion) {
     c.bench_function("store_rebuild_4", |b| {
         b.iter(|| black_box(store.rebuild(scratch("rebuild.out")).unwrap()))
     });
+
+    // One `AS OF` answer: the lookup plus a snapshot AVG on the image.
+    let query =
+        SnapshotQuery::aggregate(SpatialPredicate::All, Aggregate::Avg, QueryMode::Snapshot);
+    let as_of = |store: &SnapshotStore| {
+        let (_, image) = store.checkpoint_as_of(black_box(cp.tick)).unwrap();
+        image.execute(&query, NodeId(0)).unwrap()
+    };
+    let path = scratch("as_of.store");
+    let mut store = SnapshotStore::create(&path).unwrap();
+    store.append_checkpoint(&cp).unwrap();
+    c.bench_function("store_as_of_cold", |b| {
+        b.iter(|| black_box(as_of(&SnapshotStore::open(&path).unwrap())))
+    });
+    as_of(&store); // builds the version's image
+    c.bench_function("store_as_of_warm", |b| b.iter(|| black_box(as_of(&store))));
 }
 
 /// Run the suite.

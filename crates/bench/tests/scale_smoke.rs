@@ -17,9 +17,22 @@
 use snapshot_bench::experiments::scale::connectivity_range;
 use snapshot_microbench::counting_alloc::{self, CountingAllocator};
 use snapshot_netsim::{EnergyModel, LinkModel, Network, NodeId, RandomWaypoint, Topology};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Held for the whole of each test. The allocation counter is
+/// process-wide and `cargo test` runs tests on parallel threads, so
+/// without it the 100k build's allocations land in the 10k test's
+/// measuring window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A poisoned lock only means the other test failed; `()` holds no
+    // state it could have left half-updated.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Assert that `id`'s neighbor list matches a brute-force scan of
 /// every node — the same oracle predicate the property suite uses,
@@ -39,6 +52,7 @@ fn assert_matches_oracle(topo: &Topology, id: NodeId) {
 
 #[test]
 fn ten_k_nodes_build_and_tick_without_heap_churn() {
+    let _serial = serial();
     const N: usize = 10_000;
     let range = connectivity_range(N);
 
@@ -98,6 +112,7 @@ fn hundred_k_nodes_build_under_two_seconds_in_release() {
     // The ISSUE's acceptance criterion, verbatim: `Topology::new` at
     // N=100k completes in < 2s in release mode. (The retired all-pairs
     // scan needed ~10^10 distance checks here — minutes, not seconds.)
+    let _serial = serial();
     const N: usize = 100_000;
     let t0 = std::time::Instant::now();
     let topo = Topology::random_uniform(N, connectivity_range(N), 7).expect("valid deployment");

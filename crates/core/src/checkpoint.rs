@@ -13,8 +13,10 @@
 //!
 //! * [`SensorNetwork::checkpoint`](crate::network::SensorNetwork::checkpoint)
 //!   extracts one; the `snapshot-store` crate persists it.
-//! * [`execute_at`] answers a query against a checkpoint alone (the
-//!   `AS OF <tick>` time-travel path) — no simulator required.
+//! * [`FrozenCheckpoint`] rebuilds one into a query-ready image that
+//!   answers queries against the checkpoint alone (the `AS OF <tick>`
+//!   time-travel path) — no simulator required; [`execute_at`] is its
+//!   one-shot form.
 //! * [`SensorNetwork::restore_checkpoint`](crate::network::SensorNetwork::restore_checkpoint)
 //!   rehydrates a freshly-constructed deployment for crash recovery.
 //!
@@ -381,33 +383,82 @@ fn rebuild_topology(cp: &CheckpointState) -> Result<Topology, CoreError> {
     })
 }
 
-/// Execute a query against a checkpoint alone — the `AS OF <tick>`
-/// time-travel path. Pure and side-effect free: no simulator, no
-/// energy accounting, no clock. Byte-identical to querying the live
-/// deployment the checkpoint was taken from (or a same-seed replay of
-/// it), because both funnel into
-/// [`execute_frozen`](crate::query::execute_frozen) with identical
-/// inputs.
-///
-/// Mirrors `try_query`'s availability contract: a dead (or absent)
-/// sink, or a fully-dead network, returns
-/// [`CoreError::NetworkUnavailable`].
+/// A checkpoint rebuilt into a query-ready image: validated once, with
+/// its topology and node caches rehydrated, so each query against it
+/// costs only the scan. Immutable once built, so a stored version's
+/// image never goes stale.
+#[derive(Debug)]
+pub struct FrozenCheckpoint {
+    tick: u64,
+    topology: Topology,
+    alive: Vec<bool>,
+    values: Vec<f64>,
+    nodes: Vec<SensorNode>,
+}
+
+impl FrozenCheckpoint {
+    /// Validate `cp` and rebuild its topology and nodes.
+    pub fn new(cp: &CheckpointState) -> Result<Self, CoreError> {
+        cp.validate()?;
+        Ok(FrozenCheckpoint {
+            tick: cp.tick,
+            topology: rebuild_topology(cp)?,
+            alive: cp.alive.clone(),
+            values: cp.values.clone(),
+            nodes: rehydrate_nodes(cp),
+        })
+    }
+
+    /// Simulation time the checkpoint was taken at.
+    pub fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// Node positions, in id order.
+    pub fn positions(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.topology.node_ids().map(|id| {
+            let p = self.topology.position(id);
+            (p.x, p.y)
+        })
+    }
+
+    /// Answer `query` at `sink` — the `AS OF <tick>` time-travel path.
+    /// Pure and side-effect free: no simulator, no energy accounting,
+    /// no clock. Byte-identical to querying the live deployment the
+    /// checkpoint was taken from (or a same-seed replay of it),
+    /// because both funnel into
+    /// [`execute_frozen`](crate::query::execute_frozen) with identical
+    /// inputs.
+    ///
+    /// Mirrors `try_query`'s availability contract: a dead (or absent)
+    /// sink, or a fully-dead network, returns
+    /// [`CoreError::NetworkUnavailable`].
+    pub fn execute(&self, query: &SnapshotQuery, sink: NodeId) -> Result<QueryResult, CoreError> {
+        let alive = |id: NodeId| self.alive.get(id.index()).copied().unwrap_or(false);
+        let alive_count = self.alive.iter().filter(|&&a| a).count();
+        if alive_count == 0 || !alive(sink) {
+            return Err(CoreError::NetworkUnavailable { alive: alive_count });
+        }
+        let (result, _participants) = execute_frozen(
+            &self.topology,
+            alive,
+            &self.nodes,
+            &self.values,
+            query,
+            sink,
+        );
+        Ok(result)
+    }
+}
+
+/// Execute a query against a checkpoint alone: builds the checkpoint's
+/// [`FrozenCheckpoint`] and answers on it once.
 pub fn execute_at(
     cp: &CheckpointState,
     query: &SnapshotQuery,
     sink: NodeId,
 ) -> Result<QueryResult, CoreError> {
-    cp.validate()?;
-    let alive_count = cp.alive.iter().filter(|&&a| a).count();
-    let sink_alive = cp.alive.get(sink.index()).copied().unwrap_or(false);
-    if alive_count == 0 || !sink_alive {
-        return Err(CoreError::NetworkUnavailable { alive: alive_count });
-    }
-    let topology = rebuild_topology(cp)?;
-    let nodes = rehydrate_nodes(cp);
-    let alive = |id: NodeId| cp.alive.get(id.index()).copied().unwrap_or(false);
-    let (result, _participants) = execute_frozen(&topology, alive, &nodes, &cp.values, query, sink);
-    Ok(result)
+    FrozenCheckpoint::new(cp)?.execute(query, sink)
 }
 
 #[cfg(test)]

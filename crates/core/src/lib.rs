@@ -52,7 +52,9 @@ pub mod snapshot;
 pub(crate) mod trace;
 
 pub use cache::{CacheConfig, CacheDecision, CachePolicy, LineKey, MeasurementId, ModelCache};
-pub use checkpoint::{execute_at, CheckpointState, LineCheckpoint, NodeCheckpoint, QualitySummary};
+pub use checkpoint::{
+    execute_at, CheckpointState, FrozenCheckpoint, LineCheckpoint, NodeCheckpoint, QualitySummary,
+};
 pub use config::SnapshotConfig;
 pub use coverage::CoverageTracker;
 pub use election::{ElectionOutcome, ProtocolMsg};
@@ -74,7 +76,7 @@ pub mod prelude {
     pub use crate::cache::{
         CacheConfig, CacheDecision, CachePolicy, LineKey, MeasurementId, ModelCache,
     };
-    pub use crate::checkpoint::{execute_at, CheckpointState, QualitySummary};
+    pub use crate::checkpoint::{execute_at, CheckpointState, FrozenCheckpoint, QualitySummary};
     pub use crate::config::SnapshotConfig;
     pub use crate::coverage::CoverageTracker;
     pub use crate::election::{ElectionOutcome, ProtocolMsg};

@@ -8,7 +8,7 @@ use crate::ast::{History, Query};
 use crate::catalog::RegionCatalog;
 use crate::error::QueryError;
 use crate::planner::{plan, QueryPlan};
-use snapshot_core::{execute_at, QueryResult, SensorNetwork};
+use snapshot_core::{QueryResult, SensorNetwork};
 use snapshot_netsim::{NodeId, SpanKind};
 use snapshot_store::SnapshotStore;
 
@@ -179,9 +179,11 @@ impl HistoryExecution {
 
 /// Execute a time-travel plan against the snapshot store — the `AS OF`
 /// / `BETWEEN` path. Pure: no network, no clock, no energy accounting;
-/// every answer is computed from stored checkpoints alone via
-/// [`execute_at`], so it is byte-identical to the same query run live
-/// at the checkpoint's tick (or a same-seed replay of it).
+/// every answer is computed from a stored checkpoint's query image
+/// ([`FrozenCheckpoint::execute`](snapshot_core::FrozenCheckpoint::execute)),
+/// which the store builds once per version, so it is byte-identical to
+/// the same query run live at the checkpoint's tick (or a same-seed
+/// replay of it).
 ///
 /// Errors are typed [`QueryError::History`] values: a plan without a
 /// time-travel clause, an `AS OF` tick before the first stored
@@ -207,16 +209,16 @@ pub fn execute_plan_history(
     };
     let positions = checkpoints
         .last()
-        .map(|(_, cp)| cp.positions.clone())
+        .map(|(_, image)| image.positions().collect())
         .unwrap_or_default();
     let mut epochs = Vec::with_capacity(checkpoints.len());
-    for (version, cp) in &checkpoints {
-        let result = execute_at(cp, &plan.query, sink).map_err(|e| {
-            QueryError::history(format!("version {version} (tick {}): {e}", cp.tick))
+    for (version, image) in &checkpoints {
+        let result = image.execute(&plan.query, sink).map_err(|e| {
+            QueryError::history(format!("version {version} (tick {}): {e}", image.tick()))
         })?;
         epochs.push(HistoryEpoch {
             version: *version,
-            tick: cp.tick,
+            tick: image.tick(),
             result,
         });
     }

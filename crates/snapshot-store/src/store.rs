@@ -4,14 +4,15 @@
 
 use crate::error::StoreError;
 use crate::format::{self, DecodedCheckpoint, RecordKind, ServeStateRecord, HEADER};
-use snapshot_core::checkpoint::CheckpointState;
+use snapshot_core::checkpoint::{CheckpointState, FrozenCheckpoint};
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 /// One block as it sits in the file: enough structure to answer
-/// `versions`/`as_of` lookups without re-decoding, plus the exact
-/// block text so appends and rebuilds are byte-stable.
+/// `versions`/`as_of` lookups without re-decoding, and where to read
+/// the block back from. The text itself stays on disk.
 #[derive(Debug, Clone)]
 struct Entry {
     version: u64,
@@ -20,8 +21,25 @@ struct Entry {
     tick: Option<u64>,
     /// Byte offset of the block's first line in the file.
     offset: u64,
-    /// The block text, `end` line included.
-    text: String,
+    /// Block length in bytes, `end` line included.
+    len: u64,
+    /// The checkpoint's query image, built by the first time-travel
+    /// lookup that reaches it. A sealed block never changes, so the
+    /// image never goes stale; clones of the store share it.
+    image: OnceLock<Arc<FrozenCheckpoint>>,
+}
+
+impl Entry {
+    fn new(version: u64, kind: RecordKind, tick: Option<u64>, offset: u64, len: u64) -> Self {
+        Entry {
+            version,
+            kind,
+            tick,
+            offset,
+            len,
+            image: OnceLock::new(),
+        }
+    }
 }
 
 /// A summary row of one stored block, as reported by
@@ -39,10 +57,13 @@ pub struct VersionInfo {
 /// An append-only, versioned snapshot store backed by one file.
 ///
 /// Writes go through [`append_checkpoint`] / [`append_serve_state`],
-/// which extend the file in place; reads decode on demand. The store
-/// never rewrites existing blocks, so a crash mid-append can at worst
-/// truncate the tail — which [`open`] and [`verify`] report as a
-/// typed [`StoreError`], never a panic.
+/// which extend the file in place. The store keeps each block's offset,
+/// not its text: every read goes back to the file and checks the
+/// block's CRC seal again before decoding, so damage made after
+/// [`open`] — or a removed file — surfaces as a typed [`StoreError`],
+/// never a panic or a silent wrong answer. The store never rewrites
+/// existing blocks, so a crash mid-append can at worst truncate the
+/// tail — which [`open`] and [`verify`] report the same way.
 ///
 /// [`append_checkpoint`]: SnapshotStore::append_checkpoint
 /// [`append_serve_state`]: SnapshotStore::append_serve_state
@@ -71,13 +92,11 @@ impl SnapshotStore {
     }
 
     /// Open an existing store, checking the header, every block's
-    /// structure and CRC, and the version ordering.
+    /// structure and CRC, and the version ordering. The store keeps
+    /// each block's offset and length, not its text.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
-        let contents = fs::read_to_string(&path).map_err(|e| StoreError::Io {
-            op: "read",
-            detail: e.to_string(),
-        })?;
+        let contents = fs::read_to_string(&path).map_err(io_error("read"))?;
         let entries = scan(&contents)?;
         let next_version = entries.last().map_or(1, |e| e.version + 1);
         Ok(SnapshotStore {
@@ -107,14 +126,7 @@ impl SnapshotStore {
             }
         }
         let text = format::encode_checkpoint(version, cp);
-        self.append_block(Entry {
-            version,
-            kind: RecordKind::Checkpoint,
-            tick: Some(cp.tick),
-            offset: 0, // fixed up in append_block
-            text,
-        })?;
-        Ok(version)
+        self.append_block(RecordKind::Checkpoint, Some(cp.tick), &text)
     }
 
     /// Append a query-service state record, returning its version.
@@ -128,38 +140,32 @@ impl SnapshotStore {
                 version: rec.checkpoint_version,
             });
         }
-        let version = self.next_version;
-        let text = format::encode_serve_state(version, rec);
-        self.append_block(Entry {
-            version,
-            kind: RecordKind::ServeState,
-            tick: None,
-            offset: 0,
-            text,
-        })?;
-        Ok(version)
+        let text = format::encode_serve_state(self.next_version, rec);
+        self.append_block(RecordKind::ServeState, None, &text)
     }
 
-    fn append_block(&mut self, mut entry: Entry) -> Result<(), StoreError> {
-        entry.offset = self
+    /// Write one encoded block at the end of the file and record where
+    /// it sits, returning its version.
+    fn append_block(
+        &mut self,
+        kind: RecordKind,
+        tick: Option<u64>,
+        text: &str,
+    ) -> Result<u64, StoreError> {
+        let version = self.next_version;
+        let offset = self
             .entries
             .last()
-            .map_or(HEADER.len() as u64 + 1, |e| e.offset + e.text.len() as u64);
+            .map_or(HEADER.len() as u64 + 1, |e| e.offset + e.len);
         let mut file = fs::OpenOptions::new()
             .append(true)
             .open(&self.path)
-            .map_err(|e| StoreError::Io {
-                op: "write",
-                detail: e.to_string(),
-            })?;
-        file.write_all(entry.text.as_bytes())
-            .map_err(|e| StoreError::Io {
-                op: "write",
-                detail: e.to_string(),
-            })?;
-        self.next_version = entry.version + 1;
-        self.entries.push(entry);
-        Ok(())
+            .map_err(io_error("write"))?;
+        file.write_all(text.as_bytes()).map_err(io_error("write"))?;
+        self.entries
+            .push(Entry::new(version, kind, tick, offset, text.len() as u64));
+        self.next_version = version + 1;
+        Ok(version)
     }
 
     /// Summary rows for every stored block, in file order.
@@ -179,32 +185,50 @@ impl SnapshotStore {
         self.decode_checkpoint_entry(version).map(|d| d.state)
     }
 
-    /// The latest checkpoint whose tick is `<= tick` — the `AS OF`
-    /// lookup.
-    pub fn checkpoint_as_of(&self, tick: u64) -> Result<(u64, CheckpointState), StoreError> {
+    /// The latest checkpoint whose tick is `<= tick`, as its query
+    /// image — the `AS OF` lookup.
+    pub fn checkpoint_as_of(&self, tick: u64) -> Result<(u64, Arc<FrozenCheckpoint>), StoreError> {
         let hit = self
             .entries
             .iter()
             .rev()
             .find(|e| e.kind == RecordKind::Checkpoint && e.tick.is_some_and(|t| t <= tick))
             .ok_or(StoreError::NoVersionAsOf { tick })?;
-        Ok((hit.version, self.checkpoint(hit.version)?))
+        Ok((hit.version, self.image(hit)?))
     }
 
-    /// Every checkpoint with `from <= tick <= to`, oldest first — the
-    /// `BETWEEN` lookup. Empty when no version falls in the window.
+    /// Every checkpoint with `from <= tick <= to`, oldest first, as
+    /// query images — the `BETWEEN` lookup. Empty when no version
+    /// falls in the window.
     pub fn checkpoints_between(
         &self,
         from: u64,
         to: u64,
-    ) -> Result<Vec<(u64, CheckpointState)>, StoreError> {
-        let mut out = Vec::new();
-        for e in &self.entries {
-            if e.kind == RecordKind::Checkpoint && e.tick.is_some_and(|t| from <= t && t <= to) {
-                out.push((e.version, self.checkpoint(e.version)?));
-            }
+    ) -> Result<Vec<(u64, Arc<FrozenCheckpoint>)>, StoreError> {
+        self.entries
+            .iter()
+            .filter(|e| {
+                e.kind == RecordKind::Checkpoint && e.tick.is_some_and(|t| from <= t && t <= to)
+            })
+            .map(|e| Ok((e.version, self.image(e)?)))
+            .collect()
+    }
+
+    /// The query image of checkpoint `entry`, built on first use and
+    /// kept. A failed build is not kept; like a checkpoint that fails
+    /// [`verify`](SnapshotStore::verify)'s validation, it is
+    /// [`StoreError::Inconsistent`].
+    fn image(&self, entry: &Entry) -> Result<Arc<FrozenCheckpoint>, StoreError> {
+        if let Some(image) = entry.image.get() {
+            return Ok(Arc::clone(image));
         }
-        Ok(out)
+        let decoded = self.decode_checkpoint_entry(entry.version)?;
+        let image =
+            FrozenCheckpoint::new(&decoded.state).map_err(|e| StoreError::Inconsistent {
+                version: entry.version,
+                detail: e.to_string(),
+            })?;
+        Ok(Arc::clone(entry.image.get_or_init(|| Arc::new(image))))
     }
 
     /// The newest checkpoint, if any.
@@ -246,8 +270,8 @@ impl SnapshotStore {
         if entry.kind != RecordKind::ServeState {
             return Ok(None);
         }
-        let lines = body_lines(entry);
-        let (decoded_version, rec) = format::decode_serve_state(&line_refs(&lines))?;
+        let body = self.read_body(entry)?;
+        let (decoded_version, rec) = format::decode_serve_state(&body_lines(&body))?;
         if decoded_version != version {
             return Err(StoreError::Inconsistent {
                 version,
@@ -262,8 +286,20 @@ impl SnapshotStore {
     /// the identity, asserted by the round-trip tests), the rebuilt
     /// file is byte-identical to the source — the property the
     /// `store_roundtrip` suite checks over hundreds of random
-    /// deployments.
+    /// deployments. `path` must not be this store's own file: creating
+    /// the output truncates it, and the blocks are read from there.
     pub fn rebuild(&self, path: impl AsRef<Path>) -> Result<SnapshotStore, StoreError> {
+        if let (Ok(out), Ok(source)) = (
+            fs::canonicalize(path.as_ref()),
+            fs::canonicalize(&self.path),
+        ) {
+            if out == source {
+                return Err(StoreError::Io {
+                    op: "create",
+                    detail: "the rebuild target is the source store itself".into(),
+                });
+            }
+        }
         let mut out = SnapshotStore::create(path)?;
         for e in &self.entries {
             match e.kind {
@@ -272,8 +308,8 @@ impl SnapshotStore {
                     out.append_checkpoint(&decoded.state)?;
                 }
                 RecordKind::ServeState => {
-                    let lines = body_lines(e);
-                    let (_, rec) = format::decode_serve_state(&line_refs(&lines))?;
+                    let body = self.read_body(e)?;
+                    let (_, rec) = format::decode_serve_state(&body_lines(&body))?;
                     out.append_serve_state(&rec)?;
                 }
             }
@@ -290,8 +326,8 @@ impl SnapshotStore {
             .iter()
             .find(|e| e.version == version && e.kind == RecordKind::Checkpoint)
             .ok_or(StoreError::NoSuchVersion { version })?;
-        let lines = body_lines(entry);
-        let decoded = format::decode_checkpoint(&line_refs(&lines))?;
+        let body = self.read_body(entry)?;
+        let decoded = format::decode_checkpoint(&body_lines(&body))?;
         if decoded.version != version {
             return Err(StoreError::Inconsistent {
                 version,
@@ -299,6 +335,34 @@ impl SnapshotStore {
             });
         }
         Ok(decoded)
+    }
+
+    /// Read `entry`'s block back from the file and check its seal
+    /// again — the file may have changed since `open` — returning the
+    /// body, `end` line excluded. A short read is `Truncated`, a
+    /// broken seal `Corrupt`.
+    fn read_body(&self, entry: &Entry) -> Result<String, StoreError> {
+        let mut file = fs::File::open(&self.path).map_err(io_error("read"))?;
+        file.seek(SeekFrom::Start(entry.offset))
+            .map_err(io_error("read"))?;
+        let mut block = Vec::with_capacity(usize::try_from(entry.len).unwrap_or(0));
+        file.take(entry.len)
+            .read_to_end(&mut block)
+            .map_err(io_error("read"))?;
+        if block.len() as u64 != entry.len {
+            return Err(StoreError::Truncated {
+                offset: entry.offset,
+            });
+        }
+        let corrupt = || StoreError::Corrupt {
+            version: entry.version,
+            offset: entry.offset,
+        };
+        let body_len = format::sealed_body(&block, entry.version)
+            .ok_or_else(corrupt)?
+            .len();
+        block.truncate(body_len);
+        String::from_utf8(block).map_err(|_| corrupt())
     }
 
     pub(crate) fn entry_meta(
@@ -310,32 +374,29 @@ impl SnapshotStore {
     }
 }
 
-/// Block body lines (the `end` line dropped) with their 1-based file
-/// line numbers, reconstructed from the block's offset.
-fn body_lines(entry: &Entry) -> Vec<(u64, String)> {
-    // Line numbers restart from the block: the header is line 1, and
-    // blocks know their byte offset, not their line offset. For error
-    // reporting we recount from the block start; offsets stay exact.
-    let all: Vec<&str> = entry.text.lines().collect();
-    all.iter()
-        .take(all.len().saturating_sub(1))
+/// Block body lines with their 1-based line numbers. Numbering
+/// restarts at the block's first line: blocks know their byte offset,
+/// not their line offset, so errors count from the block start while
+/// offsets stay exact.
+fn body_lines(body: &str) -> Vec<(u64, &str)> {
+    body.lines()
         .enumerate()
-        .map(|(i, l)| (i as u64 + 1, (*l).to_string()))
+        .map(|(i, l)| (i as u64 + 1, l))
         .collect()
 }
 
-fn line_refs(owned: &[(u64, String)]) -> Vec<(u64, &str)> {
-    owned.iter().map(|&(n, ref l)| (n, l.as_str())).collect()
+fn io_error(op: &'static str) -> impl Fn(std::io::Error) -> StoreError {
+    move |e| StoreError::Io {
+        op,
+        detail: e.to_string(),
+    }
 }
 
 fn write_file(path: &Path, bytes: &[u8], op: &'static str) -> Result<(), StoreError> {
-    fs::write(path, bytes).map_err(|e| StoreError::Io {
-        op,
-        detail: e.to_string(),
-    })
+    fs::write(path, bytes).map_err(io_error(op))
 }
 
-/// Structural scan of a whole file: header, block boundaries, CRCs
+/// Structural scan of a whole file: header, block boundaries, seals
 /// and version ordering. Full per-line decoding happens lazily.
 fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
     let mut rest = contents;
@@ -397,16 +458,13 @@ fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
             RecordKind::ServeState => None,
         };
 
-        // Walk to the end line, accumulating the body for the CRC.
-        let body_start = block_offset;
+        // Walk to the end line.
         let mut end_line: Option<&str> = None;
-        let mut body_end = offset;
         while let Some(line) = take_line(&mut rest, &mut offset, &mut line_no) {
             if line.starts_with("end ") {
                 end_line = Some(line);
                 break;
             }
-            body_end = offset;
         }
         let Some(end_line) = end_line else {
             return Err(StoreError::Truncated {
@@ -415,30 +473,14 @@ fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
         };
         let end_line_no = line_no;
 
-        let mut end_words = end_line.split_whitespace();
-        let _ = end_words.next(); // "end"
-        let end_version =
-            end_words
-                .next()
-                .and_then(|w| w.parse::<u64>().ok())
-                .ok_or(StoreError::BadRecord {
-                    line: end_line_no,
-                    detail: "end line has no version".into(),
-                })?;
-        let crc_stored = match (end_words.next(), end_words.next()) {
-            (Some("crc"), Some(hex)) => {
-                u32::from_str_radix(hex, 16).map_err(|_| StoreError::BadRecord {
-                    line: end_line_no,
-                    detail: format!("bad crc {hex:?}"),
-                })?
-            }
-            _ => {
-                return Err(StoreError::BadRecord {
-                    line: end_line_no,
-                    detail: "end line has no crc".into(),
-                })
-            }
-        };
+        let end_version = end_line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|w| w.parse::<u64>().ok())
+            .ok_or(StoreError::BadRecord {
+                line: end_line_no,
+                detail: "end line has no version".into(),
+            })?;
         if end_version != version {
             return Err(StoreError::BadRecord {
                 line: end_line_no,
@@ -446,10 +488,11 @@ fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
             });
         }
 
-        let body = contents
-            .get(body_start as usize..body_end as usize)
+        // The same seal check every later read of the block repeats.
+        let block = contents
+            .get(block_offset as usize..offset as usize)
             .unwrap_or_default();
-        if format::crc32(body.as_bytes()) != crc_stored {
+        if format::sealed_body(block.as_bytes(), version).is_none() {
             return Err(StoreError::Corrupt {
                 version,
                 offset: block_offset,
@@ -465,17 +508,13 @@ fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
             }
         }
 
-        let text = contents
-            .get(body_start as usize..offset as usize)
-            .unwrap_or_default()
-            .to_string();
-        entries.push(Entry {
+        entries.push(Entry::new(
             version,
             kind,
             tick,
-            offset: block_offset,
-            text,
-        });
+            block_offset,
+            offset - block_offset,
+        ));
     }
     Ok(entries)
 }
@@ -580,8 +619,8 @@ mod tests {
         assert_eq!(store.checkpoint_as_of(50).unwrap().0, 2);
         assert_eq!(store.checkpoint_as_of(1000).unwrap().0, 3);
         assert_eq!(
-            store.checkpoint_as_of(39),
-            Err(StoreError::NoVersionAsOf { tick: 39 })
+            store.checkpoint_as_of(39).err(),
+            Some(StoreError::NoVersionAsOf { tick: 39 })
         );
         let between = store.checkpoints_between(45, 60).unwrap();
         assert_eq!(
@@ -590,6 +629,68 @@ mod tests {
         );
         assert!(store.checkpoints_between(0, 10).unwrap().is_empty());
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn each_version_builds_one_image_on_first_use_and_shares_it() {
+        let path = tmp("images");
+        let mut store = SnapshotStore::create(&path).unwrap();
+        for tick in [40, 50, 60] {
+            store.append_checkpoint(&small_checkpoint(tick)).unwrap();
+        }
+        let built = |s: &SnapshotStore| -> Vec<u64> {
+            s.entries
+                .iter()
+                .filter(|e| e.image.get().is_some())
+                .map(|e| e.version)
+                .collect()
+        };
+        assert!(built(&store).is_empty(), "appends build no image");
+
+        let (v, first) = store.checkpoint_as_of(55).unwrap();
+        let (_, again) = store.checkpoint_as_of(50).unwrap();
+        assert_eq!(v, 2);
+        assert!(Arc::ptr_eq(&first, &again), "one image per version");
+        assert_eq!(first.tick(), 50);
+        assert_eq!(
+            built(&store),
+            vec![2],
+            "a version never queried holds no image"
+        );
+
+        // BETWEEN reuses the image AS OF built and builds the rest.
+        let between = store.checkpoints_between(40, 60).unwrap();
+        assert_eq!(
+            between.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        assert!(Arc::ptr_eq(&between[1].1, &first));
+        assert_eq!(built(&store), vec![1, 2, 3]);
+
+        // A clone shares every image built before it.
+        let clone = store.clone();
+        let (_, cloned) = clone.checkpoint_as_of(50).unwrap();
+        assert!(Arc::ptr_eq(&cloned, &first));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reads_go_back_to_the_file() {
+        let path = tmp("reads");
+        let mut store = SnapshotStore::create(&path).unwrap();
+        store.append_checkpoint(&small_checkpoint(40)).unwrap();
+        store.append_checkpoint(&small_checkpoint(50)).unwrap();
+        store.checkpoint_as_of(40).unwrap();
+        fs::remove_file(&path).unwrap();
+
+        // A built image needs no read; everything else does.
+        assert_eq!(store.checkpoint_as_of(45).unwrap().1.tick(), 40);
+        match store.checkpoint_as_of(50) {
+            Err(StoreError::Io { op: "read", .. }) => {}
+            other => panic!("expected a read error, got {other:?}"),
+        }
+        assert!(matches!(store.checkpoint(1), Err(StoreError::Io { .. })));
+        assert!(matches!(store.verify(), Err(StoreError::Io { .. })));
     }
 
     #[test]
@@ -651,6 +752,14 @@ mod tests {
             .unwrap();
 
         store.rebuild(&dst).unwrap();
+        assert_eq!(fs::read(&src).unwrap(), fs::read(&dst).unwrap());
+
+        // Rebuilding onto the source would truncate the file its
+        // blocks are read from.
+        match store.rebuild(&src) {
+            Err(StoreError::Io { op: "create", .. }) => {}
+            other => panic!("expected a refused rebuild, got {other:?}"),
+        }
         assert_eq!(fs::read(&src).unwrap(), fs::read(&dst).unwrap());
         let _ = fs::remove_file(&src);
         let _ = fs::remove_file(&dst);

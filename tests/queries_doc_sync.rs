@@ -64,22 +64,32 @@ fn canonical_network() -> SensorNetwork {
     sn
 }
 
+/// An open store whose file is removed when it drops: the store reads
+/// its blocks back from that file, so the file must outlive the
+/// queries.
+struct TempStore(SnapshotStore);
+
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(self.0.path());
+    }
+}
+
 /// The canonical handbook *store* (QUERIES.md §12): the canonical
 /// network checkpointed at ticks 50, 55, and 60.
-fn canonical_store() -> SnapshotStore {
+fn canonical_store() -> TempStore {
     let path = std::env::temp_dir().join(format!(
         "queries-doc-sync-{}-{:?}.store",
         std::process::id(),
         std::thread::current().id()
     ));
     let mut sn = canonical_network();
-    let mut store = SnapshotStore::create(&path).expect("temp dir is writable");
-    store.append_checkpoint(&sn.checkpoint()).expect("append");
+    let mut store = TempStore(SnapshotStore::create(&path).expect("temp dir is writable"));
+    store.0.append_checkpoint(&sn.checkpoint()).expect("append");
     for _ in 0..2 {
         sn.advance(5);
-        store.append_checkpoint(&sn.checkpoint()).expect("append");
+        store.0.append_checkpoint(&sn.checkpoint()).expect("append");
     }
-    let _ = std::fs::remove_file(&path);
     store
 }
 
@@ -95,7 +105,7 @@ fn reproduce(sql: &str) -> String {
     )
     .expect("sql plans");
     if planned.history.is_some() {
-        return execute_plan_history(&canonical_store(), &planned, NodeId(0))
+        return execute_plan_history(&canonical_store().0, &planned, NodeId(0))
             .expect("the canonical store covers every example")
             .render();
     }

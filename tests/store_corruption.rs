@@ -6,11 +6,20 @@
 //! (CRC mismatch, truncation, malformed record) must actually fire,
 //! so a regression that quietly stops detecting damage fails here
 //! even though each individual case would still "pass".
+//!
+//! An open store keeps block offsets, not block text, so the same
+//! damage made *after* `open` must be caught by the read that reaches
+//! it: the second pair of sweeps flips bits in, and cuts, the file
+//! under an open store and reads every version back.
 
 use snapshot_bench::RandomWalkSetup;
-use snapshot_queries::core::SensorNetwork;
+use snapshot_queries::core::{
+    Aggregate, QueryMode, SensorNetwork, SnapshotQuery, SpatialPredicate,
+};
 use snapshot_queries::netsim::rng::{DetRng, RngExt};
-use snapshot_queries::store::{remediation, SnapshotStore, StoreError};
+use snapshot_queries::netsim::NodeId;
+use snapshot_queries::store::{remediation, RecordKind, SnapshotStore, StoreError};
+use std::ops::Range;
 use std::path::PathBuf;
 
 /// Bit-flip trials (one flipped bit per trial).
@@ -18,6 +27,12 @@ const FLIPS: usize = 160;
 
 /// Truncation trials (one cut per trial).
 const CUTS: usize = 60;
+
+/// Bit flips made after `open` (one flipped bit per trial).
+const LATE_FLIPS: usize = 120;
+
+/// Cuts made after `open` (one cut per trial).
+const LATE_CUTS: usize = 40;
 
 fn network(seed: u64) -> SensorNetwork {
     let mut sn = RandomWalkSetup {
@@ -198,5 +213,171 @@ fn a_missing_file_and_a_foreign_file_are_typed_errors() {
         }
         other => panic!("expected a bad-header error, got {other:?}"),
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Each block's byte range in a store image, in file order: from its
+/// opener line through its `end` line.
+fn block_ranges(bytes: &[u8]) -> Vec<Range<usize>> {
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let mut pos = lines.next().map_or(0, <[u8]>::len); // the header
+    let mut start = pos;
+    let mut out = Vec::new();
+    for line in lines {
+        pos += line.len();
+        if line.starts_with(b"end ") {
+            out.push(start..pos);
+            start = pos;
+        }
+    }
+    out
+}
+
+/// Every read path that reaches each block, in file order: the block's
+/// version plus one rendered result per path (`checkpoint` and the
+/// `AS OF` image's answers for a checkpoint, `serve_state` for a
+/// serve-state record).
+fn read_every_version(store: &SnapshotStore) -> Vec<(u64, Vec<Result<String, StoreError>>)> {
+    let query =
+        SnapshotQuery::aggregate(SpatialPredicate::All, Aggregate::Avg, QueryMode::Snapshot);
+    let rows = SnapshotQuery::drill_through(SpatialPredicate::All, QueryMode::Regular);
+    store
+        .versions()
+        .into_iter()
+        .map(|info| {
+            let reads = match (info.kind, info.tick) {
+                (RecordKind::Checkpoint, Some(tick)) => vec![
+                    store.checkpoint(info.version).map(|cp| format!("{cp:?}")),
+                    store.checkpoint_as_of(tick).map(|(version, image)| {
+                        let positions: Vec<_> = image.positions().collect();
+                        format!(
+                            "{version} {} {positions:?} {:?} {:?}",
+                            image.tick(),
+                            image.execute(&query, NodeId(0)),
+                            image.execute(&rows, NodeId(0)),
+                        )
+                    }),
+                ],
+                _ => vec![store
+                    .serve_state(info.version)
+                    .map(|rec| format!("{rec:?}"))],
+            };
+            (info.version, reads)
+        })
+        .collect()
+}
+
+/// A pristine store written to `path` and opened, with the byte range
+/// and version of each of its blocks.
+fn open_pristine(bytes: &[u8], path: &PathBuf) -> (SnapshotStore, Vec<(u64, Range<usize>)>) {
+    std::fs::write(path, bytes).expect("write pristine image");
+    let store = SnapshotStore::open(path).expect("pristine store opens");
+    let blocks = store
+        .versions()
+        .into_iter()
+        .map(|info| info.version)
+        .zip(block_ranges(bytes))
+        .collect();
+    (store, blocks)
+}
+
+#[test]
+fn bit_flips_after_open_fail_the_read_of_their_block_only() {
+    let (bytes, versions) = pristine("late-flip");
+    let path = scratch("late-flip");
+    let (store, blocks) = open_pristine(&bytes, &path);
+    assert_eq!(blocks.len(), versions);
+    let clean = read_every_version(&store);
+    let clean_report = store.verify().expect("pristine store verifies");
+    assert!(clean.iter().flat_map(|(_, r)| r).all(Result::is_ok));
+
+    let mut rng = DetRng::seed_from_u64(0x1A7E_F11B);
+    let mut in_blocks = 0usize;
+    for _ in 0..LATE_FLIPS {
+        let (store, _) = open_pristine(&bytes, &path);
+        let mut damaged = bytes.clone();
+        let byte = rng.random_range(0..damaged.len() as u64) as usize;
+        damaged[byte] ^= 1 << rng.random_range(0..8u32);
+        std::fs::write(&path, &damaged).expect("damage the file under the open store");
+
+        // Only the block holding the flipped byte may fail, and it
+        // must fail as `Corrupt`, naming its version and offset:
+        // CRC-32 catches every single-bit error in the body, and the
+        // seal check catches any change to the `end` line.
+        let hit = blocks.iter().find(|(_, range)| range.contains(&byte));
+        let expected = hit.map(|(version, range)| StoreError::Corrupt {
+            version: *version,
+            offset: range.start as u64,
+        });
+        in_blocks += usize::from(hit.is_some());
+        for ((version, got), (_, want)) in read_every_version(&store).into_iter().zip(&clean) {
+            for (got, want) in got.into_iter().zip(want) {
+                match (hit, &expected) {
+                    (Some((damaged_version, _)), Some(err)) if *damaged_version == version => {
+                        assert_eq!(got.as_ref(), Err(err), "flip at byte {byte}");
+                        assert!(!remediation(err).is_empty());
+                    }
+                    _ => assert_eq!(&got, want, "flip at byte {byte} changed version {version}"),
+                }
+            }
+        }
+        match expected {
+            Some(err) => assert_eq!(store.verify(), Err(err), "flip at byte {byte}"),
+            None => assert_eq!(store.verify().as_ref(), Ok(&clean_report)),
+        }
+    }
+    assert!(
+        in_blocks * 10 >= LATE_FLIPS * 9,
+        "only {in_blocks}/{LATE_FLIPS} flips landed inside a block"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn cuts_after_open_fail_every_read_past_the_cut() {
+    let (bytes, _) = pristine("late-cut");
+    let path = scratch("late-cut");
+    let (store, blocks) = open_pristine(&bytes, &path);
+    let clean = read_every_version(&store);
+
+    let mut rng = DetRng::seed_from_u64(0x01A7_EC07);
+    let mut saw_cut_block = false;
+    for _ in 0..LATE_CUTS {
+        let (store, _) = open_pristine(&bytes, &path);
+        let len = rng.random_range(0..bytes.len() as u64) as usize;
+        std::fs::write(&path, &bytes[..len]).expect("cut the file under the open store");
+
+        for ((version, got), (_, want)) in read_every_version(&store).into_iter().zip(&clean) {
+            let range = blocks
+                .iter()
+                .find(|(v, _)| *v == version)
+                .map(|(_, range)| range.clone())
+                .expect("every version has a block");
+            for (got, want) in got.into_iter().zip(want) {
+                if range.end <= len {
+                    assert_eq!(&got, want, "a cut at {len} changed version {version}");
+                } else {
+                    saw_cut_block = true;
+                    match got {
+                        Err(StoreError::Truncated { offset }) => {
+                            assert_eq!(offset, range.start as u64, "cut at {len}");
+                        }
+                        Err(StoreError::Io { .. }) => {}
+                        other => panic!("a cut at {len} read version {version} as {other:?}"),
+                    }
+                }
+            }
+        }
+        let first_cut = blocks.iter().find(|(_, range)| range.end > len);
+        match (store.verify(), first_cut) {
+            (Ok(_), None) => {}
+            (Err(StoreError::Truncated { offset }), Some((_, range))) => {
+                assert_eq!(offset, range.start as u64, "cut at {len}");
+            }
+            (Err(StoreError::Io { .. }), Some(_)) => {}
+            (other, _) => panic!("verify after a cut at {len} returned {other:?}"),
+        }
+    }
+    assert!(saw_cut_block, "no cut ever reached a block");
     let _ = std::fs::remove_file(&path);
 }
