@@ -17,7 +17,8 @@
 //! * adjacency lists are written verbatim, in stored order (BFS tree
 //!   construction is neighbor-order-sensitive);
 //! * free-text fields (SQL) are percent-escaped so each record stays
-//!   one line of whitespace-separated tokens.
+//!   one line of tokens separated by ASCII whitespace; the encoder
+//!   writes one space between tokens.
 
 use crate::error::StoreError;
 use snapshot_core::cache::CachePolicy;
@@ -132,7 +133,7 @@ static CRC_TABLES: LazyLock<[[u32; 256]; 8]> = LazyLock::new(|| {
     std::array::from_fn(|k| std::array::from_fn(|b| (0..=k).fold(b as u32, |c, _| zero_byte(c))))
 });
 
-fn lookup(table: &[u32; 256], b: u8) -> u32 {
+fn lookup<T: Copy + Default>(table: &[T; 256], b: u8) -> T {
     table.get(usize::from(b)).copied().unwrap_or_default()
 }
 
@@ -163,6 +164,28 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 fn hex_f64(v: f64) -> String {
     format!("{:016x}", v.to_bits())
+}
+
+/// Each byte's value as a hex digit of either case; 0xFF for a byte
+/// that is not one.
+static HEX_DIGITS: LazyLock<[u8; 256]> = LazyLock::new(|| {
+    std::array::from_fn(|b| char::from(b as u8).to_digit(16).map_or(0xFF, |d| d as u8))
+});
+
+/// Sixteen hex digits as the bits they spell. Every digit goes through
+/// the table and one test at the end rejects a non-digit: a branch per
+/// digit would mispredict on random bit patterns.
+fn hex_u64(token: &str) -> Option<u64> {
+    let digits: &[u8; 16] = token.as_bytes().try_into().ok()?;
+    let table = &*HEX_DIGITS;
+    let mut bits = 0u64;
+    let mut seen = 0u8;
+    for &b in digits {
+        let d = lookup(table, b);
+        seen |= d;
+        bits = bits << 4 | u64::from(d & 0x0F);
+    }
+    (seen <= 0x0F).then_some(bits)
 }
 
 fn escape(text: &str) -> String {
@@ -234,9 +257,9 @@ impl FieldCtx {
         if token.len() != 16 {
             return Err(self.bad(format!("expected 16 hex digits, got {token:?}")));
         }
-        u64::from_str_radix(token, 16)
+        hex_u64(token)
             .map(f64::from_bits)
-            .map_err(|_| self.bad(format!("bad f64 bits {token:?}")))
+            .ok_or_else(|| self.bad(format!("bad f64 bits {token:?}")))
     }
 
     fn u64(&self, token: &str) -> Result<u64, StoreError> {
@@ -259,17 +282,18 @@ impl FieldCtx {
     }
 }
 
-/// A sequential token reader over one line.
+/// A sequential token reader over one line. Tokens are separated by
+/// runs of ASCII whitespace.
 struct Tokens<'a> {
     ctx: FieldCtx,
-    iter: std::str::SplitWhitespace<'a>,
+    iter: std::str::SplitAsciiWhitespace<'a>,
 }
 
 impl<'a> Tokens<'a> {
     fn new(line_no: u64, text: &'a str) -> Self {
         Tokens {
             ctx: FieldCtx { line: line_no },
-            iter: text.split_whitespace(),
+            iter: text.split_ascii_whitespace(),
         }
     }
 
@@ -376,7 +400,7 @@ impl<'a> Cursor<'a> {
     fn peek_word(&self) -> Option<&'a str> {
         self.lines
             .get(self.pos)
-            .and_then(|&(_, text)| text.split_whitespace().next())
+            .and_then(|&(_, text)| text.split_ascii_whitespace().next())
     }
 
     fn finish(self) -> Result<(), StoreError> {
@@ -930,6 +954,49 @@ mod tests {
                 .f64_bits(&coded)
                 .unwrap_or_else(|e| panic!("decode failed: {e}"));
             assert_eq!(back.to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    fn hex_digits_read_as_the_standard_parser_reads_them() {
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        for _ in 0..1000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            for token in [format!("{state:016x}"), format!("{state:016X}")] {
+                assert_eq!(hex_u64(&token), u64::from_str_radix(&token, 16).ok());
+            }
+        }
+        for token in [
+            "000000000000000g",
+            "0000000 00000000",
+            "00000000000000é",
+            "+00000000000000f",
+            "000000000000000",
+            "00000000000000000",
+        ] {
+            assert_eq!(hex_u64(token), None, "{token:?}");
+        }
+    }
+
+    #[test]
+    fn any_ascii_whitespace_separates_tokens() {
+        let cp = tiny_checkpoint();
+        let text = encode_checkpoint(3, &cp);
+        let owned = block_lines(&text);
+        let body = &owned[..owned.len() - 1];
+        // Layouts the encoder never writes: doubled spaces, tabs, and
+        // blanks before the first and after the last token.
+        for sep in ["  ", "\t", " \t "] {
+            let spaced: Vec<(u64, String)> = body
+                .iter()
+                .map(|(n, l)| (*n, format!("{sep}{}{sep}", l.replace(' ', sep))))
+                .collect();
+            let lines: Vec<(u64, &str)> = spaced.iter().map(|(n, l)| (*n, l.as_str())).collect();
+            let decoded =
+                decode_checkpoint(&lines).unwrap_or_else(|e| panic!("{sep:?} layout: {e}"));
+            assert_eq!(decoded.state, cp, "{sep:?} layout");
         }
     }
 

@@ -420,7 +420,7 @@ fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
             break;
         };
         let opener_line = line_no;
-        let mut words = opener.split_whitespace();
+        let mut words = opener.split_ascii_whitespace();
         let kind = match words.next() {
             Some("version") => RecordKind::Checkpoint,
             Some("serve") => RecordKind::ServeState,
@@ -474,7 +474,7 @@ fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
         let end_line_no = line_no;
 
         let end_version = end_line
-            .split_whitespace()
+            .split_ascii_whitespace()
             .nth(1)
             .and_then(|w| w.parse::<u64>().ok())
             .ok_or(StoreError::BadRecord {
