@@ -18,7 +18,6 @@ use super::line::CacheLine;
 use super::policy::CachePolicy;
 use crate::model::LinearModel;
 use snapshot_netsim::NodeId;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of one sensing element on a node.
@@ -113,14 +112,28 @@ pub enum CacheDecision {
     Rejected,
 }
 
+/// One cache line with its memoized eviction penalty.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    line: CacheLine,
+    /// The line's eviction penalty, computed lazily (the paper's
+    /// precompute optimization) and reset to `None` whenever the line
+    /// is pushed or evicted.
+    penalty: Option<f64>,
+}
+
 /// The per-node cache of neighbor observations.
+///
+/// Lines live in one flat layout in key order: `keys` is a dense,
+/// strictly ascending array used only for lookups, and `slots` holds
+/// each key's line and penalty memo at the same index. A victim search
+/// is one pass over the slots; a slot is inserted or removed only when
+/// a line appears or empties.
 #[derive(Debug, Clone)]
 pub struct ModelCache {
     config: CacheConfig,
-    lines: BTreeMap<LineKey, CacheLine>,
-    /// Lazily computed eviction penalties (the paper's precompute
-    /// optimization); entries are invalidated whenever a line mutates.
-    penalties: BTreeMap<LineKey, f64>,
+    keys: Vec<LineKey>,
+    slots: Vec<Slot>,
     /// Round-robin rotation state for newcomer victims / the
     /// round-robin baseline policy: the key *after* which the search
     /// for the next victim line starts.
@@ -133,8 +146,8 @@ impl ModelCache {
     pub fn new(config: CacheConfig) -> Self {
         ModelCache {
             config,
-            lines: BTreeMap::new(),
-            penalties: BTreeMap::new(),
+            keys: Vec::new(),
+            slots: Vec::new(),
             rr_after: None,
             total_pairs: 0,
         }
@@ -142,22 +155,62 @@ impl ModelCache {
 
     /// Rebuild a cache from checkpointed parts: the per-line state
     /// (carrying its exact running statistics, see
-    /// [`CacheLine::from_parts`]) plus the round-robin rotation marker.
-    /// The penalty memo is restored empty — entries are invalidated on
-    /// every line mutation, so a cached penalty always equals a pure
-    /// recompute from current line state and carries no history.
+    /// [`CacheLine::from_parts`]) in key order, as [`ModelCache::lines`]
+    /// yields it, plus the round-robin rotation marker. A line out of
+    /// order is sorted into place and a repeated key keeps its last
+    /// line; empty lines are kept. The penalty memo is restored empty —
+    /// entries are reset on every line mutation, so a memoized penalty
+    /// always equals a pure recompute from current line state and
+    /// carries no history.
     pub fn from_parts(
         config: CacheConfig,
-        lines: BTreeMap<LineKey, CacheLine>,
+        lines: impl IntoIterator<Item = (LineKey, CacheLine)>,
         rr_after: Option<LineKey>,
     ) -> Self {
-        let total_pairs = lines.values().map(CacheLine::len).sum();
-        ModelCache {
+        let lines = lines.into_iter();
+        let mut cache = ModelCache {
             config,
-            lines,
-            penalties: BTreeMap::new(),
+            keys: Vec::with_capacity(lines.size_hint().0),
+            slots: Vec::with_capacity(lines.size_hint().0),
             rr_after,
-            total_pairs,
+            total_pairs: 0,
+        };
+        for (key, line) in lines {
+            let slot = Slot {
+                line,
+                penalty: None,
+            };
+            // Lines in key order, the normal case, append.
+            let at = match cache.keys.last() {
+                Some(&last) if last >= key => cache.find(key),
+                _ => Err(cache.keys.len()),
+            };
+            match at {
+                Ok(i) => {
+                    if let Some(old) = cache.slots.get_mut(i) {
+                        *old = slot;
+                    }
+                }
+                Err(i) => {
+                    cache.keys.insert(i, key);
+                    cache.slots.insert(i, slot);
+                }
+            }
+        }
+        cache.total_pairs = cache.slots.iter().map(|s| s.line.len()).sum();
+        cache
+    }
+
+    /// Where `key` is in `keys` (`Ok`), or where it would be inserted
+    /// to keep them ascending (`Err`). A node caches a few dozen lines,
+    /// and over so few keys a scan that stops at the first key not
+    /// below `key` is faster than a binary search.
+    #[inline]
+    fn find(&self, key: LineKey) -> Result<usize, usize> {
+        match self.keys.iter().enumerate().find(|&(_, &k)| k >= key) {
+            Some((i, &k)) if k == key => Ok(i),
+            Some((i, _)) => Err(i),
+            None => Err(self.keys.len()),
         }
     }
 
@@ -189,22 +242,26 @@ impl ModelCache {
 
     /// The cache line for a neighbor's default measurement.
     pub fn line(&self, j: NodeId) -> Option<&CacheLine> {
-        self.lines.get(&j.into())
+        self.line_for(j)
     }
 
     /// The cache line for one of a neighbor's measurements.
     pub fn line_for(&self, key: impl Into<LineKey>) -> Option<&CacheLine> {
-        self.lines.get(&key.into())
+        let i = self.find(key.into()).ok()?;
+        self.slots.get(i).map(|s| &s.line)
     }
 
     /// Iterate over `(line key, line)` in key order.
     pub fn lines(&self) -> impl Iterator<Item = (LineKey, &CacheLine)> {
-        self.lines.iter().map(|(id, l)| (*id, l))
+        self.keys
+            .iter()
+            .copied()
+            .zip(self.slots.iter().map(|s| &s.line))
     }
 
     /// Number of neighbors with at least one cached pair.
     pub fn populated_lines(&self) -> usize {
-        self.lines.values().filter(|l| !l.is_empty()).count()
+        self.slots.iter().filter(|s| !s.line.is_empty()).count()
     }
 
     /// The fitted model for neighbor `j`'s default measurement
@@ -215,7 +272,7 @@ impl ModelCache {
 
     /// The fitted model for any line key.
     pub fn model_for_measurement(&self, key: impl Into<LineKey>) -> Option<LinearModel> {
-        let line = self.lines.get(&key.into())?;
+        let line = self.line_for(key)?;
         if line.is_empty() {
             None
         } else {
@@ -281,8 +338,7 @@ impl ModelCache {
 
     /// The paper's model-aware admission algorithm.
     fn observe_model_aware(&mut self, j: LineKey, x: f64, y: f64) -> CacheDecision {
-        let line_empty = self.lines.get(&j).is_none_or(CacheLine::is_empty);
-        if line_empty {
+        let Some(line) = self.line_for(j).filter(|l| !l.is_empty()) else {
             // Newcomer: round-robin victim "among all the available
             // cache lines" (never the newcomer's own empty line).
             return match self.next_rr_victim(Some(j)) {
@@ -293,9 +349,8 @@ impl ModelCache {
                 }
                 None => CacheDecision::Rejected,
             };
-        }
+        };
 
-        let line = &self.lines[&j];
         // All three candidate models are *evaluated* on c_aug — every
         // known observation of x_j including the new one — because the
         // model must serve future estimates, not relive the past.
@@ -338,80 +393,73 @@ impl ModelCache {
     }
 
     /// The line (≠ `j`) with the smallest eviction penalty strictly
-    /// below `gain`, if any. Uses the lazily-maintained penalty cache.
+    /// below `gain`, if any: one pass over the slots, computing and
+    /// memoizing each penalty the first time it is needed.
     fn cheapest_victim(&mut self, j: LineKey, gain: f64) -> Option<LineKey> {
         let mut best: Option<(f64, LineKey)> = None;
-        let candidates: Vec<LineKey> = self
-            .lines
-            .iter()
-            .filter(|(id, l)| **id != j && !l.is_empty())
-            .map(|(id, _)| *id)
-            .collect();
-        for id in candidates {
-            let p = self.penalty_of(id);
-            if p < gain {
-                let better = match best {
-                    None => true,
-                    Some((bp, _)) => p < bp,
-                };
-                if better {
-                    best = Some((p, id));
-                }
+        for (&key, slot) in self.keys.iter().zip(self.slots.iter_mut()) {
+            if key == j || slot.line.is_empty() {
+                continue;
+            }
+            let p = *slot
+                .penalty
+                .get_or_insert_with(|| slot.line.eviction_penalty());
+            if p < gain && best.is_none_or(|(bp, _)| p < bp) {
+                best = Some((p, key));
             }
         }
-        best.map(|(_, id)| id)
-    }
-
-    fn penalty_of(&mut self, id: LineKey) -> f64 {
-        if let Some(p) = self.penalties.get(&id) {
-            return *p;
-        }
-        let p = self.lines[&id].eviction_penalty();
-        self.penalties.insert(id, p);
-        p
+        best.map(|(_, key)| key)
     }
 
     /// Next victim for round-robin rotation: the first line after
     /// `rr_after` (cyclically, in id order) that has pairs and is not
     /// `exclude`.
     fn next_rr_victim(&mut self, exclude: Option<LineKey>) -> Option<LineKey> {
-        let eligible: Vec<LineKey> = self
-            .lines
+        let mut eligible = self
+            .keys
             .iter()
-            .filter(|(id, l)| !l.is_empty() && Some(**id) != exclude)
-            .map(|(id, _)| *id)
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
+            .zip(&self.slots)
+            .filter(|(&key, slot)| !slot.line.is_empty() && Some(key) != exclude)
+            .map(|(&key, _)| key);
+        let first = eligible.next()?;
         let victim = match self.rr_after {
-            Some(after) => eligible
-                .iter()
-                .copied()
-                .find(|id| *id > after)
-                .unwrap_or(eligible[0]),
-            None => eligible[0],
+            Some(after) if first <= after => eligible.find(|&key| key > after).unwrap_or(first),
+            _ => first,
         };
         self.rr_after = Some(victim);
         Some(victim)
     }
 
     fn push_pair(&mut self, j: LineKey, x: f64, y: f64) {
-        self.lines.entry(j).or_default().push(x, y);
-        self.penalties.remove(&j);
-        self.total_pairs += 1;
+        let i = match self.find(j) {
+            Ok(i) => i,
+            Err(i) => {
+                self.keys.insert(i, j);
+                self.slots.insert(i, Slot::default());
+                i
+            }
+        };
+        if let Some(slot) = self.slots.get_mut(i) {
+            slot.line.push(x, y);
+            slot.penalty = None;
+            self.total_pairs += 1;
+        }
     }
 
     fn evict_oldest_of(&mut self, id: LineKey) {
-        if let Some(line) = self.lines.get_mut(&id) {
-            if line.evict_oldest().is_some() {
-                self.total_pairs -= 1;
-            }
-            if line.is_empty() {
-                self.lines.remove(&id);
-            }
+        let Ok(i) = self.find(id) else { return };
+        let Some(slot) = self.slots.get_mut(i) else {
+            return;
+        };
+        if slot.line.evict_oldest().is_some() {
+            self.total_pairs -= 1;
         }
-        self.penalties.remove(&id);
+        if slot.line.is_empty() {
+            self.keys.remove(i);
+            self.slots.remove(i);
+        } else {
+            slot.penalty = None;
+        }
     }
 }
 
@@ -620,6 +668,36 @@ mod tests {
         let d = c.observe_measurement((NodeId(1), MeasurementId(2)), 0.0, 3.0);
         assert!(matches!(d, CacheDecision::NewcomerEvicting(_)));
         assert_eq!(c.total_pairs(), 4);
+    }
+
+    #[test]
+    fn from_parts_orders_lines_and_keeps_the_last_of_a_repeated_key() {
+        let line = |pairs: &[(f64, f64)]| {
+            let mut l = CacheLine::new();
+            for &(x, y) in pairs {
+                l.push(x, y);
+            }
+            l
+        };
+        let key = |n| LineKey::from(NodeId(n));
+        let c = ModelCache::from_parts(
+            CacheConfig::default(),
+            vec![
+                (key(3), line(&[(1.0, 2.0)])),
+                (key(1), line(&[(0.0, 1.0)])),
+                (key(3), line(&[(5.0, 6.0), (7.0, 8.0)])),
+                (key(2), CacheLine::new()),
+            ],
+            None,
+        );
+        let keys: Vec<u32> = c.lines().map(|(k, _)| k.node.0).collect();
+        assert_eq!(keys, [1, 2, 3]);
+        assert_eq!(c.line(NodeId(3)).unwrap().len(), 2);
+        assert_eq!(c.total_pairs(), 3);
+        // The empty line is kept but models nothing.
+        assert_eq!(c.populated_lines(), 2);
+        assert!(c.line(NodeId(2)).is_some_and(CacheLine::is_empty));
+        assert!(c.model_for(NodeId(2)).is_none());
     }
 
     #[test]

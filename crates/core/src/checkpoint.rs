@@ -34,7 +34,6 @@ use crate::query::{execute_frozen, QueryResult, SnapshotQuery};
 use crate::sensor::{Mode, SensorNode};
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::{Network, NodeId, Position, Topology};
-use std::collections::BTreeMap;
 
 /// One cached line of one node: the raw pairs plus the running
 /// statistics exactly as they were (see [`CacheLine::from_parts`] for
@@ -137,9 +136,10 @@ impl CheckpointState {
     }
 
     /// Structural validation: every per-node vector has the same
-    /// length, ids stay in range, and each line's statistics count
-    /// matches its pair count. Decoded store data must pass here
-    /// before any index-based access.
+    /// length, ids stay in range, each node's cache lines are in
+    /// strictly ascending key order (as extraction writes them), and
+    /// each line's statistics count matches its pair count. Decoded
+    /// store data must pass here before any index-based access.
     pub fn validate(&self) -> Result<(), CoreError> {
         let n = self.nodes.len();
         if n == 0 {
@@ -162,6 +162,7 @@ impl CheckpointState {
             });
         }
         let in_range = |id: u32| (id as usize) < n;
+        let key = |lc: &LineCheckpoint| (lc.node, lc.measurement);
         for adj in &self.neighbors {
             if !adj.iter().all(|&id| in_range(id)) {
                 return Err(CoreError::InvalidCheckpoint {
@@ -180,6 +181,11 @@ impl CheckpointState {
             if !nc.represents.iter().all(|&(m, _)| in_range(m)) {
                 return Err(CoreError::InvalidCheckpoint {
                     detail: "member id out of range",
+                });
+            }
+            if !nc.lines.is_sorted_by(|a, b| key(a) < key(b)) {
+                return Err(CoreError::InvalidCheckpoint {
+                    detail: "cache-line keys are not strictly ascending",
                 });
             }
             for lc in &nc.lines {
@@ -325,17 +331,14 @@ fn apply_node(nc: &NodeCheckpoint, node: &mut SensorNode, cfg: CacheConfig) {
         .collect();
     node.forced_active = nc.forced_active;
     node.refusing_invites = nc.refusing_invites;
-    let mut lines = BTreeMap::new();
-    for lc in &nc.lines {
+    let lines = nc.lines.iter().map(|lc| {
         let key = LineKey {
             node: NodeId(lc.node),
             measurement: MeasurementId(lc.measurement),
         };
-        lines.insert(
-            key,
-            CacheLine::from_parts(lc.pairs.iter().copied().collect(), lc.stats),
-        );
-    }
+        let line = CacheLine::from_parts(lc.pairs.iter().copied().collect(), lc.stats);
+        (key, line)
+    });
     let rr_after = nc.rr_after.map(|(id, m)| LineKey {
         node: NodeId(id),
         measurement: MeasurementId(m),
@@ -610,6 +613,27 @@ mod tests {
                 Err(CoreError::InvalidCheckpoint { .. })
             ));
         }
+
+        // Cache lines out of key order, or a key repeated: the encoder
+        // always writes each node's lines strictly ascending.
+        let node = good
+            .nodes
+            .iter()
+            .position(|n| n.lines.len() >= 2)
+            .expect("a trained node caches several lines");
+        let mut bad = good.clone();
+        bad.nodes[node].lines.swap(0, 1);
+        assert!(matches!(
+            bad.validate(),
+            Err(CoreError::InvalidCheckpoint { .. })
+        ));
+        let mut bad = good.clone();
+        let first = bad.nodes[node].lines[0].clone();
+        bad.nodes[node].lines.insert(1, first);
+        assert!(matches!(
+            bad.validate(),
+            Err(CoreError::InvalidCheckpoint { .. })
+        ));
 
         // quality() on malformed data must not panic.
         let mut bad = good;

@@ -49,10 +49,22 @@ enum Scope<'a> {
 }
 
 impl Scope<'_> {
-    fn is_electing(&self, id: NodeId) -> bool {
+    /// Per-node "is electing" flags for a deployment of `n` nodes,
+    /// built once per election so every membership test is O(1). The
+    /// initiator slice may be in any order and hold duplicates; ids
+    /// outside the deployment elect nobody.
+    fn electing_flags(&self, n: usize) -> Vec<bool> {
         match self {
-            Scope::Full => true,
-            Scope::Partial(set) => set.contains(&id),
+            Scope::Full => vec![true; n],
+            Scope::Partial(set) => {
+                let mut flags = vec![false; n];
+                for id in set.iter() {
+                    if let Some(flag) = flags.get_mut(id.index()) {
+                        *flag = true;
+                    }
+                }
+                flags
+            }
         }
     }
 }
@@ -114,6 +126,7 @@ fn run_election(
     // Remember the representative each initiator is abandoning so it
     // can be recalled after a new choice is made.
     let mut old_rep: Vec<Option<NodeId>> = vec![None; nodes.len()];
+    let electing = scope.electing_flags(nodes.len());
     match scope {
         Scope::Full => {
             for &i in &ids {
@@ -149,7 +162,7 @@ fn run_election(
         phase: Phase::Invitation,
     });
     for &j in &ids {
-        if net.is_alive(j) && scope.is_electing(j) {
+        if net.is_alive(j) && electing[j.index()] {
             net.broadcast(
                 j,
                 ProtocolMsg::Invite {
@@ -274,7 +287,7 @@ fn run_election(
         for d in inbox.drain(..) {
             if let ProtocolMsg::Candidates { cand, already } = d.payload {
                 node.heard_cand_len.insert(d.from, cand.len());
-                if scope.is_electing(j) && cand.contains(&j) {
+                if electing[j.index()] && cand.contains(&j) {
                     node.offers.push(Offer {
                         from: d.from,
                         cand_len: cand.len(),
@@ -283,7 +296,7 @@ fn run_election(
                 }
             }
         }
-        if scope.is_electing(j) {
+        if electing[j.index()] {
             if let Some(best) = node.best_offer(count_already) {
                 node.rep_of = Some((best.from, epoch));
                 to_send.push((j, Some(best.from), ProtocolMsg::Accept { epoch }));
@@ -607,9 +620,25 @@ mod tests {
     #[test]
     fn scope_membership() {
         let ids = [NodeId(1), NodeId(3)];
-        let p = Scope::Partial(&ids);
-        assert!(p.is_electing(NodeId(1)));
-        assert!(!p.is_electing(NodeId(2)));
-        assert!(Scope::Full.is_electing(NodeId(99)));
+        assert_eq!(
+            Scope::Partial(&ids).electing_flags(5),
+            [false, true, false, true, false]
+        );
+        assert_eq!(Scope::Full.electing_flags(3), [true; 3]);
+
+        // Any order, duplicates and out-of-range ids: a node elects
+        // exactly when the slice contains it.
+        let ids = [
+            NodeId(7),
+            NodeId(2),
+            NodeId(7),
+            NodeId(40),
+            NodeId(0),
+            NodeId(2),
+        ];
+        let flags = Scope::Partial(&ids).electing_flags(10);
+        for (i, &flag) in flags.iter().enumerate() {
+            assert_eq!(flag, ids.contains(&NodeId::from_index(i)), "node {i}");
+        }
     }
 }

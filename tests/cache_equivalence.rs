@@ -1,0 +1,387 @@
+//! Equivalence suite for the model-aware cache manager.
+//!
+//! `ModelCache` keeps its lines in one flat layout in key order — a
+//! dense key array for lookups and a parallel array of slots, each a
+//! line with its memoized eviction penalty — and finds victims in one
+//! pass. This suite holds it to a reference written the direct way:
+//! the same admission algorithm over a `BTreeMap` of lines and a
+//! `BTreeMap` of memoized penalties, collecting the candidate lines
+//! afresh for every victim search.
+//!
+//! Seeded random observation streams cover both policies, budgets from
+//! zero pairs up to 256 (including one pair per line), 1–60 neighbours
+//! with 1–3 measurement ids each, and three kinds of values: a constant
+//! own reading (zero-variance models), pairs exactly on a line (ties at
+//! a zero eviction penalty) and noisy pairs. Every so often both caches
+//! go through a checkpoint-style round trip, `lines()` → `from_parts`,
+//! with a few empty lines added, as a decoded checkpoint may hold them.
+//! After every observation the decision, the pair count, the
+//! round-robin marker and every line's key, pairs and statistics must
+//! match the reference bit for bit.
+
+use snapshot_queries::core::cache::CacheLine;
+use snapshot_queries::core::{
+    CacheConfig, CacheDecision, CachePolicy, LineKey, MeasurementId, ModelCache,
+};
+use snapshot_queries::netsim::rng::{derive_seed, DetRng, RngExt};
+use snapshot_queries::netsim::NodeId;
+use std::collections::BTreeMap;
+
+/// The cache manager written the direct way: lines and memoized
+/// penalties in ordered maps, candidates collected per search.
+#[derive(Debug, Clone)]
+struct ReferenceCache {
+    config: CacheConfig,
+    lines: BTreeMap<LineKey, CacheLine>,
+    penalties: BTreeMap<LineKey, f64>,
+    rr_after: Option<LineKey>,
+    total_pairs: usize,
+}
+
+impl ReferenceCache {
+    fn new(config: CacheConfig) -> Self {
+        ReferenceCache {
+            config,
+            lines: BTreeMap::new(),
+            penalties: BTreeMap::new(),
+            rr_after: None,
+            total_pairs: 0,
+        }
+    }
+
+    fn from_parts(
+        config: CacheConfig,
+        lines: BTreeMap<LineKey, CacheLine>,
+        rr_after: Option<LineKey>,
+    ) -> Self {
+        let total_pairs = lines.values().map(CacheLine::len).sum();
+        ReferenceCache {
+            config,
+            lines,
+            penalties: BTreeMap::new(),
+            rr_after,
+            total_pairs,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.total_pairs + 1 > self.config.capacity_pairs()
+    }
+
+    fn observe_measurement(&mut self, key: LineKey, x_own: f64, x_j: f64) -> CacheDecision {
+        if self.config.capacity_pairs() == 0 {
+            return CacheDecision::Rejected;
+        }
+        if !self.is_full() {
+            self.push_pair(key, x_own, x_j);
+            return CacheDecision::Inserted;
+        }
+        match self.config.policy {
+            CachePolicy::RoundRobin => self.observe_round_robin(key, x_own, x_j),
+            CachePolicy::ModelAware => self.observe_model_aware(key, x_own, x_j),
+        }
+    }
+
+    fn observe_round_robin(&mut self, j: LineKey, x: f64, y: f64) -> CacheDecision {
+        match self.next_rr_victim(None) {
+            Some(victim) => {
+                self.evict_oldest_of(victim);
+                self.push_pair(j, x, y);
+                if victim == j {
+                    CacheDecision::TimeShifted
+                } else {
+                    CacheDecision::AdmittedEvicting(victim)
+                }
+            }
+            None => CacheDecision::Rejected,
+        }
+    }
+
+    fn observe_model_aware(&mut self, j: LineKey, x: f64, y: f64) -> CacheDecision {
+        let line_empty = self.lines.get(&j).is_none_or(CacheLine::is_empty);
+        if line_empty {
+            return match self.next_rr_victim(Some(j)) {
+                Some(victim) => {
+                    self.evict_oldest_of(victim);
+                    self.push_pair(j, x, y);
+                    CacheDecision::NewcomerEvicting(victim)
+                }
+                None => CacheDecision::Rejected,
+            };
+        }
+
+        let line = &self.lines[&j];
+        let c_aug = line.stats_augmented(x, y);
+        let model_cur = line.model();
+        let model_shift = line.stats_shifted(x, y).fit();
+        let model_aug = c_aug.fit();
+
+        let b_cur = c_aug.benefit(&model_cur);
+        let b_shift = c_aug.benefit(&model_shift);
+        let b_aug = c_aug.benefit(&model_aug);
+
+        if b_cur >= b_shift && b_cur >= b_aug {
+            return CacheDecision::Rejected;
+        }
+        if b_shift >= b_aug {
+            self.evict_oldest_of(j);
+            self.push_pair(j, x, y);
+            return CacheDecision::TimeShifted;
+        }
+
+        let gain_augment = b_aug - b_shift;
+        if let Some(victim) = self.cheapest_victim(j, gain_augment) {
+            self.evict_oldest_of(victim);
+            self.push_pair(j, x, y);
+            return CacheDecision::AdmittedEvicting(victim);
+        }
+
+        if b_shift > b_cur {
+            self.evict_oldest_of(j);
+            self.push_pair(j, x, y);
+            CacheDecision::TimeShifted
+        } else {
+            CacheDecision::Rejected
+        }
+    }
+
+    fn cheapest_victim(&mut self, j: LineKey, gain: f64) -> Option<LineKey> {
+        let mut best: Option<(f64, LineKey)> = None;
+        let candidates: Vec<LineKey> = self
+            .lines
+            .iter()
+            .filter(|(id, l)| **id != j && !l.is_empty())
+            .map(|(id, _)| *id)
+            .collect();
+        for id in candidates {
+            let p = self.penalty_of(id);
+            if p < gain {
+                let better = match best {
+                    None => true,
+                    Some((bp, _)) => p < bp,
+                };
+                if better {
+                    best = Some((p, id));
+                }
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    fn penalty_of(&mut self, id: LineKey) -> f64 {
+        if let Some(p) = self.penalties.get(&id) {
+            return *p;
+        }
+        let p = self.lines[&id].eviction_penalty();
+        self.penalties.insert(id, p);
+        p
+    }
+
+    fn next_rr_victim(&mut self, exclude: Option<LineKey>) -> Option<LineKey> {
+        let eligible: Vec<LineKey> = self
+            .lines
+            .iter()
+            .filter(|(id, l)| !l.is_empty() && Some(**id) != exclude)
+            .map(|(id, _)| *id)
+            .collect();
+        if eligible.is_empty() {
+            return None;
+        }
+        let victim = match self.rr_after {
+            Some(after) => eligible
+                .iter()
+                .copied()
+                .find(|id| *id > after)
+                .unwrap_or(eligible[0]),
+            None => eligible[0],
+        };
+        self.rr_after = Some(victim);
+        Some(victim)
+    }
+
+    fn push_pair(&mut self, j: LineKey, x: f64, y: f64) {
+        self.lines.entry(j).or_default().push(x, y);
+        self.penalties.remove(&j);
+        self.total_pairs += 1;
+    }
+
+    fn evict_oldest_of(&mut self, id: LineKey) {
+        if let Some(line) = self.lines.get_mut(&id) {
+            if line.evict_oldest().is_some() {
+                self.total_pairs -= 1;
+            }
+            if line.is_empty() {
+                self.lines.remove(&id);
+            }
+        }
+        self.penalties.remove(&id);
+    }
+}
+
+/// Observations per stream.
+const STEPS: usize = 1200;
+
+/// How a stream draws its values.
+#[derive(Debug, Clone, Copy)]
+enum Values {
+    /// The own reading never changes: every model is a constant.
+    ConstantX,
+    /// Pairs lie exactly on a per-line line, so well-fed lines have a
+    /// zero eviction penalty and victim searches meet ties.
+    ExactLine,
+    /// A per-line line plus noise.
+    Noisy,
+}
+
+/// One line's statistics and pairs as raw bits.
+fn line_bits(line: &CacheLine) -> (Vec<u64>, Vec<(u64, u64)>) {
+    let s = line.stats();
+    let stats = vec![
+        u64::from(s.n),
+        s.sx.to_bits(),
+        s.sy.to_bits(),
+        s.sxy.to_bits(),
+        s.sxx.to_bits(),
+        s.syy.to_bits(),
+    ];
+    let pairs = line
+        .pairs()
+        .map(|&(x, y)| (x.to_bits(), y.to_bits()))
+        .collect();
+    (stats, pairs)
+}
+
+fn assert_same(cache: &ModelCache, reference: &ReferenceCache, context: &str) {
+    assert_eq!(
+        cache.total_pairs(),
+        reference.total_pairs,
+        "{context}: total_pairs"
+    );
+    assert_eq!(cache.rr_after(), reference.rr_after, "{context}: rr_after");
+    let lines: Vec<_> = cache.lines().map(|(k, l)| (k, line_bits(l))).collect();
+    let expected: Vec<_> = reference
+        .lines
+        .iter()
+        .map(|(&k, l)| (k, line_bits(l)))
+        .collect();
+    assert_eq!(lines, expected, "{context}: lines");
+}
+
+/// Rebuild both caches from `cache.lines()` (equal to the reference's
+/// lines when this is called) through `from_parts`, with up to three
+/// empty lines added at keys not yet cached.
+fn round_trip(
+    cache: &ModelCache,
+    keys: &[LineKey],
+    rng: &mut DetRng,
+) -> (ModelCache, ReferenceCache) {
+    let mut lines: BTreeMap<LineKey, CacheLine> =
+        cache.lines().map(|(k, l)| (k, l.clone())).collect();
+    for _ in 0..rng.random_range(0..4usize) {
+        let key = keys[rng.random_range(0..keys.len())];
+        lines.entry(key).or_default();
+    }
+    let config = *cache.config();
+    let rr_after = cache.rr_after();
+    (
+        ModelCache::from_parts(config, lines.clone(), rr_after),
+        ReferenceCache::from_parts(config, lines, rr_after),
+    )
+}
+
+/// Run one seeded stream, compare after every observation, and tally
+/// the decisions by kind into `seen`.
+fn run_stream(
+    policy: CachePolicy,
+    budget_bytes: usize,
+    values: Values,
+    seed: u64,
+    seen: &mut BTreeMap<&'static str, usize>,
+) {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let neighbours = rng.random_range(1..=60u32);
+    let measurements = rng.random_range(1..=3u32);
+    let keys: Vec<LineKey> = (0..neighbours)
+        .flat_map(|n| (0..measurements).map(move |m| (NodeId(n), MeasurementId(m as u8)).into()))
+        .collect();
+    // Each line's own relation y = a·x + b; small integers so exact
+    // lines stay exact and penalties tie.
+    let relation: Vec<(f64, f64)> = keys
+        .iter()
+        .map(|_| {
+            (
+                rng.random_range(0..5u32) as f64 - 2.0,
+                rng.random_range(0..21u32) as f64,
+            )
+        })
+        .collect();
+    let config = CacheConfig {
+        budget_bytes,
+        pair_bytes: 8,
+        policy,
+    };
+    let mut cache = ModelCache::new(config);
+    let mut reference = ReferenceCache::new(config);
+    for step in 0..STEPS {
+        let k = rng.random_range(0..keys.len());
+        let (a, b) = relation[k];
+        let (x, y) = match values {
+            Values::ConstantX => (3.0, rng.random_range(0..8u32) as f64),
+            Values::ExactLine => {
+                let x = rng.random_range(0..10u32) as f64;
+                (x, a * x + b)
+            }
+            Values::Noisy => {
+                let x = rng.random_f64() * 10.0;
+                (x, a * x + b + (rng.random_f64() - 0.5) * 4.0)
+            }
+        };
+        let decision = cache.observe_measurement(keys[k], x, y);
+        let expected = reference.observe_measurement(keys[k], x, y);
+        let context = format!("{policy:?} {budget_bytes} B {values:?} seed {seed} step {step}");
+        assert_eq!(decision, expected, "{context}: decision");
+        *seen.entry(kind(decision)).or_default() += 1;
+        assert_same(&cache, &reference, &context);
+        if step % 97 == 96 {
+            (cache, reference) = round_trip(&cache, &keys, &mut rng);
+            assert_same(&cache, &reference, &format!("{context} after round trip"));
+        }
+    }
+}
+
+fn kind(decision: CacheDecision) -> &'static str {
+    match decision {
+        CacheDecision::Inserted => "inserted",
+        CacheDecision::AdmittedEvicting(_) => "admitted",
+        CacheDecision::NewcomerEvicting(_) => "newcomer",
+        CacheDecision::TimeShifted => "shifted",
+        CacheDecision::Rejected => "rejected",
+    }
+}
+
+#[test]
+fn flat_cache_matches_the_reference_bit_for_bit() {
+    let budgets = [0usize, 8, 16, 24, 512, 2048];
+    let value_kinds = [Values::ConstantX, Values::ExactLine, Values::Noisy];
+    let mut seen = BTreeMap::new();
+    let mut stream = 0u64;
+    for policy in [CachePolicy::ModelAware, CachePolicy::RoundRobin] {
+        for &budget in &budgets {
+            for &values in &value_kinds {
+                for _ in 0..2 {
+                    stream += 1;
+                    let seed = derive_seed(0xCAC4E, stream);
+                    run_stream(policy, budget, values, seed, &mut seen);
+                }
+            }
+        }
+    }
+    // The comparison proves something only if the streams reach every
+    // branch of the admission algorithm.
+    for k in ["inserted", "admitted", "newcomer", "shifted", "rejected"] {
+        assert!(
+            seen.get(k).is_some_and(|&n| n > 0),
+            "no {k} decision in {seen:?}"
+        );
+    }
+}
