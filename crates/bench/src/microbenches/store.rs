@@ -1,13 +1,15 @@
 //! Micro-benchmark: the snapshot store's codec and file paths — the
 //! costs behind the `store_write` / `store_rebuild` spans — and the
 //! time-travel read, cold (the version's query image not yet built)
-//! and warm.
+//! and warm. A checkpoint is written as a keyframe or as a delta
+//! against the one before; the `_delta` rows time the delta paths.
 
 use crate::RandomWalkSetup;
 use snapshot_core::{Aggregate, CheckpointState, QueryMode, SnapshotQuery, SpatialPredicate};
 use snapshot_microbench::{BatchSize, Criterion};
 use snapshot_netsim::NodeId;
-use snapshot_store::{format, SnapshotStore};
+use snapshot_store::format::{self, KEYFRAME_INTERVAL};
+use snapshot_store::SnapshotStore;
 use std::hint::black_box;
 
 fn checkpoint() -> CheckpointState {
@@ -20,6 +22,17 @@ fn checkpoint() -> CheckpointState {
     .build(42);
     let _ = sn.elect();
     sn.checkpoint()
+}
+
+/// `cp` `k` ticks later, with every value moved: what a values-only
+/// delta holds.
+fn later(cp: &CheckpointState, k: u64) -> CheckpointState {
+    let mut next = cp.clone();
+    next.tick += k;
+    for v in &mut next.values {
+        *v += 0.25 * k as f64;
+    }
+    next
 }
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -58,6 +71,23 @@ fn bench_store(c: &mut Criterion) {
         )
     });
 
+    let next = later(&cp, 1);
+    c.bench_function("store_append_delta", |b| {
+        b.iter_batched(
+            || {
+                let mut store = SnapshotStore::create(scratch("append_delta.store")).unwrap();
+                store.append_checkpoint(&cp).unwrap();
+                store
+            },
+            |mut store| {
+                store.append_checkpoint(&next).unwrap();
+                black_box(store)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+
+    // One keyframe and three deltas.
     let mut store = SnapshotStore::create(scratch("rebuild.store")).unwrap();
     for _ in 0..4 {
         store.append_checkpoint(&cp).unwrap();
@@ -81,6 +111,25 @@ fn bench_store(c: &mut Criterion) {
     });
     as_of(&store); // builds the version's image
     c.bench_function("store_as_of_warm", |b| b.iter(|| black_box(as_of(&store))));
+
+    // The first `AS OF` of the last version in a whole chain: a
+    // keyframe and `KEYFRAME_INTERVAL - 1` values-only deltas.
+    let path = scratch("as_of_delta.store");
+    let mut store = SnapshotStore::create(&path).unwrap();
+    let chain: Vec<CheckpointState> = (0..KEYFRAME_INTERVAL as u64)
+        .map(|k| later(&cp, k))
+        .collect();
+    for state in &chain {
+        store.append_checkpoint(state).unwrap();
+    }
+    let last_tick = chain.last().map_or(cp.tick, |state| state.tick);
+    c.bench_function("store_as_of_cold_delta", |b| {
+        b.iter(|| {
+            let store = SnapshotStore::open(&path).unwrap();
+            let (_, image) = store.checkpoint_as_of(black_box(last_tick)).unwrap();
+            black_box(image.execute(&query, NodeId(0)).unwrap())
+        })
+    });
 }
 
 /// Run the suite.

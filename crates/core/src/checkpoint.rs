@@ -34,6 +34,7 @@ use crate::query::{execute_frozen, QueryResult, SnapshotQuery};
 use crate::sensor::{Mode, SensorNode};
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::{Network, NodeId, Position, Topology};
+use std::sync::Arc;
 
 /// One cached line of one node: the raw pairs plus the running
 /// statistics exactly as they were (see [`CacheLine::from_parts`] for
@@ -161,47 +162,8 @@ impl CheckpointState {
                 detail: "radio range must be positive",
             });
         }
-        let in_range = |id: u32| (id as usize) < n;
-        let key = |lc: &LineCheckpoint| (lc.node, lc.measurement);
-        for adj in &self.neighbors {
-            if !adj.iter().all(|&id| in_range(id)) {
-                return Err(CoreError::InvalidCheckpoint {
-                    detail: "neighbor id out of range",
-                });
-            }
-        }
-        for nc in &self.nodes {
-            if let Some((rep, _)) = nc.rep_of {
-                if !in_range(rep) {
-                    return Err(CoreError::InvalidCheckpoint {
-                        detail: "representative id out of range",
-                    });
-                }
-            }
-            if !nc.represents.iter().all(|&(m, _)| in_range(m)) {
-                return Err(CoreError::InvalidCheckpoint {
-                    detail: "member id out of range",
-                });
-            }
-            if !nc.lines.is_sorted_by(|a, b| key(a) < key(b)) {
-                return Err(CoreError::InvalidCheckpoint {
-                    detail: "cache-line keys are not strictly ascending",
-                });
-            }
-            for lc in &nc.lines {
-                if !in_range(lc.node) {
-                    return Err(CoreError::InvalidCheckpoint {
-                        detail: "cache-line neighbor id out of range",
-                    });
-                }
-                if lc.stats.n as usize != lc.pairs.len() {
-                    return Err(CoreError::InvalidCheckpoint {
-                        detail: "cache-line statistics disagree with pair count",
-                    });
-                }
-            }
-        }
-        Ok(())
+        validate_neighbors(n, &self.neighbors)?;
+        validate_nodes(n, &self.nodes)
     }
 
     /// Compute the quality summary. Index-safe on malformed data
@@ -259,6 +221,57 @@ impl CheckpointState {
             policy: self.policy,
         }
     }
+}
+
+/// Every adjacency id must name one of the `n` nodes.
+fn validate_neighbors(n: usize, neighbors: &[Vec<u32>]) -> Result<(), CoreError> {
+    if neighbors.iter().flatten().all(|&id| (id as usize) < n) {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidCheckpoint {
+            detail: "neighbor id out of range",
+        })
+    }
+}
+
+/// Every node record must name nodes in range, keep its cache lines in
+/// strictly ascending key order, and count each line's pairs in its
+/// statistics.
+fn validate_nodes(n: usize, nodes: &[NodeCheckpoint]) -> Result<(), CoreError> {
+    let in_range = |id: u32| (id as usize) < n;
+    let key = |lc: &LineCheckpoint| (lc.node, lc.measurement);
+    for nc in nodes {
+        if let Some((rep, _)) = nc.rep_of {
+            if !in_range(rep) {
+                return Err(CoreError::InvalidCheckpoint {
+                    detail: "representative id out of range",
+                });
+            }
+        }
+        if !nc.represents.iter().all(|&(m, _)| in_range(m)) {
+            return Err(CoreError::InvalidCheckpoint {
+                detail: "member id out of range",
+            });
+        }
+        if !nc.lines.is_sorted_by(|a, b| key(a) < key(b)) {
+            return Err(CoreError::InvalidCheckpoint {
+                detail: "cache-line keys are not strictly ascending",
+            });
+        }
+        for lc in &nc.lines {
+            if !in_range(lc.node) {
+                return Err(CoreError::InvalidCheckpoint {
+                    detail: "cache-line neighbor id out of range",
+                });
+            }
+            if lc.stats.n as usize != lc.pairs.len() {
+                return Err(CoreError::InvalidCheckpoint {
+                    detail: "cache-line statistics disagree with pair count",
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Extract a checkpoint from live deployment parts (called by
@@ -355,10 +368,9 @@ pub(crate) fn apply_nodes(cp: &CheckpointState, nodes: &mut [SensorNode]) {
     }
 }
 
-/// Rebuild the node vector a checkpoint describes, standalone.
-pub(crate) fn rehydrate_nodes(cp: &CheckpointState) -> Vec<SensorNode> {
-    let cfg = cp.cache_config();
-    cp.nodes
+/// Rebuild the node vector `records` describe, standalone.
+fn rehydrate_nodes(records: &[NodeCheckpoint], cfg: CacheConfig) -> Arc<[SensorNode]> {
+    records
         .iter()
         .enumerate()
         .map(|(i, nc)| {
@@ -369,46 +381,122 @@ pub(crate) fn rehydrate_nodes(cp: &CheckpointState) -> Vec<SensorNode> {
         .collect()
 }
 
-/// Rebuild the topology a checkpoint describes, adjacency verbatim.
-fn rebuild_topology(cp: &CheckpointState) -> Result<Topology, CoreError> {
-    let positions = cp
-        .positions
+/// Rebuild a topology from positions and adjacency lists (verbatim).
+fn rebuild_topology(
+    positions: &[(f64, f64)],
+    range: f64,
+    neighbors: &[Vec<u32>],
+) -> Result<Arc<Topology>, CoreError> {
+    let positions = positions
         .iter()
         .map(|&(x, y)| Position::new(x, y))
         .collect();
-    let neighbors = cp
-        .neighbors
+    let neighbors = neighbors
         .iter()
         .map(|adj| adj.iter().map(|&id| NodeId(id)).collect())
         .collect();
-    Topology::from_parts(positions, cp.range, neighbors).map_err(|_| CoreError::InvalidCheckpoint {
-        detail: "topology rebuild rejected the checkpoint geometry",
-    })
+    Topology::from_parts(positions, range, neighbors)
+        .map(Arc::new)
+        .map_err(|_| CoreError::InvalidCheckpoint {
+            detail: "topology rebuild rejected the checkpoint geometry",
+        })
+}
+
+/// A topology as a checkpoint stores it: node positions and adjacency
+/// lists, in id order.
+pub type TopologyParts<'a> = (&'a [(f64, f64)], &'a [Vec<u32>]);
+
+/// A checkpoint described against the one before it, in the parts a
+/// query image is built from: the tick and values it always carries,
+/// and each other part only when it differs from its parent's. The
+/// snapshot store decodes one from a delta block; see
+/// [`FrozenCheckpoint::derive`].
+#[derive(Debug, Clone, Copy)]
+pub struct ChildParts<'a> {
+    /// Simulation time the child was taken at.
+    pub tick: u64,
+    /// Current measurement per node, in id order.
+    pub values: &'a [f64],
+    /// Aliveness per node; `None` when unchanged.
+    pub alive: Option<&'a [bool]>,
+    /// Positions and adjacency lists; `None` when unchanged.
+    pub topology: Option<TopologyParts<'a>>,
+    /// Every node's record; `None` when no node's record changed.
+    pub nodes: Option<&'a [NodeCheckpoint]>,
 }
 
 /// A checkpoint rebuilt into a query-ready image: validated once, with
 /// its topology and node caches rehydrated, so each query against it
 /// costs only the scan. Immutable once built, so a stored version's
-/// image never goes stale.
+/// image never goes stale. The topology, liveness and nodes sit behind
+/// `Arc`s, so an image [derived](FrozenCheckpoint::derive) from its
+/// parent shares every part the child leaves unchanged.
 #[derive(Debug)]
 pub struct FrozenCheckpoint {
     tick: u64,
-    topology: Topology,
-    alive: Vec<bool>,
+    cache: CacheConfig,
+    topology: Arc<Topology>,
+    alive: Arc<[bool]>,
     values: Vec<f64>,
-    nodes: Vec<SensorNode>,
+    nodes: Arc<[SensorNode]>,
 }
 
 impl FrozenCheckpoint {
     /// Validate `cp` and rebuild its topology and nodes.
     pub fn new(cp: &CheckpointState) -> Result<Self, CoreError> {
         cp.validate()?;
+        let cache = cp.cache_config();
         Ok(FrozenCheckpoint {
             tick: cp.tick,
-            topology: rebuild_topology(cp)?,
-            alive: cp.alive.clone(),
+            cache,
+            topology: rebuild_topology(&cp.positions, cp.range, &cp.neighbors)?,
+            alive: cp.alive.as_slice().into(),
             values: cp.values.clone(),
-            nodes: rehydrate_nodes(cp),
+            nodes: rehydrate_nodes(&cp.nodes, cache),
+        })
+    }
+
+    /// The image of `child`, the checkpoint taken after this image's
+    /// own. Each part `child` leaves out is shared with this image; each
+    /// part it carries is validated against the deployment size and
+    /// built fresh. The radio range and cache configuration are this
+    /// image's.
+    pub fn derive(&self, child: &ChildParts<'_>) -> Result<Self, CoreError> {
+        let n = self.nodes.len();
+        let sized = child.values.len() == n
+            && child.alive.is_none_or(|a| a.len() == n)
+            && child
+                .topology
+                .is_none_or(|(pos, adj)| pos.len() == n && adj.len() == n)
+            && child.nodes.is_none_or(|nodes| nodes.len() == n);
+        if !sized {
+            return Err(CoreError::InvalidCheckpoint {
+                detail: "per-node vectors disagree on deployment size",
+            });
+        }
+        let topology = match child.topology {
+            None => Arc::clone(&self.topology),
+            Some((positions, neighbors)) => {
+                validate_neighbors(n, neighbors)?;
+                rebuild_topology(positions, self.topology.range(), neighbors)?
+            }
+        };
+        let nodes = match child.nodes {
+            None => Arc::clone(&self.nodes),
+            Some(records) => {
+                validate_nodes(n, records)?;
+                rehydrate_nodes(records, self.cache)
+            }
+        };
+        Ok(FrozenCheckpoint {
+            tick: child.tick,
+            cache: self.cache,
+            topology,
+            alive: child
+                .alive
+                .map_or_else(|| Arc::clone(&self.alive), Arc::from),
+            values: child.values.to_vec(),
+            nodes,
         })
     }
 
@@ -417,12 +505,39 @@ impl FrozenCheckpoint {
         self.tick
     }
 
+    /// Deployment size.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True for a zero-node image (never built: validation rejects it).
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
     /// Node positions, in id order.
     pub fn positions(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.topology.node_ids().map(|id| {
             let p = self.topology.position(id);
             (p.x, p.y)
         })
+    }
+
+    /// Every node's record, extracted back from the rehydrated nodes.
+    /// Extraction inverts rehydration, so these equal the records the
+    /// image was built from.
+    pub fn node_checkpoints(&self) -> Vec<NodeCheckpoint> {
+        self.nodes.iter().map(extract_node).collect()
+    }
+
+    /// Whether `other` shares this image's topology, liveness and
+    /// nodes, part by part (pointer equality, not value equality).
+    pub fn shares_with(&self, other: &FrozenCheckpoint) -> [bool; 3] {
+        [
+            Arc::ptr_eq(&self.topology, &other.topology),
+            Arc::ptr_eq(&self.alive, &other.alive),
+            Arc::ptr_eq(&self.nodes, &other.nodes),
+        ]
     }
 
     /// Answer `query` at `sink` — the `AS OF <tick>` time-travel path.
@@ -539,6 +654,48 @@ mod tests {
             let frozen = execute_at(&cp, &query, NodeId(0)).expect("checkpoint answers");
             assert_eq!(live, frozen, "frozen answer drifted from live");
         }
+    }
+
+    #[test]
+    fn a_derived_image_answers_like_a_fresh_one_and_shares_what_is_unchanged() {
+        let mut sn = deployment(23);
+        let parent_cp = sn.checkpoint();
+        sn.advance(3);
+        sn.net_mut().kill(NodeId(7));
+        let cp = sn.checkpoint();
+        let parent = FrozenCheckpoint::new(&parent_cp).expect("parent builds");
+        let child = parent
+            .derive(&ChildParts {
+                tick: cp.tick,
+                values: &cp.values,
+                alive: Some(&cp.alive),
+                topology: None,
+                nodes: None,
+            })
+            .expect("child derives");
+        assert_eq!(parent.shares_with(&child), [true, false, true]);
+        let fresh = FrozenCheckpoint::new(&cp).expect("child builds");
+        for query in [
+            SnapshotQuery::aggregate(SpatialPredicate::All, Aggregate::Avg, QueryMode::Snapshot),
+            SnapshotQuery::drill_through(SpatialPredicate::All, QueryMode::Regular),
+        ] {
+            assert_eq!(
+                child.execute(&query, NodeId(0)),
+                fresh.execute(&query, NodeId(0))
+            );
+        }
+
+        let short = &cp.values[1..];
+        let err = parent
+            .derive(&ChildParts {
+                tick: cp.tick,
+                values: short,
+                alive: None,
+                topology: None,
+                nodes: None,
+            })
+            .expect_err("a short values vector is refused");
+        assert!(matches!(err, CoreError::InvalidCheckpoint { .. }));
     }
 
     #[test]

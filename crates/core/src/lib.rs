@@ -53,7 +53,8 @@ pub(crate) mod trace;
 
 pub use cache::{CacheConfig, CacheDecision, CachePolicy, LineKey, MeasurementId, ModelCache};
 pub use checkpoint::{
-    execute_at, CheckpointState, FrozenCheckpoint, LineCheckpoint, NodeCheckpoint, QualitySummary,
+    execute_at, CheckpointState, ChildParts, FrozenCheckpoint, LineCheckpoint, NodeCheckpoint,
+    QualitySummary,
 };
 pub use config::SnapshotConfig;
 pub use coverage::CoverageTracker;

@@ -267,7 +267,7 @@ impl ServeStats {
     }
 
     /// The store's fixed-width counter encoding (field order is part
-    /// of the `snapshot-store v1` format — append only).
+    /// of the `snapshot-store v2` format — append only).
     fn to_array(self) -> [u64; 10] {
         [
             self.submitted,

@@ -23,7 +23,7 @@ pub enum StoreError {
         /// error type stays `Clone + PartialEq`).
         detail: String,
     },
-    /// The file does not start with the `snapshot-store v1` header.
+    /// The file does not start with the `snapshot-store v2` header.
     BadHeader {
         /// The first line actually found (possibly empty).
         found: String,

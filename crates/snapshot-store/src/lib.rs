@@ -6,10 +6,12 @@
 //! images ([`ServeStateRecord`]), in a deterministic hand-rolled text
 //! format (no serde — the workspace builds offline).
 //!
-//! * [`format`] — the `snapshot-store v1` block format: f64s as IEEE
-//!   bit patterns, CRC-32 per block, percent-escaped SQL. The codec
-//!   is canonical (`encode ∘ decode` is the identity), which is what
-//!   makes [`SnapshotStore::rebuild`] byte-identical.
+//! * [`format`] — the `snapshot-store v2` block format: a checkpoint is
+//!   a keyframe or a delta against the checkpoint before it, a keyframe
+//!   every [`format::KEYFRAME_INTERVAL`] checkpoints; f64s as IEEE bit
+//!   patterns, CRC-32 per block, percent-escaped SQL. The codec is
+//!   canonical (`encode ∘ decode` is the identity), which is what makes
+//!   [`SnapshotStore::rebuild`] byte-identical.
 //! * [`SnapshotStore`] — create/open/append plus the time-travel
 //!   lookups the query layer's `AS OF <tick>` and
 //!   `BETWEEN <t1> AND <t2>` clauses plan against.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! snapshot-store verify <file>     run the consistency verifier
-//! snapshot-store info <file>       list stored versions
+//! snapshot-store info <file>       list stored versions and block sizes
 //! snapshot-store rebuild <file> <out>   decode + re-encode (byte-identical)
 //! ```
 //!
@@ -66,13 +66,18 @@ fn info(path: &str) -> ExitCode {
         Err(e) => return fail(path, &e),
     };
     for row in store.versions() {
-        match row.kind {
-            RecordKind::Checkpoint => {
+        let (version, bytes) = (row.version, row.bytes);
+        match (row.kind, row.base) {
+            (RecordKind::Checkpoint, base) => {
                 let tick = row.tick.unwrap_or(0);
-                println!("version {:>4}  checkpoint   tick {tick}", row.version);
+                let block = match base {
+                    None => "keyframe".to_string(),
+                    Some(base) => format!("delta of {base}"),
+                };
+                println!("version {version:>4}  checkpoint   tick {tick}  {block}  {bytes} bytes");
             }
-            RecordKind::ServeState => {
-                println!("version {:>4}  serve-state", row.version);
+            (RecordKind::ServeState, _) => {
+                println!("version {version:>4}  serve-state  {bytes} bytes");
             }
         }
     }

@@ -3,8 +3,12 @@
 //! against.
 
 use crate::error::StoreError;
-use crate::format::{self, DecodedCheckpoint, RecordKind, ServeStateRecord, HEADER};
-use snapshot_core::checkpoint::{CheckpointState, FrozenCheckpoint};
+use crate::format::{
+    self, Changes, DecodedCheckpoint, DecodedDelta, RecordKind, ServeStateRecord, HEADER,
+    KEYFRAME_INTERVAL,
+};
+use snapshot_core::checkpoint::{CheckpointState, ChildParts, FrozenCheckpoint, QualitySummary};
+use snapshot_core::CoreError;
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -19,6 +23,9 @@ struct Entry {
     kind: RecordKind,
     /// Checkpoint tick (`None` for serve-state blocks).
     tick: Option<u64>,
+    /// The version a delta is written against (`None` for keyframes
+    /// and serve-state blocks).
+    base: Option<u64>,
     /// Byte offset of the block's first line in the file.
     offset: u64,
     /// Block length in bytes, `end` line included.
@@ -30,15 +37,27 @@ struct Entry {
 }
 
 impl Entry {
-    fn new(version: u64, kind: RecordKind, tick: Option<u64>, offset: u64, len: u64) -> Self {
+    fn new(
+        version: u64,
+        kind: RecordKind,
+        tick: Option<u64>,
+        base: Option<u64>,
+        offset: u64,
+        len: u64,
+    ) -> Self {
         Entry {
             version,
             kind,
             tick,
+            base,
             offset,
             len,
             image: OnceLock::new(),
         }
+    }
+
+    fn is_checkpoint(&self) -> bool {
+        self.kind == RecordKind::Checkpoint
     }
 }
 
@@ -52,14 +71,37 @@ pub struct VersionInfo {
     pub kind: RecordKind,
     /// Checkpoint tick (`None` for serve-state blocks).
     pub tick: Option<u64>,
+    /// For a delta checkpoint, the version it is written against;
+    /// `None` for a keyframe or a serve-state block.
+    pub base: Option<u64>,
+    /// Block size in bytes, `end` line included.
+    pub bytes: u64,
+}
+
+/// One block as [`SnapshotStore::walk`] hands it out.
+pub(crate) enum Walked<'a> {
+    /// A checkpoint block, its chain rolled forward to it.
+    Checkpoint {
+        version: u64,
+        keyframe: bool,
+        state: &'a CheckpointState,
+        stored_quality: QualitySummary,
+    },
+    /// A serve-state block.
+    Serve {
+        version: u64,
+        record: ServeStateRecord,
+    },
 }
 
 /// An append-only, versioned snapshot store backed by one file.
 ///
 /// Writes go through [`append_checkpoint`] / [`append_serve_state`],
-/// which extend the file in place. The store keeps each block's offset,
-/// not its text: every read goes back to the file and checks the
-/// block's CRC seal again before decoding, so damage made after
+/// which extend the file in place. A checkpoint is written as a
+/// keyframe or as a delta against the checkpoint before it (see
+/// [`format`](crate::format)). The store keeps each block's offset,
+/// not its text: every read goes back to the file and checks the seal
+/// of each block it needs again before decoding, so damage made after
 /// [`open`] — or a removed file — surfaces as a typed [`StoreError`],
 /// never a panic or a silent wrong answer. The store never rewrites
 /// existing blocks, so a crash mid-append can at worst truncate the
@@ -74,6 +116,11 @@ pub struct SnapshotStore {
     path: PathBuf,
     entries: Vec<Entry>,
     next_version: u64,
+    /// The newest checkpoint and its version, as this handle appended
+    /// it — or, after [`open`](SnapshotStore::open), as read back from
+    /// its chain by the first append: what the next delta is written
+    /// against.
+    last: Option<(u64, CheckpointState)>,
 }
 
 impl SnapshotStore {
@@ -88,12 +135,15 @@ impl SnapshotStore {
             path,
             entries: Vec::new(),
             next_version: 1,
+            last: None,
         })
     }
 
     /// Open an existing store, checking the header, every block's
-    /// structure and CRC, and the version ordering. The store keeps
-    /// each block's offset and length, not its text.
+    /// structure and CRC, the version ordering, and that keyframes and
+    /// deltas sit where the format places them, each delta naming the
+    /// checkpoint just before it as its base. The store keeps each
+    /// block's offset and length, not its text.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let contents = fs::read_to_string(&path).map_err(io_error("read"))?;
@@ -103,6 +153,7 @@ impl SnapshotStore {
             path,
             entries,
             next_version,
+            last: None,
         })
     }
 
@@ -111,22 +162,52 @@ impl SnapshotStore {
         &self.path
     }
 
-    /// Append a checkpoint, returning the version it was assigned.
+    /// Append a checkpoint, returning the version it was assigned. It
+    /// is written as a keyframe when the file's checkpoint count is a
+    /// multiple of [`KEYFRAME_INTERVAL`], and otherwise as a delta
+    /// against the newest stored checkpoint. Every checkpoint of a
+    /// store must validate and keep the deployment size, radio range
+    /// and cache configuration of the one before it.
     pub fn append_checkpoint(&mut self, cp: &CheckpointState) -> Result<u64, StoreError> {
         let version = self.next_version;
+        let inconsistent = |detail: String| StoreError::Inconsistent { version, detail };
         if let Some(last_tick) = self.entries.iter().rev().find_map(|e| e.tick) {
             if cp.tick < last_tick {
-                return Err(StoreError::Inconsistent {
-                    version,
-                    detail: format!(
-                        "checkpoint tick {} regresses below stored tick {last_tick}",
-                        cp.tick
-                    ),
-                });
+                return Err(inconsistent(format!(
+                    "checkpoint tick {} regresses below stored tick {last_tick}",
+                    cp.tick
+                )));
             }
         }
-        let text = format::encode_checkpoint(version, cp);
-        self.append_block(RecordKind::Checkpoint, Some(cp.tick), &text)
+        cp.validate().map_err(|e| inconsistent(e.to_string()))?;
+        if self.last.is_none() {
+            self.last = self.latest_checkpoint()?;
+        }
+        let position = self.entries.iter().filter(|e| e.is_checkpoint()).count();
+        let (text, base, changes) = match &self.last {
+            None => (format::encode_checkpoint(version, cp), None, None),
+            Some((base_version, last)) => {
+                if let Some(detail) = shape_change(last, cp) {
+                    return Err(inconsistent(detail));
+                }
+                let changes = Changes::between(last, cp);
+                if position.is_multiple_of(KEYFRAME_INTERVAL) {
+                    (format::encode_checkpoint(version, cp), None, Some(changes))
+                } else {
+                    let text = format::encode_delta(version, *base_version, last, cp, &changes);
+                    (text, Some(*base_version), Some(changes))
+                }
+            }
+        };
+        self.append_block(RecordKind::Checkpoint, Some(cp.tick), base, &text)?;
+        match (&mut self.last, changes) {
+            (Some((last_version, last)), Some(changes)) => {
+                changes.roll_forward(last, cp);
+                *last_version = version;
+            }
+            _ => self.last = Some((version, cp.clone())),
+        }
+        Ok(version)
     }
 
     /// Append a query-service state record, returning its version.
@@ -134,14 +215,14 @@ impl SnapshotStore {
         if !self
             .entries
             .iter()
-            .any(|e| e.kind == RecordKind::Checkpoint && e.version == rec.checkpoint_version)
+            .any(|e| e.is_checkpoint() && e.version == rec.checkpoint_version)
         {
             return Err(StoreError::NoSuchVersion {
                 version: rec.checkpoint_version,
             });
         }
         let text = format::encode_serve_state(self.next_version, rec);
-        self.append_block(RecordKind::ServeState, None, &text)
+        self.append_block(RecordKind::ServeState, None, None, &text)
     }
 
     /// Write one encoded block at the end of the file and record where
@@ -150,6 +231,7 @@ impl SnapshotStore {
         &mut self,
         kind: RecordKind,
         tick: Option<u64>,
+        base: Option<u64>,
         text: &str,
     ) -> Result<u64, StoreError> {
         let version = self.next_version;
@@ -162,8 +244,14 @@ impl SnapshotStore {
             .open(&self.path)
             .map_err(io_error("write"))?;
         file.write_all(text.as_bytes()).map_err(io_error("write"))?;
-        self.entries
-            .push(Entry::new(version, kind, tick, offset, text.len() as u64));
+        self.entries.push(Entry::new(
+            version,
+            kind,
+            tick,
+            base,
+            offset,
+            text.len() as u64,
+        ));
         self.next_version = version + 1;
         Ok(version)
     }
@@ -176,25 +264,33 @@ impl SnapshotStore {
                 version: e.version,
                 kind: e.kind,
                 tick: e.tick,
+                base: e.base,
+                bytes: e.len,
             })
             .collect()
     }
 
-    /// Decode the checkpoint stored under `version`.
+    /// The checkpoint stored under `version`, rebuilt from its chain.
     pub fn checkpoint(&self, version: u64) -> Result<CheckpointState, StoreError> {
-        self.decode_checkpoint_entry(version).map(|d| d.state)
+        let idx = self
+            .entries
+            .iter()
+            .position(|e| e.version == version && e.is_checkpoint())
+            .ok_or(StoreError::NoSuchVersion { version })?;
+        self.read_state(idx)
     }
 
     /// The latest checkpoint whose tick is `<= tick`, as its query
     /// image — the `AS OF` lookup.
     pub fn checkpoint_as_of(&self, tick: u64) -> Result<(u64, Arc<FrozenCheckpoint>), StoreError> {
-        let hit = self
+        let (idx, hit) = self
             .entries
             .iter()
+            .enumerate()
             .rev()
-            .find(|e| e.kind == RecordKind::Checkpoint && e.tick.is_some_and(|t| t <= tick))
+            .find(|(_, e)| e.is_checkpoint() && e.tick.is_some_and(|t| t <= tick))
             .ok_or(StoreError::NoVersionAsOf { tick })?;
-        Ok((hit.version, self.image(hit)?))
+        Ok((hit.version, self.image(idx)?))
     }
 
     /// Every checkpoint with `from <= tick <= to`, oldest first, as
@@ -207,40 +303,90 @@ impl SnapshotStore {
     ) -> Result<Vec<(u64, Arc<FrozenCheckpoint>)>, StoreError> {
         self.entries
             .iter()
-            .filter(|e| {
-                e.kind == RecordKind::Checkpoint && e.tick.is_some_and(|t| from <= t && t <= to)
-            })
-            .map(|e| Ok((e.version, self.image(e)?)))
+            .enumerate()
+            .filter(|(_, e)| e.is_checkpoint() && e.tick.is_some_and(|t| from <= t && t <= to))
+            .map(|(idx, e)| Ok((e.version, self.image(idx)?)))
             .collect()
     }
 
-    /// The query image of checkpoint `entry`, built on first use and
-    /// kept. A failed build is not kept; like a checkpoint that fails
+    /// The chain of the checkpoint at `idx`: the keyframe at or before
+    /// it first, then each delta up to it.
+    fn chain(&self, idx: usize) -> Vec<&Entry> {
+        let mut chain = Vec::new();
+        for e in self.entries.iter().take(idx + 1).rev() {
+            if e.is_checkpoint() {
+                chain.push(e);
+                if e.base.is_none() {
+                    break;
+                }
+            }
+        }
+        chain.reverse();
+        chain
+    }
+
+    /// The query image of the checkpoint at `idx`, built on first use
+    /// and kept. A keyframe's image is built from its block; a delta's
+    /// is derived from its parent's image — built first, back to the
+    /// newest image its chain already holds — sharing each part the
+    /// delta leaves unchanged. Every block read on the way is checked
+    /// again, so damage to any block of the chain fails the build. A
+    /// failed build is not kept; like a checkpoint that fails
     /// [`verify`](SnapshotStore::verify)'s validation, it is
     /// [`StoreError::Inconsistent`].
-    fn image(&self, entry: &Entry) -> Result<Arc<FrozenCheckpoint>, StoreError> {
-        if let Some(image) = entry.image.get() {
+    fn image(&self, idx: usize) -> Result<Arc<FrozenCheckpoint>, StoreError> {
+        if let Some(image) = self.entries.get(idx).and_then(|e| e.image.get()) {
             return Ok(Arc::clone(image));
         }
-        let decoded = self.decode_checkpoint_entry(entry.version)?;
-        let image =
-            FrozenCheckpoint::new(&decoded.state).map_err(|e| StoreError::Inconsistent {
-                version: entry.version,
-                detail: e.to_string(),
-            })?;
-        Ok(Arc::clone(entry.image.get_or_init(|| Arc::new(image))))
+        let chain = self.chain(idx);
+        let built = chain.iter().rposition(|e| e.image.get().is_some());
+        let mut blocks = chain.iter().skip(built.unwrap_or(0));
+        let Some(first) = blocks.next() else {
+            return Err(self.no_such_entry(idx));
+        };
+        let mut image = match first.image.get() {
+            Some(image) => Arc::clone(image),
+            None => {
+                let decoded = self.read_keyframe(first)?;
+                let image = FrozenCheckpoint::new(&decoded.state)
+                    .map_err(|e| inconsistent(first.version, &e))?;
+                Arc::clone(first.image.get_or_init(|| Arc::new(image)))
+            }
+        };
+        for entry in blocks {
+            let delta = self.read_delta(entry, image.len())?;
+            let nodes = if delta.nodes.is_empty() {
+                None
+            } else {
+                let mut nodes = image.node_checkpoints();
+                delta.apply_nodes(&mut nodes)?;
+                Some(nodes)
+            };
+            let child = image
+                .derive(&ChildParts {
+                    tick: delta.tick,
+                    values: &delta.values,
+                    alive: delta.alive.as_deref(),
+                    topology: delta
+                        .topology
+                        .as_ref()
+                        .map(|(pos, adj)| (pos.as_slice(), adj.as_slice())),
+                    nodes: nodes.as_deref(),
+                })
+                .map_err(|e| inconsistent(entry.version, &e))?;
+            image = Arc::clone(entry.image.get_or_init(|| Arc::new(child)));
+        }
+        Ok(image)
     }
 
     /// The newest checkpoint, if any.
     pub fn latest_checkpoint(&self) -> Result<Option<(u64, CheckpointState)>, StoreError> {
-        match self
-            .entries
-            .iter()
-            .rev()
-            .find(|e| e.kind == RecordKind::Checkpoint)
-        {
+        match self.entries.iter().rposition(Entry::is_checkpoint) {
             None => Ok(None),
-            Some(e) => Ok(Some((e.version, self.checkpoint(e.version)?))),
+            Some(idx) => {
+                let state = self.read_state(idx)?;
+                Ok(self.entries.get(idx).map(|e| (e.version, state)))
+            }
         }
     }
 
@@ -251,11 +397,10 @@ impl SnapshotStore {
             .entries
             .iter()
             .rev()
-            .find(|e| e.kind == RecordKind::ServeState)
-            .map(|e| e.version);
+            .find(|e| e.kind == RecordKind::ServeState);
         match newest {
             None => Ok(None),
-            Some(version) => self.serve_state(version),
+            Some(e) => Ok(Some((e.version, self.read_serve(e)?))),
         }
     }
 
@@ -270,24 +415,18 @@ impl SnapshotStore {
         if entry.kind != RecordKind::ServeState {
             return Ok(None);
         }
-        let body = self.read_body(entry)?;
-        let (decoded_version, rec) = format::decode_serve_state(&body_lines(&body))?;
-        if decoded_version != version {
-            return Err(StoreError::Inconsistent {
-                version,
-                detail: "block version disagrees with its end line".into(),
-            });
-        }
-        Ok(Some((version, rec)))
+        Ok(Some((version, self.read_serve(entry)?)))
     }
 
     /// Decode every block and re-encode it to a fresh store at
-    /// `path`. Because the codec is canonical (`encode ∘ decode` is
-    /// the identity, asserted by the round-trip tests), the rebuilt
-    /// file is byte-identical to the source — the property the
-    /// `store_roundtrip` suite checks over hundreds of random
-    /// deployments. `path` must not be this store's own file: creating
-    /// the output truncates it, and the blocks are read from there.
+    /// `path`, walking each checkpoint chain once, forward. Because
+    /// the codec is canonical (`encode ∘ decode` is the identity,
+    /// asserted by the round-trip tests) and keyframes are placed by
+    /// position, the rebuilt file is byte-identical to the source —
+    /// the property the `store_roundtrip` suite checks over hundreds
+    /// of random deployments. `path` must not be this store's own
+    /// file: creating the output truncates it, and the blocks are read
+    /// from there.
     pub fn rebuild(&self, path: impl AsRef<Path>) -> Result<SnapshotStore, StoreError> {
         if let (Ok(out), Ok(source)) = (
             fs::canonicalize(path.as_ref()),
@@ -301,40 +440,117 @@ impl SnapshotStore {
             }
         }
         let mut out = SnapshotStore::create(path)?;
-        for e in &self.entries {
-            match e.kind {
-                RecordKind::Checkpoint => {
-                    let decoded = self.decode_checkpoint_entry(e.version)?;
-                    out.append_checkpoint(&decoded.state)?;
-                }
-                RecordKind::ServeState => {
-                    let body = self.read_body(e)?;
-                    let (_, rec) = format::decode_serve_state(&body_lines(&body))?;
-                    out.append_serve_state(&rec)?;
-                }
-            }
-        }
+        self.walk(|block| {
+            match block {
+                Walked::Checkpoint { state, .. } => out.append_checkpoint(state)?,
+                Walked::Serve { record, .. } => out.append_serve_state(&record)?,
+            };
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    pub(crate) fn decode_checkpoint_entry(
+    /// Read every block once, in file order, rolling each checkpoint
+    /// chain forward as it goes, and hand each to `visit`. Stops at
+    /// the first error, `visit`'s own included.
+    pub(crate) fn walk(
         &self,
-        version: u64,
-    ) -> Result<DecodedCheckpoint, StoreError> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.version == version && e.kind == RecordKind::Checkpoint)
-            .ok_or(StoreError::NoSuchVersion { version })?;
+        mut visit: impl FnMut(Walked<'_>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut state = None;
+        for entry in &self.entries {
+            match entry.kind {
+                RecordKind::Checkpoint => {
+                    let stored_quality = self.step(entry, &mut state)?;
+                    if let Some(state) = &state {
+                        visit(Walked::Checkpoint {
+                            version: entry.version,
+                            keyframe: entry.base.is_none(),
+                            state,
+                            stored_quality,
+                        })?;
+                    }
+                }
+                RecordKind::ServeState => visit(Walked::Serve {
+                    version: entry.version,
+                    record: self.read_serve(entry)?,
+                })?,
+            }
+        }
+        Ok(())
+    }
+
+    /// The checkpoint at `idx`, rolled forward along its chain.
+    fn read_state(&self, idx: usize) -> Result<CheckpointState, StoreError> {
+        let mut state = None;
+        for entry in self.chain(idx) {
+            self.step(entry, &mut state)?;
+        }
+        state.ok_or_else(|| self.no_such_entry(idx))
+    }
+
+    /// The error for a checkpoint index with no chain — an index past
+    /// the entries or a serve-state block's.
+    fn no_such_entry(&self, idx: usize) -> StoreError {
+        StoreError::NoSuchVersion {
+            version: self
+                .entries
+                .get(idx)
+                .map_or(self.next_version, |e| e.version),
+        }
+    }
+
+    /// Read checkpoint block `entry` back and roll `state` over it: a
+    /// keyframe replaces the state, a delta applies to it. Returns the
+    /// block's stored quality flags.
+    fn step(
+        &self,
+        entry: &Entry,
+        state: &mut Option<CheckpointState>,
+    ) -> Result<QualitySummary, StoreError> {
+        match (entry.base, state.as_mut()) {
+            (None, _) => {
+                let decoded = self.read_keyframe(entry)?;
+                *state = Some(decoded.state);
+                Ok(decoded.stored_quality)
+            }
+            (Some(_), Some(state)) => {
+                let delta = self.read_delta(entry, state.len())?;
+                delta.apply(state)?;
+                Ok(delta.stored_quality)
+            }
+            (Some(base), None) => Err(StoreError::Inconsistent {
+                version: entry.version,
+                detail: format!("delta against version {base}, whose checkpoint was not read"),
+            }),
+        }
+    }
+
+    fn read_keyframe(&self, entry: &Entry) -> Result<DecodedCheckpoint, StoreError> {
         let body = self.read_body(entry)?;
         let decoded = format::decode_checkpoint(&body_lines(&body))?;
-        if decoded.version != version {
+        same_version(entry, decoded.version)?;
+        Ok(decoded)
+    }
+
+    fn read_delta(&self, entry: &Entry, n: usize) -> Result<DecodedDelta, StoreError> {
+        let body = self.read_body(entry)?;
+        let decoded = format::decode_delta(&body_lines(&body), n)?;
+        same_version(entry, decoded.version)?;
+        if entry.base != Some(decoded.base) {
             return Err(StoreError::Inconsistent {
-                version,
-                detail: "block version disagrees with its end line".into(),
+                version: entry.version,
+                detail: "delta base disagrees with the one read at open".into(),
             });
         }
         Ok(decoded)
+    }
+
+    fn read_serve(&self, entry: &Entry) -> Result<ServeStateRecord, StoreError> {
+        let body = self.read_body(entry)?;
+        let (version, record) = format::decode_serve_state(&body_lines(&body))?;
+        same_version(entry, version)?;
+        Ok(record)
     }
 
     /// Read `entry`'s block back from the file and check its seal
@@ -364,14 +580,55 @@ impl SnapshotStore {
         block.truncate(body_len);
         String::from_utf8(block).map_err(|_| corrupt())
     }
+}
 
-    pub(crate) fn entry_meta(
-        &self,
-    ) -> impl Iterator<Item = (u64, RecordKind, Option<u64>, u64)> + '_ {
-        self.entries
-            .iter()
-            .map(|e| (e.version, e.kind, e.tick, e.offset))
+/// A decoded block must carry the version `open` found for it.
+fn same_version(entry: &Entry, decoded: u64) -> Result<(), StoreError> {
+    if decoded == entry.version {
+        Ok(())
+    } else {
+        Err(StoreError::Inconsistent {
+            version: entry.version,
+            detail: "block version disagrees with its end line".into(),
+        })
     }
+}
+
+fn inconsistent(version: u64, e: &CoreError) -> StoreError {
+    StoreError::Inconsistent {
+        version,
+        detail: e.to_string(),
+    }
+}
+
+/// Why `cp` cannot follow `last` in one store, if it cannot. A delta
+/// repeats neither the deployment size nor the radio range or cache
+/// configuration, so every checkpoint keeps those of the one before.
+fn shape_change(last: &CheckpointState, cp: &CheckpointState) -> Option<String> {
+    let shape = |c: &CheckpointState| {
+        (
+            c.nodes.len(),
+            c.range.to_bits(),
+            c.budget_bytes,
+            c.pair_bytes,
+            c.policy,
+        )
+    };
+    (shape(last) != shape(cp)).then(|| {
+        format!(
+            "deployment shape changed: {} nodes, range {}, cache {} B of {} B pairs, {:?}; was {} nodes, range {}, cache {} B of {} B pairs, {:?}",
+            cp.nodes.len(),
+            cp.range,
+            cp.budget_bytes,
+            cp.pair_bytes,
+            cp.policy,
+            last.nodes.len(),
+            last.range,
+            last.budget_bytes,
+            last.pair_bytes,
+            last.policy
+        )
+    })
 }
 
 /// Block body lines with their 1-based line numbers. Numbering
@@ -396,8 +653,16 @@ fn write_file(path: &Path, bytes: &[u8], op: &'static str) -> Result<(), StoreEr
     fs::write(path, bytes).map_err(io_error(op))
 }
 
-/// Structural scan of a whole file: header, block boundaries, seals
-/// and version ordering. Full per-line decoding happens lazily.
+/// The number after the first `name` token of a block opener.
+fn opener_field(opener: &str, name: &str) -> Option<u64> {
+    let mut words = opener.split_ascii_whitespace();
+    words.by_ref().find(|&w| w == name)?;
+    words.next()?.parse().ok()
+}
+
+/// Structural scan of a whole file: header, block boundaries, seals,
+/// version ordering, and where keyframes and deltas sit. Full per-line
+/// decoding happens lazily.
 fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
     let mut rest = contents;
     let mut offset = 0u64;
@@ -414,48 +679,48 @@ fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
     }
 
     let mut entries: Vec<Entry> = Vec::new();
+    // Checkpoint blocks so far, and the newest one's version.
+    let mut checkpoints = 0usize;
+    let mut last_checkpoint: Option<u64> = None;
     loop {
         let block_offset = offset;
         let Some(opener) = take_line(&mut rest, &mut offset, &mut line_no) else {
             break;
         };
         let opener_line = line_no;
+        let bad = |detail: String| StoreError::BadRecord {
+            line: opener_line,
+            detail,
+        };
         let mut words = opener.split_ascii_whitespace();
-        let kind = match words.next() {
-            Some("version") => RecordKind::Checkpoint,
-            Some("serve") => RecordKind::ServeState,
+        let (kind, delta) = match words.next() {
+            Some("version") => (RecordKind::Checkpoint, false),
+            Some("delta") => (RecordKind::Checkpoint, true),
+            Some("serve") => (RecordKind::ServeState, false),
             _ => {
-                return Err(StoreError::BadRecord {
-                    line: opener_line,
-                    detail: format!("expected a version or serve line, got {opener:?}"),
-                })
+                return Err(bad(format!(
+                    "expected a version, delta or serve line, got {opener:?}"
+                )))
             }
         };
-        let version =
-            words
-                .next()
-                .and_then(|w| w.parse::<u64>().ok())
-                .ok_or(StoreError::BadRecord {
-                    line: opener_line,
-                    detail: "block opener has no version".into(),
-                })?;
+        let version = words
+            .next()
+            .and_then(|w| w.parse::<u64>().ok())
+            .ok_or_else(|| bad("block opener has no version".into()))?;
         let tick = match kind {
-            RecordKind::Checkpoint => {
-                let mut tick = None;
-                let mut saw_tick_word = false;
-                for w in words {
-                    if saw_tick_word {
-                        tick = w.parse::<u64>().ok();
-                        break;
-                    }
-                    saw_tick_word = w == "tick";
-                }
-                Some(tick.ok_or(StoreError::BadRecord {
-                    line: opener_line,
-                    detail: "checkpoint opener has no tick".into(),
-                })?)
-            }
+            RecordKind::Checkpoint => Some(
+                opener_field(opener, "tick")
+                    .ok_or_else(|| bad("checkpoint opener has no tick".into()))?,
+            ),
             RecordKind::ServeState => None,
+        };
+        let base = if delta {
+            Some(
+                opener_field(opener, "base")
+                    .ok_or_else(|| bad("delta opener has no base".into()))?,
+            )
+        } else {
+            None
         };
 
         // Walk to the end line.
@@ -508,10 +773,30 @@ fn scan(contents: &str) -> Result<Vec<Entry>, StoreError> {
             }
         }
 
+        if kind == RecordKind::Checkpoint {
+            let keyframe_due = checkpoints.is_multiple_of(KEYFRAME_INTERVAL);
+            if keyframe_due == delta {
+                return Err(bad(format!(
+                    "checkpoint block {checkpoints} of the file must be a {}",
+                    if keyframe_due { "keyframe" } else { "delta" }
+                )));
+            }
+            if base.is_some() && base != last_checkpoint {
+                return Err(bad(format!(
+                    "delta base {} is not the previous checkpoint {}",
+                    base.unwrap_or_default(),
+                    last_checkpoint.unwrap_or_default()
+                )));
+            }
+            checkpoints += 1;
+            last_checkpoint = Some(version);
+        }
+
         entries.push(Entry::new(
             version,
             kind,
             tick,
+            base,
             block_offset,
             offset - block_offset,
         ));
@@ -654,11 +939,12 @@ mod tests {
         assert_eq!(first.tick(), 50);
         assert_eq!(
             built(&store),
-            vec![2],
-            "a version never queried holds no image"
+            vec![1, 2],
+            "a delta's image is derived from its parent's, built first; \
+             a version past it holds no image"
         );
 
-        // BETWEEN reuses the image AS OF built and builds the rest.
+        // BETWEEN reuses the images AS OF built and builds the rest.
         let between = store.checkpoints_between(40, 60).unwrap();
         assert_eq!(
             between.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
@@ -671,6 +957,162 @@ mod tests {
         let clone = store.clone();
         let (_, cloned) = clone.checkpoint_as_of(50).unwrap();
         assert!(Arc::ptr_eq(&cloned, &first));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_delta_image_shares_each_part_its_delta_leaves_unchanged() {
+        let path = tmp("sharing");
+        let mut store = SnapshotStore::create(&path).unwrap();
+        let mut cp = small_checkpoint(40);
+        store.append_checkpoint(&cp).unwrap();
+        cp.tick = 50;
+        cp.values = vec![1.5, -0.0];
+        store.append_checkpoint(&cp).unwrap();
+        cp.tick = 60;
+        cp.alive[1] = false;
+        store.append_checkpoint(&cp).unwrap();
+        cp.tick = 70;
+        cp.nodes[1].refusing_invites = true;
+        store.append_checkpoint(&cp).unwrap();
+
+        let images = store.checkpoints_between(0, 70).unwrap();
+        let shares = |a: usize, b: usize| images[a].1.shares_with(&images[b].1);
+        // [topology, liveness, nodes]
+        assert_eq!(shares(0, 1), [true, true, true], "a values-only delta");
+        assert_eq!(shares(1, 2), [true, false, true], "a liveness change");
+        assert_eq!(shares(2, 3), [true, true, false], "a node record change");
+        assert_eq!(store.checkpoint(4).unwrap(), cp);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn keyframes_sit_at_every_kth_checkpoint_and_deltas_name_the_one_before() {
+        let path = tmp("cadence");
+        let mut store = SnapshotStore::create(&path).unwrap();
+        let mut checkpoints = Vec::new();
+        for i in 0..KEYFRAME_INTERVAL as u64 + 2 {
+            let v = store.append_checkpoint(&small_checkpoint(40 + i)).unwrap();
+            store
+                .append_serve_state(&ServeStateRecord {
+                    checkpoint_version: v,
+                    next_ticket: 1,
+                    stats: [0; 10],
+                    pending: Vec::new(),
+                    active: Vec::new(),
+                })
+                .unwrap();
+            checkpoints.push(v);
+        }
+        let bases: Vec<Option<u64>> = SnapshotStore::open(&path)
+            .unwrap()
+            .versions()
+            .into_iter()
+            .filter(|info| info.kind == RecordKind::Checkpoint)
+            .map(|info| info.base)
+            .collect();
+        let want: Vec<Option<u64>> = (0..checkpoints.len())
+            .map(|i| (!i.is_multiple_of(KEYFRAME_INTERVAL)).then(|| checkpoints[i - 1]))
+            .collect();
+        assert_eq!(bases, want);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_delta_naming_a_non_adjacent_base_or_a_misplaced_keyframe_fails_open() {
+        let path = tmp("bad-base");
+        let mut store = SnapshotStore::create(&path).unwrap();
+        for tick in [40, 50, 60] {
+            store.append_checkpoint(&small_checkpoint(tick)).unwrap();
+        }
+        // Point version 3 at version 1 and re-seal its block, so only
+        // the base check can catch it.
+        let text = fs::read_to_string(&path).unwrap();
+        let opener = text
+            .lines()
+            .position(|l| l.starts_with("delta 3 "))
+            .unwrap();
+        let mut out = String::new();
+        let mut body = String::new();
+        for (i, line) in text.lines().enumerate() {
+            if i < opener {
+                out.push_str(line);
+                out.push('\n');
+            } else if line.starts_with("end 3 ") {
+                out.push_str(&body);
+                out.push_str(&format!(
+                    "end 3 crc {:08x}\n",
+                    format::crc32(body.as_bytes())
+                ));
+            } else {
+                body.push_str(&line.replace("base 2", "base 1"));
+                body.push('\n');
+            }
+        }
+        assert!(body.starts_with("delta 3 tick 60 epoch 1 base 1\n"));
+        fs::write(&path, out).unwrap();
+        match SnapshotStore::open(&path) {
+            Err(StoreError::BadRecord { line, detail }) => {
+                assert_eq!(line, opener as u64 + 1, "{detail}");
+                assert!(detail.contains("base 1"), "{detail}");
+            }
+            other => panic!("expected BadRecord, got {other:?}"),
+        }
+
+        // A keyframe where the format places a delta.
+        let first = format::encode_checkpoint(1, &small_checkpoint(40));
+        let second = format::encode_checkpoint(2, &small_checkpoint(50));
+        fs::write(&path, format!("{HEADER}\n{first}{second}")).unwrap();
+        let opener = 1 + first.lines().count() as u64 + 1;
+        match SnapshotStore::open(&path) {
+            Err(StoreError::BadRecord { line, detail }) => {
+                assert_eq!(line, opener, "{detail}");
+                assert!(detail.contains("must be a delta"), "{detail}");
+            }
+            other => panic!("expected BadRecord, got {other:?}"),
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_reopened_writer_writes_the_bytes_of_one_that_never_closed() {
+        let once = tmp("writer-once");
+        let reopened = tmp("writer-reopened");
+        let mut cp = small_checkpoint(40);
+        let mut store = SnapshotStore::create(&once).unwrap();
+        SnapshotStore::create(&reopened).unwrap();
+        for tick in 0..KEYFRAME_INTERVAL as u64 + 3 {
+            cp.tick = 40 + tick;
+            cp.values[0] += 0.5;
+            store.append_checkpoint(&cp).unwrap();
+            let mut again = SnapshotStore::open(&reopened).unwrap();
+            again.append_checkpoint(&cp).unwrap();
+        }
+        assert_eq!(fs::read(&once).unwrap(), fs::read(&reopened).unwrap());
+        let _ = fs::remove_file(&once);
+        let _ = fs::remove_file(&reopened);
+    }
+
+    #[test]
+    fn a_checkpoint_that_changes_the_deployment_shape_is_refused() {
+        let path = tmp("shape");
+        let mut store = SnapshotStore::create(&path).unwrap();
+        store.append_checkpoint(&small_checkpoint(40)).unwrap();
+        let mut cp = small_checkpoint(50);
+        cp.budget_bytes = 4096;
+        match store.append_checkpoint(&cp) {
+            Err(StoreError::Inconsistent { version: 2, detail }) => {
+                assert!(detail.contains("shape"), "detail: {detail}");
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
+        let mut cp = small_checkpoint(50);
+        cp.alive.pop();
+        assert!(matches!(
+            store.append_checkpoint(&cp),
+            Err(StoreError::Inconsistent { version: 2, .. })
+        ));
+        assert_eq!(store.versions().len(), 1, "a refused append writes nothing");
         let _ = fs::remove_file(&path);
     }
 
@@ -790,11 +1232,13 @@ mod tests {
             other => panic!("expected truncation, got {other:?}"),
         }
 
-        // Wrong header.
-        fs::write(&path, b"not a store\n").unwrap();
-        match SnapshotStore::open(&path) {
-            Err(StoreError::BadHeader { found }) => assert_eq!(found, "not a store"),
-            other => panic!("expected bad header, got {other:?}"),
+        // Wrong header, and the previous format's.
+        for header in ["not a store", "snapshot-store v1"] {
+            fs::write(&path, format!("{header}\n")).unwrap();
+            match SnapshotStore::open(&path) {
+                Err(StoreError::BadHeader { found }) => assert_eq!(found, header),
+                other => panic!("expected bad header, got {other:?}"),
+            }
         }
         let _ = fs::remove_file(&path);
     }

@@ -1,7 +1,8 @@
 //! The cross-snapshot consistency verifier.
 //!
-//! [`SnapshotStore::verify`] decodes every block in full and checks
-//! the properties that `open` (a structural scan) cannot: monotone
+//! [`SnapshotStore::verify`] decodes every block in full, rolling each
+//! checkpoint chain forward once, and checks the properties that
+//! `open` (a structural scan) cannot: monotone
 //! checkpoint ticks, a stable deployment shape, structurally valid
 //! checkpoints, stored quality flags that match the accounting
 //! recomputed from the node records, and serve-state records that
@@ -11,8 +12,7 @@
 //! oracle harness uses it as the gate after every rebuild.
 
 use crate::error::StoreError;
-use crate::format::RecordKind;
-use crate::store::SnapshotStore;
+use crate::store::{SnapshotStore, Walked};
 use std::fmt;
 
 /// What a clean [`SnapshotStore::verify`] pass found.
@@ -22,6 +22,10 @@ pub struct VerifyReport {
     pub blocks: usize,
     /// Checkpoint blocks among them.
     pub checkpoints: usize,
+    /// Keyframes among the checkpoints.
+    pub keyframes: usize,
+    /// Deltas among the checkpoints.
+    pub deltas: usize,
     /// Serve-state blocks among them.
     pub serve_states: usize,
     /// Deployment size (0 for an empty store).
@@ -34,8 +38,13 @@ impl fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} blocks ok: {} checkpoints, {} serve states, {} nodes",
-            self.blocks, self.checkpoints, self.serve_states, self.nodes
+            "{} blocks ok: {} checkpoints ({} keyframes, {} deltas), {} serve states, {} nodes",
+            self.blocks,
+            self.checkpoints,
+            self.keyframes,
+            self.deltas,
+            self.serve_states,
+            self.nodes
         )?;
         if let (Some(first), Some(last)) = (self.ticks.first(), self.ticks.last()) {
             write!(f, ", ticks {first}..={last}")?;
@@ -54,7 +63,7 @@ pub fn remediation(err: &StoreError) -> &'static str {
     match err {
         StoreError::Io { .. } => "check the path, permissions and free space, then retry",
         StoreError::BadHeader { .. } => {
-            "this is not a snapshot store; point at a file written by SnapshotStore"
+            "this is not a snapshot-store v2 file (v1 files are not read); point at a file written by SnapshotStore"
         }
         StoreError::Truncated { .. } => {
             "a torn final write; rebuild from the last sealed version to drop the partial block"
@@ -81,34 +90,43 @@ pub fn remediation(err: &StoreError) -> &'static str {
 }
 
 impl SnapshotStore {
-    /// Decode and cross-check every block. Returns a summary on
-    /// success; the first violation aborts with a typed error naming
-    /// the offending version.
+    /// Decode and cross-check every block, walking each checkpoint
+    /// chain once, forward. Returns a summary on success; the first
+    /// violation aborts with a typed error naming the offending
+    /// version.
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
         let mut report = VerifyReport {
             blocks: 0,
             checkpoints: 0,
+            keyframes: 0,
+            deltas: 0,
             serve_states: 0,
             nodes: 0,
             ticks: Vec::new(),
         };
         let mut shape: Option<(usize, u64)> = None; // (nodes, range bits)
-        let mut last_tick: Option<u64> = None;
         let mut checkpoint_versions: Vec<u64> = Vec::new();
 
-        let meta: Vec<_> = self.entry_meta().collect();
-        for (version, kind, _tick, _offset) in meta {
+        self.walk(|block| {
             report.blocks += 1;
-            match kind {
-                RecordKind::Checkpoint => {
+            match block {
+                Walked::Checkpoint {
+                    version,
+                    keyframe,
+                    state: cp,
+                    stored_quality,
+                } => {
                     report.checkpoints += 1;
-                    let decoded = self.decode_checkpoint_entry(version)?;
-                    let cp = &decoded.state;
+                    if keyframe {
+                        report.keyframes += 1;
+                    } else {
+                        report.deltas += 1;
+                    }
                     cp.validate().map_err(|e| StoreError::Inconsistent {
                         version,
                         detail: e.to_string(),
                     })?;
-                    if let Some(prev) = last_tick {
+                    if let Some(&prev) = report.ticks.last() {
                         if cp.tick < prev {
                             return Err(StoreError::Inconsistent {
                                 version,
@@ -120,7 +138,6 @@ impl SnapshotStore {
                             });
                         }
                     }
-                    last_tick = Some(cp.tick);
                     let this_shape = (cp.nodes.len(), cp.range.to_bits());
                     match shape {
                         None => shape = Some(this_shape),
@@ -136,12 +153,11 @@ impl SnapshotStore {
                         Some(_) => {}
                     }
                     let recomputed = cp.quality();
-                    if decoded.stored_quality != recomputed {
+                    if stored_quality != recomputed {
                         return Err(StoreError::Inconsistent {
                             version,
                             detail: format!(
-                                "stored quality flags {:?} disagree with recomputed {recomputed:?}",
-                                decoded.stored_quality
+                                "stored quality flags {stored_quality:?} disagree with recomputed {recomputed:?}"
                             ),
                         });
                     }
@@ -149,26 +165,23 @@ impl SnapshotStore {
                     report.ticks.push(cp.tick);
                     checkpoint_versions.push(version);
                 }
-                RecordKind::ServeState => {
+                Walked::Serve { version, record } => {
                     report.serve_states += 1;
-                    let Some((_, rec)) = self.serve_state(version)? else {
-                        return Err(StoreError::NoSuchVersion { version });
-                    };
-                    if !checkpoint_versions.contains(&rec.checkpoint_version) {
+                    if !checkpoint_versions.contains(&record.checkpoint_version) {
                         return Err(StoreError::Inconsistent {
                             version,
                             detail: format!(
                                 "serve state references checkpoint {} which the store does not hold",
-                                rec.checkpoint_version
+                                record.checkpoint_version
                             ),
                         });
                     }
-                    if rec
+                    if record
                         .pending
                         .iter()
                         .map(|p| p.ticket)
-                        .chain(rec.active.iter().map(|a| a.ticket))
-                        .any(|t| t >= rec.next_ticket)
+                        .chain(record.active.iter().map(|a| a.ticket))
+                        .any(|t| t >= record.next_ticket)
                     {
                         return Err(StoreError::Inconsistent {
                             version,
@@ -177,7 +190,8 @@ impl SnapshotStore {
                     }
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok(report)
     }
 }
@@ -254,11 +268,12 @@ mod tests {
         let report = store.verify().unwrap();
         assert_eq!(report.blocks, 3);
         assert_eq!(report.checkpoints, 2);
+        assert_eq!((report.keyframes, report.deltas), (1, 1));
         assert_eq!(report.serve_states, 1);
         assert_eq!(report.ticks, vec![40, 50]);
         assert_eq!(
             report.to_string(),
-            "3 blocks ok: 2 checkpoints, 1 serve states, 2 nodes, ticks 40..=50"
+            "3 blocks ok: 2 checkpoints (1 keyframes, 1 deltas), 1 serve states, 2 nodes, ticks 40..=50"
         );
         let _ = fs::remove_file(&path);
     }

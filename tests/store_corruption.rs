@@ -10,7 +10,10 @@
 //! An open store keeps block offsets, not block text, so the same
 //! damage made *after* `open` must be caught by the read that reaches
 //! it: the second pair of sweeps flips bits in, and cuts, the file
-//! under an open store and reads every version back.
+//! under an open store and reads every version back. A checkpoint is
+//! read back through its chain — the keyframe at or before it and
+//! every delta up to it — so damage to one block fails exactly the
+//! versions whose chain holds that block.
 
 use snapshot_bench::RandomWalkSetup;
 use snapshot_queries::core::{
@@ -18,6 +21,7 @@ use snapshot_queries::core::{
 };
 use snapshot_queries::netsim::rng::{DetRng, RngExt};
 use snapshot_queries::netsim::NodeId;
+use snapshot_queries::store::format::KEYFRAME_INTERVAL;
 use snapshot_queries::store::{remediation, RecordKind, SnapshotStore, StoreError};
 use std::ops::Range;
 use std::path::PathBuf;
@@ -55,10 +59,13 @@ fn scratch(label: &str) -> PathBuf {
     ))
 }
 
-/// A pristine two-checkpoint store plus one serve-state record, with
-/// its bytes in memory. Each caller passes its own `label`: the tests
-/// run in parallel, and a shared file would be deleted under one
-/// test while the other is still writing it.
+/// A pristine store of `KEYFRAME_INTERVAL + 2` checkpoints plus one
+/// serve-state record, with its bytes in memory: two keyframes, a
+/// values-only delta, and — from a kill and a `maintain()` between two
+/// captures — a delta with liveness, node and cache-line records. Each
+/// caller passes its own `label`: the tests run in parallel, and a
+/// shared file would be deleted under one test while the other is
+/// still writing it.
 fn pristine(label: &str) -> (Vec<u8>, usize) {
     let path = scratch(&format!("pristine-{label}"));
     let mut sn = network(11);
@@ -71,9 +78,37 @@ fn pristine(label: &str) -> (Vec<u8>, usize) {
     store
         .append_serve_state(&svc.snapshot_state(v))
         .expect("append serve state");
-    sn.advance(4);
-    store.append_checkpoint(&sn.checkpoint()).expect("append");
+    for capture in 1..KEYFRAME_INTERVAL + 2 {
+        sn.advance(2);
+        if capture == 3 {
+            sn.net_mut().kill(NodeId(5));
+            let _ = sn.maintain();
+        }
+        store.append_checkpoint(&sn.checkpoint()).expect("append");
+    }
     let bytes = std::fs::read(&path).expect("read store");
+    let text = String::from_utf8_lossy(&bytes);
+    let blocks: Vec<&str> = text.split("\nend ").collect();
+    let holds = |block: &&str, records: &[&str]| {
+        records
+            .iter()
+            .all(|r| block.lines().any(|l| l.starts_with(r)))
+    };
+    assert_eq!(
+        blocks.iter().filter(|b| holds(b, &["version "])).count(),
+        2,
+        "two keyframes"
+    );
+    assert!(blocks
+        .iter()
+        .any(|b| holds(b, &["delta "]) && !holds(b, &["alive"]) && !holds(b, &["node "])));
+    assert!(
+        blocks
+            .iter()
+            .any(|b| holds(b, &["delta ", "alive", "node "])
+                && (holds(b, &["edit "]) || holds(b, &["remove "]))),
+        "no delta holds liveness, node and line records"
+    );
     let versions = store.versions().len();
     let _ = std::fs::remove_file(&path);
     (bytes, versions)
@@ -267,32 +302,67 @@ fn read_every_version(store: &SnapshotStore) -> Vec<(u64, Vec<Result<String, Sto
         .collect()
 }
 
-/// A pristine store written to `path` and opened, with the byte range
-/// and version of each of its blocks.
-fn open_pristine(bytes: &[u8], path: &PathBuf) -> (SnapshotStore, Vec<(u64, Range<usize>)>) {
+/// One stored block: its version, byte range, and the versions of the
+/// blocks a read of it reaches, in read order — the block itself for a
+/// serve state, the chain for a checkpoint.
+struct Block {
+    version: u64,
+    range: Range<usize>,
+    keyframe: bool,
+    reads: Vec<u64>,
+}
+
+/// A pristine store written to `path` and opened, with its blocks. The
+/// chains follow the format's rule — the i-th checkpoint block is a
+/// keyframe exactly when `i % KEYFRAME_INTERVAL == 0` — and must agree
+/// with the bases the store read at `open`.
+fn open_pristine(bytes: &[u8], path: &PathBuf) -> (SnapshotStore, Vec<Block>) {
     std::fs::write(path, bytes).expect("write pristine image");
     let store = SnapshotStore::open(path).expect("pristine store opens");
-    let blocks = store
-        .versions()
-        .into_iter()
-        .map(|info| info.version)
-        .zip(block_ranges(bytes))
-        .collect();
+    let mut blocks = Vec::new();
+    let mut chain: Vec<u64> = Vec::new();
+    let mut checkpoints = 0usize;
+    for (info, range) in store.versions().into_iter().zip(block_ranges(bytes)) {
+        let (keyframe, reads) = match info.kind {
+            RecordKind::Checkpoint => {
+                let keyframe = checkpoints.is_multiple_of(KEYFRAME_INTERVAL);
+                assert_eq!(
+                    info.base,
+                    (!keyframe).then(|| chain.last().copied()).flatten()
+                );
+                if keyframe {
+                    chain.clear();
+                }
+                chain.push(info.version);
+                checkpoints += 1;
+                (keyframe, chain.clone())
+            }
+            RecordKind::ServeState => (false, vec![info.version]),
+        };
+        blocks.push(Block {
+            version: info.version,
+            range,
+            keyframe,
+            reads,
+        });
+    }
     (store, blocks)
 }
 
 #[test]
-fn bit_flips_after_open_fail_the_read_of_their_block_only() {
+fn bit_flips_after_open_fail_the_versions_whose_chain_holds_their_block() {
     let (bytes, versions) = pristine("late-flip");
     let path = scratch("late-flip");
     let (store, blocks) = open_pristine(&bytes, &path);
     assert_eq!(blocks.len(), versions);
     let clean = read_every_version(&store);
     let clean_report = store.verify().expect("pristine store verifies");
+    assert_eq!(clean_report.keyframes, 2);
     assert!(clean.iter().flat_map(|(_, r)| r).all(Result::is_ok));
 
     let mut rng = DetRng::seed_from_u64(0x1A7E_F11B);
     let mut in_blocks = 0usize;
+    let (mut keyframe_fanout, mut delta_fanout) = (false, false);
     for _ in 0..LATE_FLIPS {
         let (store, _) = open_pristine(&bytes, &path);
         let mut damaged = bytes.clone();
@@ -300,25 +370,44 @@ fn bit_flips_after_open_fail_the_read_of_their_block_only() {
         damaged[byte] ^= 1 << rng.random_range(0..8u32);
         std::fs::write(&path, &damaged).expect("damage the file under the open store");
 
-        // Only the block holding the flipped byte may fail, and it
-        // must fail as `Corrupt`, naming its version and offset:
-        // CRC-32 catches every single-bit error in the body, and the
-        // seal check catches any change to the `end` line.
-        let hit = blocks.iter().find(|(_, range)| range.contains(&byte));
-        let expected = hit.map(|(version, range)| StoreError::Corrupt {
-            version: *version,
-            offset: range.start as u64,
+        // Only the versions whose reads reach the block holding the
+        // flipped byte may fail, and each must fail as `Corrupt`,
+        // naming that block's version and offset: CRC-32 catches every
+        // single-bit error in the body, and the seal check catches any
+        // change to the `end` line.
+        let hit = blocks.iter().find(|b| b.range.contains(&byte));
+        let expected = hit.map(|b| StoreError::Corrupt {
+            version: b.version,
+            offset: b.range.start as u64,
         });
         in_blocks += usize::from(hit.is_some());
-        for ((version, got), (_, want)) in read_every_version(&store).into_iter().zip(&clean) {
+        let mut failed = 0usize;
+        for ((version, got), (block, (_, want))) in read_every_version(&store)
+            .into_iter()
+            .zip(blocks.iter().zip(&clean))
+        {
+            assert_eq!(version, block.version);
+            let reached = hit.filter(|h| block.reads.contains(&h.version));
+            failed += usize::from(reached.is_some());
             for (got, want) in got.into_iter().zip(want) {
-                match (hit, &expected) {
-                    (Some((damaged_version, _)), Some(err)) if *damaged_version == version => {
-                        assert_eq!(got.as_ref(), Err(err), "flip at byte {byte}");
+                match (reached, &expected) {
+                    (Some(_), Some(err)) => {
+                        assert_eq!(
+                            got.as_ref(),
+                            Err(err),
+                            "flip at byte {byte}, version {version}"
+                        );
                         assert!(!remediation(err).is_empty());
                     }
                     _ => assert_eq!(&got, want, "flip at byte {byte} changed version {version}"),
                 }
+            }
+        }
+        if let Some(h) = hit.filter(|_| failed > 1) {
+            if h.keyframe {
+                keyframe_fanout = true;
+            } else {
+                delta_fanout = true;
             }
         }
         match expected {
@@ -330,6 +419,10 @@ fn bit_flips_after_open_fail_the_read_of_their_block_only() {
         in_blocks * 10 >= LATE_FLIPS * 9,
         "only {in_blocks}/{LATE_FLIPS} flips landed inside a block"
     );
+    assert!(
+        keyframe_fanout && delta_fanout,
+        "no flip failed later versions through a keyframe ({keyframe_fanout}) or a delta ({delta_fanout})"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -339,45 +432,69 @@ fn cuts_after_open_fail_every_read_past_the_cut() {
     let path = scratch("late-cut");
     let (store, blocks) = open_pristine(&bytes, &path);
     let clean = read_every_version(&store);
+    let block_of = |version: u64| {
+        blocks
+            .iter()
+            .find(|b| b.version == version)
+            .expect("every version has a block")
+    };
 
     let mut rng = DetRng::seed_from_u64(0x01A7_EC07);
     let mut saw_cut_block = false;
+    let mut saw_keyframe_cut = false;
     for _ in 0..LATE_CUTS {
         let (store, _) = open_pristine(&bytes, &path);
         let len = rng.random_range(0..bytes.len() as u64) as usize;
         std::fs::write(&path, &bytes[..len]).expect("cut the file under the open store");
 
-        for ((version, got), (_, want)) in read_every_version(&store).into_iter().zip(&clean) {
-            let range = blocks
+        for ((version, got), (block, (_, want))) in read_every_version(&store)
+            .into_iter()
+            .zip(blocks.iter().zip(&clean))
+        {
+            assert_eq!(version, block.version);
+            // A read fails at the first block it reaches past the cut:
+            // a cut inside a keyframe fails every later version of its
+            // chain, naming the keyframe.
+            let first_cut = block
+                .reads
                 .iter()
-                .find(|(v, _)| *v == version)
-                .map(|(_, range)| range.clone())
-                .expect("every version has a block");
+                .map(|&v| block_of(v))
+                .find(|b| b.range.end > len);
             for (got, want) in got.into_iter().zip(want) {
-                if range.end <= len {
-                    assert_eq!(&got, want, "a cut at {len} changed version {version}");
-                } else {
-                    saw_cut_block = true;
-                    match got {
-                        Err(StoreError::Truncated { offset }) => {
-                            assert_eq!(offset, range.start as u64, "cut at {len}");
+                match first_cut {
+                    None => assert_eq!(&got, want, "a cut at {len} changed version {version}"),
+                    Some(cut) => {
+                        saw_cut_block = true;
+                        if cut.keyframe && cut.version != version && cut.range.start < len {
+                            saw_keyframe_cut = true;
                         }
-                        Err(StoreError::Io { .. }) => {}
-                        other => panic!("a cut at {len} read version {version} as {other:?}"),
+                        match got {
+                            Err(StoreError::Truncated { offset }) => {
+                                assert_eq!(offset, cut.range.start as u64, "cut at {len}");
+                            }
+                            Err(StoreError::Io { .. }) => {}
+                            other => {
+                                panic!("a cut at {len} read version {version} as {other:?}")
+                            }
+                        }
                     }
                 }
             }
         }
-        let first_cut = blocks.iter().find(|(_, range)| range.end > len);
+        let first_cut = blocks.iter().find(|b| b.range.end > len);
         match (store.verify(), first_cut) {
             (Ok(_), None) => {}
-            (Err(StoreError::Truncated { offset }), Some((_, range))) => {
-                assert_eq!(offset, range.start as u64, "cut at {len}");
+            (Err(StoreError::Truncated { offset }), Some(b)) => {
+                assert_eq!(offset, b.range.start as u64, "cut at {len}");
             }
             (Err(StoreError::Io { .. }), Some(_)) => {}
             (other, _) => panic!("verify after a cut at {len} returned {other:?}"),
         }
     }
     assert!(saw_cut_block, "no cut ever reached a block");
+    assert!(
+        saw_keyframe_cut,
+        "no cut inside a keyframe failed a later version of its chain"
+    );
     let _ = std::fs::remove_file(&path);
 }
