@@ -1,12 +1,26 @@
 //! Macro-benchmark: query execution in both modes on an elected
 //! 100-node network — the per-query cost that snapshot mode trades
-//! against accuracy — and whole-field scans on a 5000-node one.
+//! against accuracy — and whole-field scans on a 5000-node one, alone
+//! and as one serving tick's batch.
 
 use crate::RandomWalkSetup;
 use snapshot_core::{Aggregate, QueryMode, SnapshotQuery, SpatialPredicate};
 use snapshot_microbench::{BatchSize, Criterion};
 use snapshot_netsim::NodeId;
+use snapshot_query::serve::plan_text;
+use snapshot_query::RegionCatalog;
 use std::hint::black_box;
+
+/// The five scan signatures of the e2e benchmark's serve-shared mix,
+/// as drill-throughs: the whole field, three quadrants and a value
+/// filter, all in snapshot mode.
+const SHARED_SCANS: &[&str] = &[
+    "SELECT loc, value FROM sensors USE SNAPSHOT",
+    "SELECT loc, value FROM sensors WHERE loc IN NORTH_EAST_QUADRANT USE SNAPSHOT",
+    "SELECT loc, value FROM sensors WHERE loc IN SOUTH_WEST_QUADRANT USE SNAPSHOT",
+    "SELECT loc, value FROM sensors WHERE value > 0 USE SNAPSHOT",
+    "SELECT loc, value FROM sensors WHERE loc IN NORTH_WEST_QUADRANT USE SNAPSHOT",
+];
 
 fn bench_queries(c: &mut Criterion) {
     let mut sn = RandomWalkSetup {
@@ -69,6 +83,29 @@ fn bench_scans_5k(c: &mut Criterion) {
             b.iter(|| black_box(sn.query(&q, NodeId(0))))
         });
     }
+
+    // One serving tick's scans: the five signatures one by one, then
+    // through one scan batch, which computes each node's reading once.
+    let catalog = RegionCatalog::with_quadrants();
+    let scans: Vec<SnapshotQuery> = SHARED_SCANS
+        .iter()
+        .filter_map(|sql| plan_text(sql, &catalog).ok())
+        .map(|plan| plan.query)
+        .collect();
+    assert_eq!(scans.len(), SHARED_SCANS.len(), "every shared scan plans");
+    c.bench_function("query_unbatched_5k", |b| {
+        b.iter(|| {
+            let results: Vec<_> = scans.iter().map(|q| sn.query(q, NodeId(0))).collect();
+            black_box(results)
+        })
+    });
+    c.bench_function("query_batch_5k", |b| {
+        b.iter(|| {
+            let mut batch = sn.scan_batch(NodeId(0));
+            let results: Vec<_> = scans.iter().map(|q| batch.query(q)).collect();
+            black_box(results)
+        })
+    });
 }
 
 /// Run the suite.

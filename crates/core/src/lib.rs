@@ -64,7 +64,7 @@ pub use maintenance::{MaintenanceReport, RepairRecord, RepairTracker};
 pub use metrics::ErrorMetric;
 pub use model::{LinearModel, SuffStats};
 pub use multi::{SnapshotAction, ThresholdLadder};
-pub use network::SensorNetwork;
+pub use network::{ScanBatch, SensorNetwork};
 pub use query::{
     execute_tag, Aggregate, Comparison, QueryMode, QueryResult, SnapshotQuery, SpatialPredicate,
     TagResult, ValueFilter,

@@ -18,7 +18,7 @@ use crate::maintenance::{
     reconcile, rotate_representatives, run_handoff_check, run_maintenance, MaintenanceReport,
 };
 use crate::query::tag::{execute_tag, TagResult};
-use crate::query::{execute, QueryMode, QueryResult, SnapshotQuery};
+use crate::query::{execute_with, QueryMode, QueryResult, Readings, SnapshotQuery};
 use crate::sensor::SensorNode;
 use crate::snapshot::{count_spurious, Snapshot};
 use snapshot_datagen::Trace;
@@ -77,6 +77,108 @@ impl Clone for SensorNetwork {
             scratch_ids: Vec::new(),
             scratch_inbox: Vec::new(),
         }
+    }
+}
+
+/// Scans over one fixed network state, sharing what they read:
+/// [`SensorNetwork::scan_batch`] opens one, [`ScanBatch::query`] runs
+/// each scan.
+///
+/// Each scan does exactly what [`SensorNetwork::query`] does, in the
+/// same order. The batch also keeps a per-node table of readings (what
+/// each node reports, and who reports it), so a node's reading is
+/// computed at most once per mode across the batch's scans. The batch
+/// holds the network's mutable borrow and exposes nothing else that
+/// changes state, so nothing can change between its scans except a
+/// query charge that drains a battery. A drain lowers the alive count,
+/// which empties the table before the next scan.
+#[derive(Debug)]
+pub struct ScanBatch<'a> {
+    net: &'a mut Network<ProtocolMsg>,
+    nodes: &'a [SensorNode],
+    /// The measurements at the network's current time, borrowed from
+    /// the trace.
+    values: &'a [f64],
+    repair: &'a mut RepairTracker,
+    query_seq: &'a mut u64,
+    sink: NodeId,
+    /// `None` for a one-shot query, which computes every reading.
+    readings: Option<Readings>,
+}
+
+impl ScanBatch<'_> {
+    /// Execute `query` collected at the batch's sink: the span, the
+    /// query events, the participants' charges and stats and the
+    /// repair bookkeeping of [`SensorNetwork::query`].
+    pub fn query(&mut self, query: &SnapshotQuery) -> QueryResult {
+        let qspan = self.net.open_span(SpanKind::Query);
+        let span = begin_query_span(self.net, self.query_seq, self.sink, query);
+        let readings = self.readings.as_mut();
+        let result = execute_with(
+            self.net,
+            self.nodes,
+            self.values,
+            query,
+            self.sink,
+            readings,
+        );
+        end_query_span(self.net, span, QueryStatus::Ok, result.participants as u32);
+        self.net.close_span(qspan);
+        self.repair.record_query(result.absolute_error());
+        result
+    }
+
+    /// Open a telemetry span around the batch's scans (see
+    /// [`Network::open_span`]).
+    pub fn open_span(&mut self, kind: SpanKind) -> u64 {
+        self.net.open_span(kind)
+    }
+
+    /// Close a span opened by [`ScanBatch::open_span`].
+    pub fn close_span(&mut self, id: u64) {
+        self.net.close_span(id);
+    }
+}
+
+/// Open a query span: allocate an id from `query_seq` and emit
+/// `QueryBegin`. Returns `None` (and stays silent) when telemetry is
+/// off.
+fn begin_query_span(
+    net: &mut Network<ProtocolMsg>,
+    query_seq: &mut u64,
+    sink: NodeId,
+    query: &SnapshotQuery,
+) -> Option<u64> {
+    if !net.telemetry_enabled() {
+        return None;
+    }
+    *query_seq += 1;
+    let id = *query_seq;
+    let tick = net.round();
+    net.emit(Event::QueryBegin {
+        tick,
+        id,
+        sink: sink.0,
+        snapshot_mode: matches!(query.mode, QueryMode::Snapshot),
+    });
+    Some(id)
+}
+
+/// Close a query span opened by [`begin_query_span`].
+fn end_query_span(
+    net: &mut Network<ProtocolMsg>,
+    span: Option<u64>,
+    status: QueryStatus,
+    participants: u32,
+) {
+    if let Some(id) = span {
+        let tick = net.round();
+        net.emit(Event::QueryEnd {
+            tick,
+            id,
+            status,
+            participants,
+        });
     }
 }
 
@@ -505,14 +607,31 @@ impl SensorNetwork {
     /// error is accumulated into the episode's record — the
     /// query-error-during-repair metric of the `heal` experiment.
     pub fn query(&mut self, query: &SnapshotQuery, sink: NodeId) -> QueryResult {
-        let values = self.values();
-        let qspan = self.net.open_span(SpanKind::Query);
-        let span = self.begin_query_span(sink, matches!(query.mode, QueryMode::Snapshot));
-        let result = execute(&mut self.net, &self.nodes, &values, query, sink);
-        self.end_query_span(span, QueryStatus::Ok, result.participants as u32);
-        self.net.close_span(qspan);
-        self.repair.record_query(result.absolute_error());
-        result
+        self.batch(sink, None).query(query)
+    }
+
+    /// Open a batch of scans collected at `sink` over the current
+    /// state. Each [`ScanBatch::query`] answers exactly what
+    /// [`Self::query`] would, charges the same nodes and records the
+    /// same telemetry; the batch computes each node's reading at most
+    /// once across its scans. See [`ScanBatch`].
+    pub fn scan_batch(&mut self, sink: NodeId) -> ScanBatch<'_> {
+        let readings = Readings::new(self.nodes.len());
+        self.batch(sink, Some(readings))
+    }
+
+    /// A batch at `sink`, reading through `readings` when given.
+    fn batch(&mut self, sink: NodeId, readings: Option<Readings>) -> ScanBatch<'_> {
+        let t = self.now.min(self.trace.steps() - 1);
+        ScanBatch {
+            net: &mut self.net,
+            nodes: &self.nodes,
+            values: self.trace.snapshot_at(t),
+            repair: &mut self.repair,
+            query_seq: &mut self.query_seq,
+            sink,
+            readings,
+        }
     }
 
     /// Execute a query, first checking the network can answer at all.
@@ -531,8 +650,8 @@ impl SensorNetwork {
         let alive = self.net.alive_count();
         if alive == 0 || !self.net.is_alive(sink) {
             let qspan = self.net.open_span(SpanKind::Query);
-            let span = self.begin_query_span(sink, matches!(query.mode, QueryMode::Snapshot));
-            self.end_query_span(span, QueryStatus::Error, 0);
+            let span = begin_query_span(&mut self.net, &mut self.query_seq, sink, query);
+            end_query_span(&mut self.net, span, QueryStatus::Error, 0);
             self.net.close_span(qspan);
             return Err(CoreError::NetworkUnavailable { alive });
         }
@@ -552,15 +671,14 @@ impl SensorNetwork {
     ) -> Result<TagResult, CoreError> {
         let values = self.values();
         let qspan = self.net.open_span(SpanKind::Query);
-        let span = self.begin_query_span(sink, matches!(query.mode, QueryMode::Snapshot));
+        let span = begin_query_span(&mut self.net, &mut self.query_seq, sink, query);
         let result = execute_tag(&mut self.net, &self.nodes, &values, query, sink);
-        match &result {
-            Ok(tag) => self.end_query_span(span, QueryStatus::Ok, tag.tree_size as u32),
-            Err(CoreError::MissingAggregate) => {
-                self.end_query_span(span, QueryStatus::MissingAggregate, 0);
-            }
-            Err(_) => self.end_query_span(span, QueryStatus::Error, 0),
-        }
+        let (status, participants) = match &result {
+            Ok(tag) => (QueryStatus::Ok, tag.tree_size as u32),
+            Err(CoreError::MissingAggregate) => (QueryStatus::MissingAggregate, 0),
+            Err(_) => (QueryStatus::Error, 0),
+        };
+        end_query_span(&mut self.net, span, status, participants);
         self.net.close_span(qspan);
         result
     }
@@ -584,37 +702,6 @@ impl SensorNetwork {
     /// or nothing was recorded).
     pub fn export_trace_jsonl(&self) -> String {
         self.net.telemetry().export_jsonl().unwrap_or_default()
-    }
-
-    /// Open a query span: allocate an id and emit `QueryBegin`.
-    /// Returns `None` (and stays silent) when telemetry is off.
-    fn begin_query_span(&mut self, sink: NodeId, snapshot_mode: bool) -> Option<u64> {
-        if !self.net.telemetry_enabled() {
-            return None;
-        }
-        self.query_seq += 1;
-        let id = self.query_seq;
-        let tick = self.net.round();
-        self.net.emit(Event::QueryBegin {
-            tick,
-            id,
-            sink: sink.0,
-            snapshot_mode,
-        });
-        Some(id)
-    }
-
-    /// Close a query span opened by [`Self::begin_query_span`].
-    fn end_query_span(&mut self, span: Option<u64>, status: QueryStatus, participants: u32) {
-        if let Some(id) = span {
-            let tick = self.net.round();
-            self.net.emit(Event::QueryEnd {
-                tick,
-                id,
-                status,
-                participants,
-            });
-        }
     }
 
     // ---- Inspection -------------------------------------------------------

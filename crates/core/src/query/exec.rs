@@ -78,13 +78,98 @@ pub(crate) struct CollectedRows {
     pub available: usize,
 }
 
-/// Determine who answers a query and with which values — shared by
-/// the idealized executor and the message-level TAG executor.
+/// One target's reading: `Some((who, value))` when `who` — the target
+/// itself, or its representative with a model estimate — can report
+/// it, `None` when nobody can.
+type Reading = Option<(NodeId, f64)>;
+
+/// Target `t`'s [`Reading`].
 ///
 /// Each node's mode and representative come straight from its own
 /// protocol state; a representative pointer is authoritative for the
 /// member that holds it (the same reading as
 /// [`Snapshot::from_nodes`](crate::snapshot::Snapshot::from_nodes)).
+/// Besides the mode, a reading depends only on node state, the
+/// measurements and which nodes are alive and in `tree`.
+fn reading(
+    alive: impl Fn(NodeId) -> bool,
+    nodes: &[SensorNode],
+    values: &[f64],
+    tree: &AggregationTree,
+    snapshot: bool,
+    t: NodeId,
+) -> Reading {
+    let (node, &own) = nodes.get(t.index()).zip(values.get(t.index()))?;
+    let rep = if snapshot {
+        node.representative().unwrap_or(t)
+    } else {
+        t
+    };
+    if rep == t {
+        // Regular mode, or unrepresented: the node answers for itself
+        // when it is up, reachable and — under a snapshot query —
+        // active.
+        (alive(t) && tree.contains(t) && (!snapshot || node.is_active())).then_some((t, own))
+    } else if alive(rep) && tree.contains(rep) {
+        // Represented: the representative estimates the member's value
+        // from its own current measurement.
+        let (r, &x) = nodes.get(rep.index()).zip(values.get(rep.index()))?;
+        r.cache.estimate(t, x).map(|v| (rep, v))
+    } else {
+        None
+    }
+}
+
+/// Per-node readings shared by the scans of one
+/// [`ScanBatch`](crate::ScanBatch): each reading is computed at most
+/// once per mode while the table's key holds.
+///
+/// The key is `(sink, alive count)`, the key of the network's cached
+/// BFS tree. Inside a batch nothing can change node state, the
+/// measurements or the topology, and the alive set can only shrink (a
+/// charge that drains a battery), so an unchanged alive count means an
+/// unchanged alive set and an unchanged tree membership. A tree built
+/// by [`AggregationTree::bfs_preferring`] spans the same nodes as the
+/// plain BFS tree (it changes parents, not membership), so
+/// representative-routing queries read the same table.
+#[derive(Debug)]
+pub(crate) struct Readings {
+    /// The `(sink, alive count)` the slots were filled at.
+    key: Option<(NodeId, usize)>,
+    /// Per node, per mode (regular, snapshot): `None` until computed.
+    slots: Vec<[Option<Reading>; 2]>,
+}
+
+impl Readings {
+    /// An empty table for `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        Readings {
+            key: None,
+            slots: vec![[None; 2]; n],
+        }
+    }
+
+    /// The table for `key`, emptied first when it was filled at
+    /// another key.
+    fn keyed(&mut self, key: (NodeId, usize)) -> &mut Self {
+        if self.key != Some(key) {
+            self.slots.fill([None; 2]);
+            self.key = Some(key);
+        }
+        self
+    }
+
+    /// Target `t`'s slot for the mode: `None` inside until computed.
+    fn slot(&mut self, t: NodeId, snapshot: bool) -> Option<&mut Option<Reading>> {
+        let [regular, snapshot_mode] = self.slots.get_mut(t.index())?;
+        Some(if snapshot { snapshot_mode } else { regular })
+    }
+}
+
+/// Determine who answers a query and with which values — shared by
+/// the idealized executor and the message-level TAG executor. With a
+/// `readings` table each target's [`reading`] is looked up and
+/// computed only on a miss; without one every reading is computed.
 pub(crate) fn collect_rows(
     alive: impl Fn(NodeId) -> bool,
     nodes: &[SensorNode],
@@ -92,6 +177,7 @@ pub(crate) fn collect_rows(
     query: &SnapshotQuery,
     tree: &AggregationTree,
     targets: &[NodeId],
+    mut readings: Option<&mut Readings>,
 ) -> CollectedRows {
     let mut rows: Vec<(NodeId, f64)> = Vec::new();
     let mut answered_by: Vec<NodeId> = Vec::new();
@@ -106,34 +192,22 @@ pub(crate) fn collect_rows(
     let snapshot = matches!(query.mode, QueryMode::Snapshot);
 
     for &t in targets {
-        let (Some(node), Some(&own)) = (nodes.get(t.index()), values.get(t.index())) else {
-            continue;
+        let slot = readings.as_deref_mut().and_then(|r| r.slot(t, snapshot));
+        let answer = match slot.as_deref().copied().flatten() {
+            Some(hit) => hit,
+            None => {
+                let read = reading(&alive, nodes, values, tree, snapshot, t);
+                if let Some(slot) = slot {
+                    *slot = Some(read);
+                }
+                read
+            }
         };
-        let rep = if snapshot {
-            node.representative().unwrap_or(t)
-        } else {
-            t
-        };
-        let reading = if rep == t {
-            // Regular mode, or unrepresented: the node answers for
-            // itself when it is up, reachable and — under a snapshot
-            // query — active.
-            (alive(t) && tree.contains(t) && (!snapshot || node.is_active())).then_some(own)
-        } else if alive(rep) && tree.contains(rep) {
-            // Represented: the representative estimates the member's
-            // value from its own current measurement.
-            nodes
-                .get(rep.index())
-                .zip(values.get(rep.index()))
-                .and_then(|(r, &x)| r.cache.estimate(t, x))
-        } else {
-            None
-        };
-        if let Some(v) = reading {
+        if let Some((who, v)) = answer {
             available += 1;
             if passes(v) {
                 rows.push((t, v));
-                answered_by.push(rep);
+                answered_by.push(who);
             }
         }
     }
@@ -168,6 +242,25 @@ fn prefers_representatives(query: &SnapshotQuery) -> bool {
     query.prefer_representative_routing && matches!(query.mode, QueryMode::Snapshot)
 }
 
+/// The aggregation tree `query` collects over at `sink`: BFS over the
+/// alive nodes, preferring active parents when the query routes
+/// through representatives.
+fn aggregation_tree(
+    topology: &Topology,
+    alive: impl Fn(NodeId) -> bool,
+    nodes: &[SensorNode],
+    query: &SnapshotQuery,
+    sink: NodeId,
+) -> AggregationTree {
+    if prefers_representatives(query) {
+        AggregationTree::bfs_preferring(topology, sink, &alive, |id| {
+            nodes.get(id.index()).is_some_and(SensorNode::is_active)
+        })
+    } else {
+        AggregationTree::bfs(topology, sink, &alive)
+    }
+}
+
 /// Execute a query against *frozen* network state: a topology, an
 /// aliveness predicate, node protocol state and current measurements.
 /// Pure — no energy is charged, no clock moves — so the same inputs
@@ -183,17 +276,12 @@ pub fn execute_frozen(
     query: &SnapshotQuery,
     sink: NodeId,
 ) -> (QueryResult, Vec<NodeId>) {
-    let tree = if prefers_representatives(query) {
-        AggregationTree::bfs_preferring(topology, sink, &alive, |id| {
-            nodes.get(id.index()).is_some_and(SensorNode::is_active)
-        })
-    } else {
-        AggregationTree::bfs(topology, sink, &alive)
-    };
-    execute_on_tree(topology, alive, nodes, values, query, &tree)
+    let tree = aggregation_tree(topology, &alive, nodes, query, sink);
+    execute_on_tree(topology, alive, nodes, values, query, &tree, None)
 }
 
-/// [`execute_frozen`] on an already-built aggregation tree.
+/// [`execute_frozen`] on an already-built aggregation tree, reading
+/// through `readings` when given.
 fn execute_on_tree(
     topology: &Topology,
     alive: impl Fn(NodeId) -> bool,
@@ -201,6 +289,7 @@ fn execute_on_tree(
     values: &[f64],
     query: &SnapshotQuery,
     tree: &AggregationTree,
+    readings: Option<&mut Readings>,
 ) -> (QueryResult, Vec<NodeId>) {
     debug_assert_eq!(nodes.len(), values.len());
     let targets = query.predicate.targets(topology);
@@ -208,7 +297,7 @@ fn execute_on_tree(
         rows,
         answered_by,
         available,
-    } = collect_rows(alive, nodes, values, query, tree, &targets);
+    } = collect_rows(alive, nodes, values, query, tree, &targets, readings);
 
     let participants = tree.participants(&answered_by);
     let responders = ascending_distinct(&answered_by, nodes.len());
@@ -260,14 +349,32 @@ pub fn execute(
     query: &SnapshotQuery,
     sink: NodeId,
 ) -> QueryResult {
+    execute_with(net, nodes, values, query, sink, None)
+}
+
+/// [`execute`], reading through `readings` when given. The table is
+/// emptied first unless it was filled at this sink and alive count.
+pub(crate) fn execute_with(
+    net: &mut Network<ProtocolMsg>,
+    nodes: &[SensorNode],
+    values: &[f64],
+    query: &SnapshotQuery,
+    sink: NodeId,
+    readings: Option<&mut Readings>,
+) -> QueryResult {
+    let readings = readings.map(|r| r.keyed((sink, net.alive_count())));
     let cached = !prefers_representatives(query);
     if cached {
         net.refresh_bfs_tree(sink);
     }
     let alive = |id| net.is_alive(id);
+    let topology = net.topology();
     let (result, participants) = match net.bfs_tree(sink).filter(|_| cached) {
-        Some(tree) => execute_on_tree(net.topology(), alive, nodes, values, query, tree),
-        None => execute_frozen(net.topology(), alive, nodes, values, query, sink),
+        Some(tree) => execute_on_tree(topology, alive, nodes, values, query, tree, readings),
+        None => {
+            let tree = aggregation_tree(topology, alive, nodes, query, sink);
+            execute_on_tree(topology, alive, nodes, values, query, &tree, readings)
+        }
     };
 
     // Charge each participant one transmission (partial aggregates

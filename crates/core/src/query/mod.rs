@@ -22,6 +22,7 @@ mod value_filter;
 
 pub use aggregate::Aggregate;
 pub use exec::{execute, execute_frozen, QueryResult};
+pub(crate) use exec::{execute_with, Readings};
 pub use predicate::SpatialPredicate;
 pub use tag::{execute_tag, TagResult};
 pub use value_filter::{Comparison, ValueFilter};

@@ -127,7 +127,8 @@ pub fn execute_tag(
     // 2. Local contributions (same row logic as the idealized path).
     //    Each responder folds its rows in row order.
     let targets = query.predicate.targets(net.topology());
-    let collected = collect_rows(|id| net.is_alive(id), nodes, values, query, &tree, &targets);
+    let alive = |id| net.is_alive(id);
+    let collected = collect_rows(alive, nodes, values, query, &tree, &targets, None);
 
     let n = net.len();
     let mut partials: Vec<Partial> = vec![Partial::empty(); n];

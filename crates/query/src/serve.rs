@@ -15,10 +15,16 @@
 //!   representative set (same spatial predicate, mode, value filter
 //!   and routing preference — everything but the aggregate) are
 //!   coalesced into **one** drill-through scan per tick, and each
-//!   member's aggregate is folded from the shared rows. This is exact,
-//!   not approximate: the core executor itself computes
+//!   distinct aggregate of the group is folded **once** from the
+//!   shared rows, only when some member's final epoch completes. This
+//!   is exact, not approximate: the core executor itself computes
 //!   `value = aggregate.apply(rows)`, so folding the same rows
 //!   reproduces byte-identical answers (see DESIGN.md §17);
+//! * **shared readings**: a tick's scans run through one
+//!   [`ScanBatch`](snapshot_core::ScanBatch), so each node's reading
+//!   — its own measurement, or its representative's model estimate —
+//!   is computed at most once per tick and mode however many
+//!   signatures address it;
 //! * **per-tenant fairness** with bounded queues and backpressure:
 //!   each tenant owns a FIFO of at most `queue_capacity` submissions
 //!   and is drained at most `fair_share` queries per tick, round-robin
@@ -62,6 +68,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::catalog::RegionCatalog;
 use crate::error::QueryError;
@@ -165,12 +172,43 @@ pub fn plan_text(sql: &str, catalog: &RegionCatalog) -> Result<QueryPlan, QueryE
 
 /// The canonical scan signature: everything about a plan's per-epoch
 /// query *except* the aggregate. Two plans with equal signatures are
-/// answered from one shared drill-through scan.
-fn scan_signature(q: &SnapshotQuery) -> String {
+/// answered from one shared drill-through scan. Groups run in the
+/// string order of their signatures, which fixes the completion order.
+fn scan_signature(q: &SnapshotQuery) -> Arc<str> {
     format!(
         "{:?}|{:?}|{:?}|{}",
         q.predicate, q.mode, q.value_filter, q.prefer_representative_routing
     )
+    .into()
+}
+
+/// A cached plan and its scan signature, computed once per plan.
+#[derive(Debug, Clone)]
+struct CachedPlan {
+    plan: QueryPlan,
+    signature: Arc<str>,
+}
+
+impl CachedPlan {
+    fn new(plan: QueryPlan) -> Self {
+        let signature = scan_signature(&plan.query);
+        CachedPlan { plan, signature }
+    }
+}
+
+/// `aggregate` over the shared `rows`, folded at most once per group:
+/// `folds` keeps each aggregate's value once computed.
+fn fold_once(
+    folds: &mut Vec<(Aggregate, Option<f64>)>,
+    aggregate: Aggregate,
+    rows: &[(NodeId, f64)],
+) -> Option<f64> {
+    if let Some(&(_, value)) = folds.iter().find(|&&(a, _)| a == aggregate) {
+        return value;
+    }
+    let value = aggregate.apply(rows.iter().map(|&(_, v)| v));
+    folds.push((aggregate, value));
+    value
 }
 
 /// One waiting submission.
@@ -191,7 +229,7 @@ struct Active {
     first_result_at: Option<u64>,
     aggregate: Option<Aggregate>,
     scan: SnapshotQuery,
-    key: String,
+    key: Arc<str>,
     /// Normalized query text, kept so [`QueryService::snapshot_state`]
     /// can persist the query and [`QueryService::recover`] can replan
     /// it — the plan itself is derived state, never serialized.
@@ -310,7 +348,7 @@ pub struct QueryService {
     catalog: RegionCatalog,
     next_ticket: u64,
     queues: BTreeMap<u32, VecDeque<Pending>>,
-    cache: BTreeMap<String, QueryPlan>,
+    cache: BTreeMap<String, CachedPlan>,
     due: BTreeMap<u64, Vec<Active>>,
     completions: Vec<Completion>,
     stats: ServeStats,
@@ -461,22 +499,21 @@ impl QueryService {
         self.queues.retain(|_, q| !q.is_empty());
 
         // Batch-plan the distinct uncached texts, first-seen order.
+        let keys: Vec<String> = drained.iter().map(|p| normalize(&p.sql)).collect();
         let mut misses: Vec<String> = Vec::new();
-        for p in &drained {
-            let key = normalize(&p.sql);
-            if !self.cache.contains_key(&key) && !misses.contains(&key) {
-                misses.push(key);
+        for key in &keys {
+            if !self.cache.contains_key(key) && !misses.contains(key) {
+                misses.push(key.clone());
             }
         }
         let planned: BTreeMap<String, Result<QueryPlan, QueryError>> = plan_batch(&misses)
             .into_iter()
-            .zip(&misses)
-            .map(|(r, k)| (k.clone(), r))
+            .zip(misses)
+            .map(|(r, k)| (k, r))
             .collect();
 
-        for p in drained {
+        for (p, key) in drained.into_iter().zip(keys) {
             self.stats.admitted += 1;
-            let key = normalize(&p.sql);
             let hit = self.cache.contains_key(&key);
             if hit {
                 self.stats.plan_cache_hits += 1;
@@ -489,12 +526,13 @@ impl QueryService {
                 hit,
             });
             let cached = self.cache.get(&key).cloned();
-            let plan = match cached {
-                Some(plan) => plan,
+            let CachedPlan { plan, signature } = match cached {
+                Some(cached) => cached,
                 None => match planned.get(&key) {
                     Some(Ok(plan)) => {
-                        self.cache.insert(key.clone(), plan.clone());
-                        plan.clone()
+                        let cached = CachedPlan::new(plan.clone());
+                        self.cache.insert(key.clone(), cached.clone());
+                        cached
                     }
                     other => {
                         // A planner rejection — or, defensively, a
@@ -539,7 +577,7 @@ impl QueryService {
                     aggregate: None,
                     ..plan.query.clone()
                 },
-                key: scan_signature(&plan.query),
+                key: signature,
                 sql: key,
                 interval: plan.interval_ticks.max(1),
                 remaining: plan.epochs.max(1),
@@ -604,8 +642,10 @@ impl QueryService {
     }
 
     /// Execute every epoch due at the current tick: group by scan
-    /// signature, run one drill-through scan per group, fold each
-    /// member's aggregate from the shared rows.
+    /// signature, run one drill-through scan per group through one
+    /// [`ScanBatch`](snapshot_core::ScanBatch) for the whole tick, and
+    /// fold each distinct aggregate of a group once, for the members
+    /// whose final epoch completes now.
     fn serve_due(&mut self, sn: &mut SensorNetwork) {
         let now = sn.now() as u64;
         let mut due: Vec<Active> = Vec::new();
@@ -621,49 +661,49 @@ impl QueryService {
             return;
         }
 
-        let mut groups: BTreeMap<String, Vec<Active>> = BTreeMap::new();
+        let mut groups: BTreeMap<Arc<str>, Vec<Active>> = BTreeMap::new();
         for a in due {
-            groups.entry(a.key.clone()).or_default().push(a);
+            groups.entry(Arc::clone(&a.key)).or_default().push(a);
         }
 
         let mut rescheduled: Vec<Active> = Vec::new();
-        for (_, members) in groups {
-            let batch_span = sn.net_mut().open_span(SpanKind::ServeBatch);
-            let scan = members[0].scan.clone();
-            let shared = sn.query(&scan, self.config.sink);
+        let mut batch = sn.scan_batch(self.config.sink);
+        for members in groups.into_values() {
+            let batch_span = batch.open_span(SpanKind::ServeBatch);
+            let shared = batch.query(&members[0].scan);
             self.stats.scans += 1;
             self.stats.coalesced += members.len() as u64 - 1;
+            let mut folds: Vec<(Aggregate, Option<f64>)> = Vec::new();
             for mut m in members {
                 self.stats.epochs_served += 1;
                 if m.first_result_at.is_none() {
                     m.first_result_at = Some(now);
                 }
-                let value = m
-                    .aggregate
-                    .and_then(|a| a.apply(shared.rows.iter().map(|&(_, v)| v)));
                 m.remaining -= 1;
-                if m.remaining == 0 {
-                    self.stats.completed += 1;
-                    self.completions.push(Completion {
-                        ticket: m.ticket,
-                        tenant: m.tenant,
-                        submitted_at: m.submitted_at,
-                        first_result_at: m.first_result_at,
-                        completed_at: now,
-                        epochs: m.epochs_total,
-                        value,
-                        rows: if m.aggregate.is_none() {
-                            shared.rows.len()
-                        } else {
-                            0
-                        },
-                        error: None,
-                    });
-                } else {
+                if m.remaining > 0 {
                     rescheduled.push(m);
+                    continue;
                 }
+                self.stats.completed += 1;
+                self.completions.push(Completion {
+                    ticket: m.ticket,
+                    tenant: m.tenant,
+                    submitted_at: m.submitted_at,
+                    first_result_at: m.first_result_at,
+                    completed_at: now,
+                    epochs: m.epochs_total,
+                    value: m
+                        .aggregate
+                        .and_then(|a| fold_once(&mut folds, a, &shared.rows)),
+                    rows: if m.aggregate.is_none() {
+                        shared.rows.len()
+                    } else {
+                        0
+                    },
+                    error: None,
+                });
             }
-            sn.net_mut().close_span(batch_span);
+            batch.close_span(batch_span);
         }
         for m in rescheduled {
             let at = now + m.interval;
@@ -759,7 +799,9 @@ impl QueryService {
                 ticket: a.ticket,
                 detail: e.to_string(),
             })?;
-            svc.cache.insert(a.sql.clone(), plan.clone());
+            let cached = CachedPlan::new(plan);
+            svc.cache.insert(a.sql.clone(), cached.clone());
+            let CachedPlan { plan, signature } = cached;
             let active = Active {
                 ticket: a.ticket,
                 tenant: a.tenant,
@@ -770,7 +812,7 @@ impl QueryService {
                     aggregate: None,
                     ..plan.query.clone()
                 },
-                key: scan_signature(&plan.query),
+                key: signature,
                 sql: a.sql.clone(),
                 interval: a.interval,
                 remaining: a.remaining,
@@ -1122,6 +1164,95 @@ mod tests {
                 detail: "planning error: unknown table `actuators` (this dialect exposes only `sensors`)"
                     .to_owned()
             }
+        );
+    }
+
+    #[test]
+    fn every_aggregate_completion_matches_the_frozen_executor() {
+        // Five aggregates on one signature, quadrants, a value filter,
+        // a regular-mode scan, a drill-through and subscriptions, on
+        // infinite batteries: nothing changes between a tick's scans
+        // and its end, so each completion must equal the core
+        // executor run on the state after its tick.
+        const MIX: &[&str] = &[
+            "SELECT AVG(value) FROM sensors USE SNAPSHOT",
+            "SELECT SUM(value) FROM sensors USE SNAPSHOT",
+            "SELECT COUNT(value) FROM sensors USE SNAPSHOT",
+            "SELECT MIN(value) FROM sensors USE SNAPSHOT",
+            "SELECT MAX(value) FROM sensors USE SNAPSHOT",
+            "SELECT AVG(value) FROM sensors WHERE loc IN NORTH_EAST_QUADRANT USE SNAPSHOT",
+            "SELECT MAX(value) FROM sensors WHERE loc IN NORTH_EAST_QUADRANT USE SNAPSHOT",
+            "SELECT SUM(value) FROM sensors WHERE loc IN SOUTH_WEST_QUADRANT",
+            "SELECT MIN(value) FROM sensors WHERE loc IN SOUTH_WEST_QUADRANT",
+            "SELECT AVG(value) FROM sensors WHERE value > 1 USE SNAPSHOT",
+            "SELECT COUNT(value) FROM sensors WHERE value > 1 USE SNAPSHOT",
+            "SELECT loc, value FROM sensors WHERE loc IN NORTH_WEST_QUADRANT USE SNAPSHOT",
+            "SELECT MIN(value) FROM sensors SAMPLE INTERVAL 2s FOR 6s USE SNAPSHOT",
+            "SELECT SUM(value) FROM sensors SAMPLE INTERVAL 3s FOR 9s USE SNAPSHOT",
+        ];
+        let catalog = RegionCatalog::with_quadrants();
+        let mut sn = small_network(16);
+        let mut svc = service();
+        let mut texts: BTreeMap<u64, &str> = BTreeMap::new();
+        let (mut checked, mut widest_fold) = (0, 0);
+        for tick in 0..40 {
+            if tick < 12 {
+                // A rotating window of the mix, so every tick's groups
+                // hold several aggregates and completing members sit
+                // beside subscriptions with epochs left.
+                for i in 0..9 {
+                    let sql = MIX[(tick * 5 + i) % MIX.len()];
+                    let ticket = svc.submit(&sn, (i % 3) as u32, sql).unwrap();
+                    texts.insert(ticket, sql);
+                }
+            }
+            svc.tick(&mut sn);
+            let values = sn.values();
+            let mut folded: BTreeMap<Arc<str>, Vec<Aggregate>> = BTreeMap::new();
+            for c in svc.take_completions() {
+                let plan = plan_text(texts[&c.ticket], &catalog).unwrap();
+                let (want, _) = snapshot_core::query::execute_frozen(
+                    sn.net().topology(),
+                    |id| sn.net().is_alive(id),
+                    sn.nodes(),
+                    &values,
+                    &plan.query,
+                    svc.config().sink,
+                );
+                let ctx = format!("tick {tick}, ticket {}: {}", c.ticket, texts[&c.ticket]);
+                assert_eq!(c.error, None, "{ctx}");
+                assert_eq!(
+                    c.value.map(f64::to_bits),
+                    want.value.map(f64::to_bits),
+                    "{ctx}: value"
+                );
+                match plan.query.aggregate {
+                    Some(a) => {
+                        let aggregates = folded.entry(scan_signature(&plan.query)).or_default();
+                        if !aggregates.contains(&a) {
+                            aggregates.push(a);
+                        }
+                    }
+                    None => assert_eq!(c.rows, want.rows.len(), "{ctx}: rows"),
+                }
+                checked += 1;
+            }
+            widest_fold = folded
+                .values()
+                .map(Vec::len)
+                .max()
+                .unwrap_or(0)
+                .max(widest_fold);
+            sn.advance(1);
+            if tick >= 12 && svc.idle() {
+                break;
+            }
+        }
+        assert!(svc.idle(), "service did not drain");
+        assert_eq!(checked, texts.len());
+        assert_eq!(
+            widest_fold, 5,
+            "some tick must fold five aggregates over one scan"
         );
     }
 

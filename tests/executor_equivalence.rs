@@ -15,6 +15,14 @@
 //! nodes charged for it must be exactly the reference participants,
 //! and the cached tree must be gone after every change that could
 //! make it stale.
+//!
+//! Between those changes the sweep also runs batches of 2–8 random
+//! queries through one [`ScanBatch`](snapshot_queries::core::ScanBatch),
+//! which shares per-node readings across its scans, and the same
+//! queries one by one through `query` on a clone. Answers, per-node
+//! energy and sends, the query-phase total and the telemetry trace
+//! must be equal. The battery cells drain nodes with query charges in
+//! the middle of a batch, which must empty the shared table.
 
 use snapshot_bench::RandomWalkSetup;
 use snapshot_queries::core::{
@@ -194,8 +202,72 @@ fn random_query(rng: &mut DetRng, values: &[f64]) -> SnapshotQuery {
     q
 }
 
-/// One deployment's run; returns (cache hits, battery deaths).
-fn run(n: usize, p_loss: f64, battery: Option<f64>, seed: u64) -> (usize, usize) {
+/// Run 2–8 random queries at `sink` through one scan batch on `sn`,
+/// and the same queries one by one through `query` on a clone:
+/// answers, per-node energy and sends, the query-phase total and the
+/// telemetry trace must be equal. Returns true when a query charge
+/// killed a node before the batch's last scan.
+fn batch_matches_one_by_one(
+    sn: &mut SensorNetwork,
+    rng: &mut DetRng,
+    sink: NodeId,
+    ctx: &str,
+) -> bool {
+    let values = sn.values();
+    let queries: Vec<SnapshotQuery> = (0..rng.random_range(2..9usize))
+        .map(|_| random_query(rng, &values))
+        .collect();
+
+    let mut one_by_one = sn.clone();
+    one_by_one.enable_telemetry(1 << 14);
+    let mut died_mid_batch = false;
+    let mut want = Vec::new();
+    for (i, q) in queries.iter().enumerate() {
+        let alive_before = one_by_one.net().alive_count();
+        want.push(one_by_one.query(q, sink));
+        died_mid_batch |= i + 1 < queries.len() && one_by_one.net().alive_count() < alive_before;
+    }
+
+    sn.enable_telemetry(1 << 14);
+    let mut batch = sn.scan_batch(sink);
+    let got: Vec<QueryResult> = queries.iter().map(|q| batch.query(q)).collect();
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_bit_equal(
+            got,
+            want,
+            &format!("{ctx}: batch scan {i}: {:?}", queries[i]),
+        );
+    }
+    let (net, reference) = (sn.net(), one_by_one.net());
+    for id in net.node_ids() {
+        assert_eq!(
+            net.battery(id).remaining().to_bits(),
+            reference.battery(id).remaining().to_bits(),
+            "{ctx}: batch energy of {id}"
+        );
+        assert_eq!(
+            net.stats().sent_by(id),
+            reference.stats().sent_by(id),
+            "{ctx}: batch sends of {id}"
+        );
+    }
+    assert_eq!(
+        net.stats().phase_total(Phase::Query),
+        reference.stats().phase_total(Phase::Query),
+        "{ctx}: batch query-phase sends"
+    );
+    assert_eq!(
+        sn.export_trace_jsonl(),
+        one_by_one.export_trace_jsonl(),
+        "{ctx}: batch telemetry trace"
+    );
+    sn.disable_telemetry();
+    died_mid_batch
+}
+
+/// One deployment's run; returns (cache hits, battery deaths, batches
+/// in which a query charge killed a node before the last scan).
+fn run(n: usize, p_loss: f64, battery: Option<f64>, seed: u64) -> (usize, usize, usize) {
     let setup = RandomWalkSetup {
         n_nodes: n,
         k: 4,
@@ -220,10 +292,13 @@ fn run(n: usize, p_loss: f64, battery: Option<f64>, seed: u64) -> (usize, usize)
     let _ = sn.elect();
 
     let mut rng = DetRng::seed_from_u64(derive_seed(seed, 0xE9_u64));
+    // Batches draw from a stream of their own, so the single-query
+    // sweep asks what it asked before batches were added.
+    let mut batch_rng = DetRng::seed_from_u64(derive_seed(seed, 0xBA7C_u64));
     let all: Vec<NodeId> = sn.net().node_ids().collect();
     let mut sink = NodeId(0);
     let mut killed: Vec<NodeId> = Vec::new();
-    let (mut hits, mut deaths) = (0, 0);
+    let (mut hits, mut deaths, mut mid_batch_deaths) = (0, 0, 0);
 
     for step in 0..QUERIES {
         // Mostly keep the sink, so consecutive queries can share the
@@ -256,6 +331,14 @@ fn run(n: usize, p_loss: f64, battery: Option<f64>, seed: u64) -> (usize, usize)
                 sn.net().bfs_tree(sink).is_none(),
                 "{ctx}: tree cached across a battery death"
             );
+        }
+
+        if batch_rng.random_bool(0.25) {
+            let alive_before = sn.net().alive_count();
+            if batch_matches_one_by_one(&mut sn, &mut batch_rng, sink, &ctx) {
+                mid_batch_deaths += 1;
+            }
+            deaths += alive_before - sn.net().alive_count();
         }
 
         // One change before the next query. A change that can make a
@@ -317,7 +400,7 @@ fn run(n: usize, p_loss: f64, battery: Option<f64>, seed: u64) -> (usize, usize)
             );
         }
     }
-    (hits, deaths)
+    (hits, deaths, mid_batch_deaths)
 }
 
 #[test]
@@ -332,13 +415,18 @@ fn live_answers_match_the_reference_executor_bit_for_bit() {
         (800, 0.0, None),
         (800, 0.1, Some(60.0)),
     ];
-    let mut deaths = 0;
+    let (mut deaths, mut mid_batch_deaths) = (0, 0);
     for (i, &(n, p_loss, battery)) in cells.iter().enumerate() {
-        let (hits, d) = run(n, p_loss, battery, derive_seed(0x0E9, i as u64));
+        let (hits, d, m) = run(n, p_loss, battery, derive_seed(0x0E9, i as u64));
         // The cell is only meaningful if the cache actually serves
         // queries.
         assert!(hits > 0, "cell {i}: no query hit the cached tree");
         deaths += d;
+        mid_batch_deaths += m;
     }
     assert!(deaths > 0, "no battery ran flat");
+    assert!(
+        mid_batch_deaths > 0,
+        "no query charge killed a node in the middle of a scan batch"
+    );
 }
