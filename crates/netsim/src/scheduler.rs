@@ -33,8 +33,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Why a node was woken. Every scheduler event source registers its
-/// wake under one of these reasons; the `wake_source_coverage` xtask
-/// lint holds the registration sites to that.
+/// wake under one of these reasons, and each reason has a unit test in
+/// `sim.rs` showing its source registering it. A reason that no source
+/// registers is only a [`Scheduler::wakes_by`] counter reading 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WakeReason {
     /// A message was delivered into the node's inbox.

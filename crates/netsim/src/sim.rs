@@ -356,6 +356,14 @@ impl<P: Clone> Network<P> {
         self.faults = Some(sched);
     }
 
+    /// Apply one fault, emitting `fault_injected` for each node (or
+    /// network-wide change) it takes effect on. The match has no
+    /// wildcard arm, so a new `FaultKind` fails to compile here until
+    /// it is applied and recorded.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn apply_fault(&mut self, sched: &mut FaultSchedule, tick: u64, kind: FaultKind) {
         use snapshot_telemetry::FaultTag;
         match kind {
@@ -1424,6 +1432,7 @@ mod tests {
         let mut woken = Vec::new();
         net.drain_candidates_into(&mut woken);
         assert_eq!(woken, vec![NodeId(0), NodeId(2)]);
+        assert_eq!(net.scheduler().wakes_by(WakeReason::Message), 2);
         // Candidates stay woken until drained.
         net.drain_candidates_into(&mut woken);
         assert_eq!(woken, vec![NodeId(0), NodeId(2)]);

@@ -50,32 +50,47 @@ impl PlannedExecution {
 
     /// Render the final epoch as text rows (for examples and the CLI).
     pub fn render_last(&self, sn: &SensorNetwork) -> String {
-        let mut out = String::new();
         let Some(r) = self.last() else {
             return "-- no epochs executed\n".to_string();
         };
-        match r.value {
-            Some(v) => {
-                out.push_str(&format!("aggregate = {v:.4}\n"));
-            }
-            None => {
-                for &(id, v) in &r.rows {
-                    if self.project_loc {
-                        let p = sn.net().topology().position(id);
-                        out.push_str(&format!("{id}\t({:.3},{:.3})\t{v:.4}\n", p.x, p.y));
-                    } else {
-                        out.push_str(&format!("{id}\t{v:.4}\n"));
-                    }
+        let topology = sn.net().topology();
+        let mut out = String::new();
+        render_result(&mut out, r, self.project_loc, |id| {
+            let p = topology.position(id);
+            (p.x, p.y)
+        });
+        out
+    }
+}
+
+/// Append one result as text: the aggregate line, or one row per node
+/// (with its location from `position` when `project_loc`), then the
+/// participants/coverage footer. The live and time-travel renderers
+/// share it, so both print rows the same way.
+fn render_result(
+    out: &mut String,
+    r: &QueryResult,
+    project_loc: bool,
+    position: impl Fn(NodeId) -> (f64, f64),
+) {
+    match r.value {
+        Some(v) => out.push_str(&format!("aggregate = {v:.4}\n")),
+        None => {
+            for &(id, v) in &r.rows {
+                if project_loc {
+                    let (x, y) = position(id);
+                    out.push_str(&format!("{id}\t({x:.3},{y:.3})\t{v:.4}\n"));
+                } else {
+                    out.push_str(&format!("{id}\t{v:.4}\n"));
                 }
             }
         }
-        out.push_str(&format!(
-            "-- {} participants, coverage {:.0}%\n",
-            r.participants,
-            r.coverage * 100.0
-        ));
-        out
     }
+    out.push_str(&format!(
+        "-- {} participants, coverage {:.0}%\n",
+        r.participants,
+        r.coverage * 100.0
+    ));
 }
 
 /// Plan a parsed query under a `query_plan` telemetry span attached to
@@ -147,31 +162,16 @@ impl HistoryExecution {
         if self.epochs.is_empty() {
             return "-- no stored versions in range\n".to_string();
         }
+        let position = |id: NodeId| {
+            self.positions
+                .get(id.index())
+                .copied()
+                .unwrap_or((f64::NAN, f64::NAN))
+        };
         let mut out = String::new();
         for e in &self.epochs {
             out.push_str(&format!("-- version {} (tick {})\n", e.version, e.tick));
-            match e.result.value {
-                Some(v) => out.push_str(&format!("aggregate = {v:.4}\n")),
-                None => {
-                    for &(id, v) in &e.result.rows {
-                        if self.project_loc {
-                            let (x, y) = self
-                                .positions
-                                .get(id.index())
-                                .copied()
-                                .unwrap_or((f64::NAN, f64::NAN));
-                            out.push_str(&format!("{id}\t({x:.3},{y:.3})\t{v:.4}\n"));
-                        } else {
-                            out.push_str(&format!("{id}\t{v:.4}\n"));
-                        }
-                    }
-                }
-            }
-            out.push_str(&format!(
-                "-- {} participants, coverage {:.0}%\n",
-                e.result.participants,
-                e.result.coverage * 100.0
-            ));
+            render_result(&mut out, &e.result, self.project_loc, position);
         }
         out
     }

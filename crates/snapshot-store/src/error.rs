@@ -5,9 +5,10 @@
 //! maps to a distinct [`StoreError`] variant carrying the offending
 //! version, byte offset or line number, so callers (and the
 //! `snapshot-store verify` CLI) can report precisely what broke and
-//! where without ever panicking. `cargo xtask analyze` enforces that
-//! each variant has both a construction site and a handler in the
-//! verify/replay paths (`store_error_coverage`).
+//! where without ever panicking. Every variant has a remediation hint
+//! in [`verify::remediation`](crate::verify::remediation), a `match`
+//! with no wildcard arm, and the store's unit tests raise every
+//! variant through its own API.
 
 use std::fmt;
 

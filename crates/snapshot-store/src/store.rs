@@ -877,6 +877,42 @@ mod tests {
         }
     }
 
+    /// `text` with every line of block `version` passed through `edit`
+    /// and the block sealed again, so only the checks behind the seal
+    /// can catch the edit.
+    fn reseal(text: &str, version: u64, edit: impl Fn(&str) -> String) -> String {
+        let end = format!("end {version} ");
+        let mut out = String::new();
+        let mut body: Option<String> = None;
+        for line in text.lines() {
+            let mut words = line.split_ascii_whitespace();
+            if matches!(words.next(), Some("version" | "delta" | "serve"))
+                && words.next() == Some(version.to_string().as_str())
+            {
+                body = Some(String::new());
+            }
+            match body.as_mut() {
+                Some(b) if line.starts_with(&end) => {
+                    out.push_str(b);
+                    out.push_str(&format!(
+                        "end {version} crc {:08x}\n",
+                        format::crc32(b.as_bytes())
+                    ));
+                    body = None;
+                }
+                Some(b) => {
+                    b.push_str(&edit(line));
+                    b.push('\n');
+                }
+                None => {
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn create_append_reopen_round_trips() {
         let path = tmp("roundtrip");
@@ -1032,24 +1068,8 @@ mod tests {
             .lines()
             .position(|l| l.starts_with("delta 3 "))
             .unwrap();
-        let mut out = String::new();
-        let mut body = String::new();
-        for (i, line) in text.lines().enumerate() {
-            if i < opener {
-                out.push_str(line);
-                out.push('\n');
-            } else if line.starts_with("end 3 ") {
-                out.push_str(&body);
-                out.push_str(&format!(
-                    "end 3 crc {:08x}\n",
-                    format::crc32(body.as_bytes())
-                ));
-            } else {
-                body.push_str(&line.replace("base 2", "base 1"));
-                body.push('\n');
-            }
-        }
-        assert!(body.starts_with("delta 3 tick 60 epoch 1 base 1\n"));
+        let out = reseal(&text, 3, |line| line.replace("base 2", "base 1"));
+        assert!(out.contains("\ndelta 3 tick 60 epoch 1 base 1\n"));
         fs::write(&path, out).unwrap();
         match SnapshotStore::open(&path) {
             Err(StoreError::BadRecord { line, detail }) => {
@@ -1207,39 +1227,143 @@ mod tests {
         let _ = fs::remove_file(&dst);
     }
 
+    /// Every `StoreError` variant, raised through the store's own API:
+    /// lookups the store cannot answer, a regressing append, and files
+    /// that are missing, misheadered, torn, edited, bit-flipped or
+    /// reordered.
     #[test]
     fn bit_flips_and_truncation_surface_as_typed_errors() {
         let path = tmp("damage");
         let mut store = SnapshotStore::create(&path).unwrap();
         store.append_checkpoint(&small_checkpoint(40)).unwrap();
         let clean = fs::read(&path).unwrap();
+        let mut raised = Vec::new();
+
+        // An unknown version, an `AS OF` before the first checkpoint,
+        // and a regressing tick.
+        let err = store.checkpoint(9).unwrap_err();
+        assert_eq!(err, StoreError::NoSuchVersion { version: 9 });
+        raised.push(err);
+        let err = store.checkpoint_as_of(39).unwrap_err();
+        assert_eq!(err, StoreError::NoVersionAsOf { tick: 39 });
+        raised.push(err);
+        let err = store.append_checkpoint(&small_checkpoint(30)).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Inconsistent { version: 2, .. }),
+            "{err:?}"
+        );
+        raised.push(err);
+
+        // A file that is not there.
+        let missing = tmp("damage-missing");
+        let _ = fs::remove_file(&missing);
+        let err = SnapshotStore::open(&missing).unwrap_err();
+        assert!(matches!(err, StoreError::Io { op: "read", .. }), "{err:?}");
+        raised.push(err);
 
         // Flip a byte inside the block body.
         let mut bytes = clean.clone();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        match SnapshotStore::open(&path) {
-            Err(StoreError::Corrupt { version: 1, .. }) | Err(StoreError::BadRecord { .. }) => {}
-            other => panic!("expected corruption, got {other:?}"),
-        }
+        let err = SnapshotStore::open(&path).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt { version: 1, .. }),
+            "{err:?}"
+        );
+        raised.push(err);
 
         // Truncate mid-block: deep enough to lose the whole end line.
         let cut = clean.len() - 25;
         fs::write(&path, &clean[..cut]).unwrap();
-        match SnapshotStore::open(&path) {
-            Err(StoreError::Truncated { .. }) => {}
-            other => panic!("expected truncation, got {other:?}"),
-        }
+        let err = SnapshotStore::open(&path).unwrap_err();
+        assert!(matches!(err, StoreError::Truncated { .. }), "{err:?}");
+        raised.push(err);
 
         // Wrong header, and the previous format's.
         for header in ["not a store", "snapshot-store v1"] {
             fs::write(&path, format!("{header}\n")).unwrap();
-            match SnapshotStore::open(&path) {
-                Err(StoreError::BadHeader { found }) => assert_eq!(found, header),
-                other => panic!("expected bad header, got {other:?}"),
-            }
+            let err = SnapshotStore::open(&path).unwrap_err();
+            assert_eq!(
+                err,
+                StoreError::BadHeader {
+                    found: header.into()
+                }
+            );
+            raised.push(err);
         }
+
+        // An edited line, resealed: the file opens, the read fails.
+        let text = String::from_utf8(clean).unwrap();
+        let edited = reseal(&text, 1, |line| {
+            if line.starts_with("config ") {
+                "config garbage".to_string()
+            } else {
+                line.to_string()
+            }
+        });
+        fs::write(&path, edited).unwrap();
+        let err = SnapshotStore::open(&path)
+            .unwrap()
+            .checkpoint(1)
+            .unwrap_err();
+        // Decoding numbers lines from the block's opener.
+        assert!(
+            matches!(err, StoreError::BadRecord { line: 2, .. }),
+            "{err:?}"
+        );
+        raised.push(err);
+
+        // Two sealed blocks in swapped order.
+        let serve = ServeStateRecord {
+            checkpoint_version: 1,
+            next_ticket: 1,
+            stats: [0; 10],
+            pending: Vec::new(),
+            active: Vec::new(),
+        };
+        fs::write(
+            &path,
+            format!(
+                "{HEADER}\n{}{}{}",
+                format::encode_checkpoint(1, &small_checkpoint(40)),
+                format::encode_serve_state(3, &serve),
+                format::encode_serve_state(2, &serve)
+            ),
+        )
+        .unwrap();
+        let err = SnapshotStore::open(&path).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::VersionOrder {
+                version: 2,
+                previous: 3
+            }
+        );
+        raised.push(err);
+
+        // Tally by variant. The match has no wildcard arm, so a new
+        // variant fails to compile here: give it the next slot, widen
+        // the tally, and raise it above.
+        let mut tally = [0usize; 9];
+        for err in &raised {
+            let slot = match err {
+                StoreError::Io { .. } => 0,
+                StoreError::BadHeader { .. } => 1,
+                StoreError::Truncated { .. } => 2,
+                StoreError::BadRecord { .. } => 3,
+                StoreError::Corrupt { .. } => 4,
+                StoreError::VersionOrder { .. } => 5,
+                StoreError::NoSuchVersion { .. } => 6,
+                StoreError::NoVersionAsOf { .. } => 7,
+                StoreError::Inconsistent { .. } => 8,
+            };
+            tally[slot] += 1;
+        }
+        assert!(
+            tally.iter().all(|&n| n > 0),
+            "a StoreError variant the store never raised: {tally:?}"
+        );
         let _ = fs::remove_file(&path);
     }
 

@@ -55,10 +55,13 @@ impl fmt::Display for VerifyReport {
 
 /// A remediation hint for every way a store can fail, printed by the
 /// `snapshot-store` CLI next to the error itself so the operator knows
-/// what to do about the [`VerifyReport`] they did not get. The match is
-/// deliberately exhaustive — no wildcard arm — and the
-/// `store_error_coverage` pass in `cargo xtask analyze` pins every
-/// `StoreError` variant to a handler here.
+/// what to do about the [`VerifyReport`] they did not get. The match
+/// has no wildcard arm, so a new `StoreError` variant fails to compile
+/// here until it has a hint.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn remediation(err: &StoreError) -> &'static str {
     match err {
         StoreError::Io { .. } => "check the path, permissions and free space, then retry",

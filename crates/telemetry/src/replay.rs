@@ -181,7 +181,13 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Fold a chronological event stream into a summary.
+    /// Fold a chronological event stream into a summary. The match has
+    /// no wildcard arm, so a new `Event` fails to compile here until
+    /// the replayer handles it.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn from_events(events: &[Event]) -> Self {
         let mut s = TraceSummary {
             events: events.len() as u64,

@@ -4,8 +4,9 @@
 //! figure this repo reproduces rests on the simulator and protocol
 //! crates being **deterministic under a seed** and **panic-free under
 //! fault injection**. This pass walks the protocol crates
-//! (`core`, `netsim`, `query`, `datagen`) and emits rustc-style
-//! diagnostics for three invariant families:
+//! (`core`, `netsim`, `query`, `datagen`), the telemetry layer and the
+//! snapshot store, and emits rustc-style diagnostics for three
+//! invariant families:
 //!
 //! 1. **Determinism** — no `HashMap`/`HashSet` (iteration order leaks
 //!    into protocol state), no `rand::thread_rng` / argless
@@ -21,11 +22,14 @@
 //!    that (transitively) sends must take the energy-accounted
 //!    [`Network`] as a parameter, keeping the paper's ≤6-messages/node
 //!    budget auditable via `NetStats::sent_in_phase`.
-//! 4. **Fault/telemetry coverage** — every variant of the simulator's
-//!    `FaultKind` enum must be applied somewhere that also emits the
-//!    `FaultInjected` telemetry event, so no injectable fault can slip
-//!    through a trace unrecorded (cross-file; see
-//!    [`lints::FaultCoverage`]).
+//!
+//! Enum-variant coverage is not this pass's job. Each handler that must
+//! see every variant of its enum — `Network::apply_fault` (`FaultKind`),
+//! `TraceSummary::from_events` (`Event`) and `snapshot_store::remediation`
+//! (`StoreError`) — is a `match` with no wildcard arm, so rustc rejects
+//! a new variant until it is handled, and a clippy `deny` on the
+//! function keeps a wildcard arm out. That every `WakeReason` has a
+//! wake source is held by one `netsim` unit test per reason.
 //!
 //! Escape hatch: `// xtask-allow(lint_name): reason` on the same line
 //! or the line above suppresses one lint at one site. Allows must name
@@ -111,10 +115,6 @@ pub const LINT_NAMES: &[&str] = &[
     "no_thread_spawn",
     "unaccounted_send",
     "unthreaded_network",
-    "fault_event_coverage",
-    "event_replay_coverage",
-    "wake_source_coverage",
-    "store_error_coverage",
     "contract_zero_alloc",
     "contract_deterministic",
     "bad_contract",
@@ -186,27 +186,6 @@ pub fn lint_infos() -> Vec<LintInfo> {
             name: "unthreaded_network",
             level: "deny",
             summary: "sending pub fns must take the energy-accounted Network",
-        },
-        LintInfo {
-            name: "fault_event_coverage",
-            level: "deny",
-            summary: "every FaultKind variant must be applied where FaultInjected is emitted",
-        },
-        LintInfo {
-            name: "event_replay_coverage",
-            level: "deny",
-            summary: "every telemetry Event variant must be handled where traces replay",
-        },
-        LintInfo {
-            name: "wake_source_coverage",
-            level: "deny",
-            summary: "every WakeReason variant must be registered at a scheduler wake() site",
-        },
-        LintInfo {
-            name: "store_error_coverage",
-            level: "deny",
-            summary:
-                "every StoreError variant needs a construction site and a verify/replay handler",
         },
         LintInfo {
             name: "contract_zero_alloc",
@@ -360,11 +339,11 @@ pub struct SourceFile {
     pub lint: LintMode,
 }
 
-/// Analyze a set of files as one unit: per-file token lints, the
-/// cross-file fault-coverage pass, and the workspace contract passes
-/// (symbol table → call graph → contract propagation). `repo_root`,
-/// when known, supplies Cargo manifests for the dependency-direction
-/// edge filter; without it, calls bind across all scanned crates.
+/// Analyze a set of files as one unit: per-file token lints and the
+/// workspace contract passes (symbol table → call graph → contract
+/// propagation). `repo_root`, when known, supplies Cargo manifests for
+/// the dependency-direction edge filter; without it, calls bind across
+/// all scanned crates.
 pub fn analyze_sources(files: Vec<SourceFile>, repo_root: Option<&Path>) -> Report {
     // Pass 1: lex everything once; feed the symbol table.
     let mut table = symbols::SymbolTable::default();
@@ -395,17 +374,9 @@ pub fn analyze_sources(files: Vec<SourceFile>, repo_root: Option<&Path>) -> Repo
     // whose site lands in it — so one site-level allow covers every
     // contracted root that reaches the site.
     let mut report = Report::default();
-    let mut coverage = lints::FaultCoverage::default();
-    let mut replay_coverage = lints::EventReplayCoverage::default();
-    let mut wake_coverage = lints::WakeSourceCoverage::default();
-    let mut store_coverage = lints::StoreErrorCoverage::default();
     for (f, lx, excluded) in &lexed {
         let mut diags = Vec::new();
         if f.lint != LintMode::SymbolsOnly {
-            coverage.scan(&f.path, &lx.tokens, excluded);
-            replay_coverage.scan(&f.path, &lx.tokens, excluded);
-            wake_coverage.scan(&f.path, &lx.tokens, excluded);
-            store_coverage.scan(&f.path, &lx.tokens, excluded);
             lints::panic_freedom(&f.path, &lx.tokens, excluded, &mut diags);
             lints::determinism(&f.path, &lx.tokens, excluded, &mut diags);
             if f.lint == LintMode::Protocol {
@@ -420,10 +391,6 @@ pub fn analyze_sources(files: Vec<SourceFile>, repo_root: Option<&Path>) -> Repo
         report.allows_honored += honored;
         report.files_scanned += 1;
     }
-    coverage.finish(&mut report.diagnostics);
-    replay_coverage.finish(&mut report.diagnostics);
-    wake_coverage.finish(&mut report.diagnostics);
-    store_coverage.finish(&mut report.diagnostics);
 
     report.contracts = set
         .attached
@@ -569,9 +536,8 @@ pub fn find_repo_root(start: &Path) -> Option<PathBuf> {
         .map(Path::to_path_buf)
 }
 
-/// Analyze every `.rs` file under the given roots: token lints, the
-/// cross-file fault/telemetry coverage pass, and the contract passes
-/// over the same set.
+/// Analyze every `.rs` file under the given roots: token lints and
+/// the contract passes over the same set.
 pub fn analyze_paths(roots: &[PathBuf]) -> std::io::Result<Report> {
     let mut files = Vec::new();
     for root in roots {
@@ -653,8 +619,9 @@ pub fn analyze_workspace(repo_root: &Path) -> std::io::Result<Report> {
 /// The workspace's default scan roots, relative to the repo root: the
 /// protocol/simulator crates the invariants protect, plus the
 /// telemetry layer (which must stay deterministic for traces to be
-/// reproducible) and the snapshot store (whose typed errors and
-/// canonical codec the `store_error_coverage` pass audits).
+/// reproducible) and the snapshot store (whose canonical codec must
+/// stay deterministic and whose failures must surface as typed
+/// errors, not panics).
 pub fn default_roots(repo_root: &Path) -> Vec<PathBuf> {
     [
         "core",

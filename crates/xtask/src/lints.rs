@@ -1,10 +1,8 @@
-//! Token-pattern lints: panic-freedom, determinism, and the
-//! cross-file fault/telemetry coverage check.
+//! Token-pattern lints: panic-freedom and determinism.
 
 use crate::lexer::{Token, TokenKind};
 use crate::{Diagnostic, Level};
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Compute which token indices sit inside test-only regions:
 /// `#[cfg(test)]`-gated items and `#[test]` functions. Lints skip
@@ -303,475 +301,6 @@ pub fn determinism(path: &Path, tokens: &[Token], excluded: &[bool], diags: &mut
     }
 }
 
-/// Cross-file fault/telemetry coverage (`fault_event_coverage`).
-///
-/// The fault-injection engine is only auditable if every fault the
-/// scenario engine can apply leaves a mark in the telemetry trace.
-/// This pass collects the variants of the simulator's `FaultKind`
-/// enum wherever it is declared, then checks that each variant is
-/// matched (as `FaultKind::Variant`) in non-test code of at least one
-/// file that also references the `FaultInjected` telemetry event —
-/// i.e. fault-*application* code, not the scenario parser. A variant
-/// that is applied without an emission site makes traces lie by
-/// omission, so uncovered variants are deny-level.
-///
-/// Unlike the token lints above, this check spans files and therefore
-/// runs once per analysis pass; `xtask-allow` cannot suppress it —
-/// the fix is always to emit the event.
-#[derive(Debug, Default)]
-pub struct FaultCoverage {
-    /// Declared variants: name plus declaration site.
-    variants: Vec<(String, PathBuf, u32, u32)>,
-    /// Variants seen as `FaultKind::V` in emitting, non-test code.
-    covered: BTreeSet<String>,
-}
-
-impl FaultCoverage {
-    /// Feed one file's tokens into the accumulator.
-    pub fn scan(&mut self, path: &Path, tokens: &[Token], excluded: &[bool]) {
-        for i in 0..tokens.len() {
-            if excluded[i] {
-                continue;
-            }
-            if tokens[i].kind.ident() == Some("enum")
-                && tokens.get(i + 1).and_then(|t| t.kind.ident()) == Some("FaultKind")
-                && tokens.get(i + 2).is_some_and(|t| t.kind.is_punct('{'))
-            {
-                collect_enum_variants(path, tokens, i + 2, &mut self.variants);
-            }
-        }
-
-        // Usages only count in files whose non-test code references the
-        // `FaultInjected` event — the application path, not the parser.
-        let emits = tokens
-            .iter()
-            .zip(excluded)
-            .any(|(t, &ex)| !ex && t.kind.ident() == Some("FaultInjected"));
-        if !emits {
-            return;
-        }
-        for i in 0..tokens.len() {
-            if excluded[i] {
-                continue;
-            }
-            if tokens[i].kind.ident() == Some("FaultKind")
-                && tokens.get(i + 1).is_some_and(|t| t.kind.is_punct(':'))
-                && tokens.get(i + 2).is_some_and(|t| t.kind.is_punct(':'))
-            {
-                if let Some(v) = tokens.get(i + 3).and_then(|t| t.kind.ident()) {
-                    self.covered.insert(v.to_string());
-                }
-            }
-        }
-    }
-
-    /// Emit a deny-level diagnostic for every declared variant that no
-    /// emitting file applies.
-    pub fn finish(self, diags: &mut Vec<Diagnostic>) {
-        let FaultCoverage { variants, covered } = self;
-        for (name, path, line, col) in variants {
-            if covered.contains(&name) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                lint: "fault_event_coverage",
-                level: Level::Deny,
-                path,
-                line,
-                col,
-                message: format!(
-                    "`FaultKind::{name}` is never applied in code that emits the \
-                     `FaultInjected` telemetry event"
-                ),
-                suggestion: "handle the variant in the simulator's fault-application path and \
-                             emit `Event::FaultInjected` there (see `netsim/src/sim.rs`)",
-            });
-        }
-    }
-}
-
-/// Walk an enum body starting at its opening `{`, recording each
-/// variant name with its declaration site (skipping attributes, field
-/// blocks and tuple payloads).
-fn collect_enum_variants(
-    path: &Path,
-    tokens: &[Token],
-    open: usize,
-    variants: &mut Vec<(String, PathBuf, u32, u32)>,
-) {
-    let mut depth = 0usize;
-    let mut expecting = false;
-    let mut i = open;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        match &t.kind {
-            TokenKind::Punct('{') => {
-                depth += 1;
-                if depth == 1 {
-                    expecting = true;
-                }
-            }
-            TokenKind::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return;
-                }
-            }
-            TokenKind::Punct(',') if depth == 1 => expecting = true,
-            TokenKind::Punct('#')
-                if depth == 1
-                    && expecting
-                    && tokens.get(i + 1).is_some_and(|t| t.kind.is_punct('[')) =>
-            {
-                let mut brackets = 0usize;
-                i += 1;
-                while i < tokens.len() {
-                    if tokens[i].kind.is_punct('[') {
-                        brackets += 1;
-                    } else if tokens[i].kind.is_punct(']') {
-                        brackets -= 1;
-                        if brackets == 0 {
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            TokenKind::Ident(name) if depth == 1 && expecting => {
-                variants.push((name.clone(), path.to_path_buf(), t.line, t.col));
-                expecting = false;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// Cross-file event/replay coverage (`event_replay_coverage`).
-///
-/// The trace tooling (`snapshot-trace`, the span profiler, the perf
-/// budget gate) is only trustworthy if every telemetry `Event` variant
-/// the workspace can emit is understood when a trace is replayed. This
-/// pass collects the variants of the telemetry `Event` enum wherever
-/// it is declared, then checks that each is matched (as
-/// `Event::Variant`) in non-test code of at least one file that also
-/// references `TraceSummary` — the replay path, not the emitters. A
-/// variant that records but never replays silently vanishes from
-/// every report and budget check, so uncovered variants are
-/// deny-level.
-///
-/// Like [`FaultCoverage`], this check spans files, runs once per
-/// analysis pass, and cannot be suppressed with `xtask-allow` — the
-/// fix is always to handle the variant in `telemetry/src/replay.rs`.
-#[derive(Debug, Default)]
-pub struct EventReplayCoverage {
-    /// Declared variants: name plus declaration site.
-    variants: Vec<(String, PathBuf, u32, u32)>,
-    /// Variants seen as `Event::V` in replaying, non-test code.
-    covered: BTreeSet<String>,
-}
-
-impl EventReplayCoverage {
-    /// Feed one file's tokens into the accumulator.
-    pub fn scan(&mut self, path: &Path, tokens: &[Token], excluded: &[bool]) {
-        for i in 0..tokens.len() {
-            if excluded[i] {
-                continue;
-            }
-            if tokens[i].kind.ident() == Some("enum")
-                && tokens.get(i + 1).and_then(|t| t.kind.ident()) == Some("Event")
-                && tokens.get(i + 2).is_some_and(|t| t.kind.is_punct('{'))
-            {
-                collect_enum_variants(path, tokens, i + 2, &mut self.variants);
-            }
-        }
-
-        // Usages only count in files whose non-test code references
-        // `TraceSummary` — the replay path, not emitters or parsers.
-        let replays = tokens
-            .iter()
-            .zip(excluded)
-            .any(|(t, &ex)| !ex && t.kind.ident() == Some("TraceSummary"));
-        if !replays {
-            return;
-        }
-        for i in 0..tokens.len() {
-            if excluded[i] {
-                continue;
-            }
-            if tokens[i].kind.ident() == Some("Event")
-                && tokens.get(i + 1).is_some_and(|t| t.kind.is_punct(':'))
-                && tokens.get(i + 2).is_some_and(|t| t.kind.is_punct(':'))
-            {
-                // Filter method references like `Event::tick` — only
-                // capitalized idents are variants.
-                if let Some(v) = tokens.get(i + 3).and_then(|t| t.kind.ident()) {
-                    if v.chars().next().is_some_and(char::is_uppercase) {
-                        self.covered.insert(v.to_string());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emit a deny-level diagnostic for every declared variant no
-    /// replaying file handles.
-    pub fn finish(self, diags: &mut Vec<Diagnostic>) {
-        let EventReplayCoverage { variants, covered } = self;
-        for (name, path, line, col) in variants {
-            if covered.contains(&name) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                lint: "event_replay_coverage",
-                level: Level::Deny,
-                path,
-                line,
-                col,
-                message: format!(
-                    "`Event::{name}` is recorded but never handled in code that replays \
-                     traces (`TraceSummary`)"
-                ),
-                suggestion: "match the variant in `telemetry/src/replay.rs` (even an explicit \
-                             ignore arm) so replayed summaries account for it",
-            });
-        }
-    }
-}
-
-/// Cross-file wake-source coverage (`wake_source_coverage`).
-///
-/// The event-driven core (DESIGN.md §16) rests on one invariant: every
-/// event source — message delivery, timer expiry, fault application,
-/// mobility — wakes the nodes it touches, so wake-list drains visit
-/// exactly the nodes a full scan would have found active. This pass
-/// collects the variants of the scheduler's `WakeReason` enum wherever
-/// it is declared, then checks that each appears as a literal
-/// `WakeReason::V` *inside the argument list of a `wake(…)` call* in
-/// non-test code. References elsewhere (the `ALL` table, counter match
-/// arms) do not register a wake and do not count. A source that fires
-/// without a wake silently exempts its nodes from every wake-list
-/// drain — the scan/wake equivalence argument breaks — so uncovered
-/// variants are deny-level.
-///
-/// Like [`FaultCoverage`], this check spans files, runs once per
-/// analysis pass, and cannot be suppressed with `xtask-allow` — the
-/// fix is always to register the wake where the event source fires.
-#[derive(Debug, Default)]
-pub struct WakeSourceCoverage {
-    /// Declared variants: name plus declaration site.
-    variants: Vec<(String, PathBuf, u32, u32)>,
-    /// Variants seen as `WakeReason::V` inside `wake(…)` argument
-    /// lists in non-test code.
-    covered: BTreeSet<String>,
-}
-
-impl WakeSourceCoverage {
-    /// Feed one file's tokens into the accumulator.
-    pub fn scan(&mut self, path: &Path, tokens: &[Token], excluded: &[bool]) {
-        for i in 0..tokens.len() {
-            if excluded[i] {
-                continue;
-            }
-            if tokens[i].kind.ident() == Some("enum")
-                && tokens.get(i + 1).and_then(|t| t.kind.ident()) == Some("WakeReason")
-                && tokens.get(i + 2).is_some_and(|t| t.kind.is_punct('{'))
-            {
-                collect_enum_variants(path, tokens, i + 2, &mut self.variants);
-            }
-        }
-
-        // Coverage sites are the argument lists of `wake(…)` calls.
-        // The declaration `fn wake(…, reason: WakeReason)` cannot
-        // false-match: its parameter type has no `::` path.
-        let mut i = 0;
-        while i < tokens.len() {
-            if excluded[i]
-                || tokens[i].kind.ident() != Some("wake")
-                || !tokens.get(i + 1).is_some_and(|t| t.kind.is_punct('('))
-            {
-                i += 1;
-                continue;
-            }
-            let mut depth = 1usize;
-            let mut j = i + 2;
-            while j < tokens.len() && depth > 0 {
-                if tokens[j].kind.is_punct('(') {
-                    depth += 1;
-                } else if tokens[j].kind.is_punct(')') {
-                    depth -= 1;
-                } else if !excluded[j]
-                    && tokens[j].kind.ident() == Some("WakeReason")
-                    && tokens.get(j + 1).is_some_and(|t| t.kind.is_punct(':'))
-                    && tokens.get(j + 2).is_some_and(|t| t.kind.is_punct(':'))
-                {
-                    if let Some(v) = tokens.get(j + 3).and_then(|t| t.kind.ident()) {
-                        if v.chars().next().is_some_and(char::is_uppercase) {
-                            self.covered.insert(v.to_string());
-                        }
-                    }
-                }
-                j += 1;
-            }
-            i = j;
-        }
-    }
-
-    /// Emit a deny-level diagnostic for every declared variant no
-    /// event source registers.
-    pub fn finish(self, diags: &mut Vec<Diagnostic>) {
-        let WakeSourceCoverage { variants, covered } = self;
-        for (name, path, line, col) in variants {
-            if covered.contains(&name) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                lint: "wake_source_coverage",
-                level: Level::Deny,
-                path,
-                line,
-                col,
-                message: format!(
-                    "`WakeReason::{name}` is declared but no event source registers it \
-                     via a `wake(…, WakeReason::{name})` call"
-                ),
-                suggestion: "wake the affected node where the event source fires (message/\
-                             fault/mobility sources live in `netsim/src/sim.rs`; timer expiry \
-                             in `netsim/src/scheduler.rs::fire_due`)",
-            });
-        }
-    }
-}
-
-/// Cross-file store-error coverage (`store_error_coverage`).
-///
-/// The snapshot store's failure surface is its API: every `StoreError`
-/// variant promises callers a precise, typed account of what broke in
-/// a store file. That promise has two halves, and this pass checks
-/// both. Each declared variant must be **constructed** in non-test
-/// code outside its declaring file — a variant nothing raises is a
-/// dead error path that readers will waste time defending against —
-/// and **handled** in non-test code of a file that references
-/// `VerifyReport`, the verify/replay path where `remediation` maps
-/// every failure to an operator hint. A variant missing either half is
-/// deny-level. (Display arms live in the declaring file and count for
-/// neither half.)
-///
-/// Like [`FaultCoverage`], this check spans files, runs once per
-/// analysis pass, and cannot be suppressed with `xtask-allow` — the
-/// fix is to raise the variant where the failure is detected and to
-/// handle it in `snapshot-store/src/verify.rs`.
-#[derive(Debug, Default)]
-pub struct StoreErrorCoverage {
-    /// Declared variants: name plus declaration site.
-    variants: Vec<(String, PathBuf, u32, u32)>,
-    /// Variants seen as `StoreError::V` in non-test code outside the
-    /// declaring file.
-    constructed: BTreeSet<String>,
-    /// Variants seen as `StoreError::V` in non-test code of files
-    /// referencing `VerifyReport`.
-    handled: BTreeSet<String>,
-}
-
-impl StoreErrorCoverage {
-    /// Feed one file's tokens into the accumulator.
-    pub fn scan(&mut self, path: &Path, tokens: &[Token], excluded: &[bool]) {
-        let mut declares = false;
-        for i in 0..tokens.len() {
-            if excluded[i] {
-                continue;
-            }
-            if tokens[i].kind.ident() == Some("enum")
-                && tokens.get(i + 1).and_then(|t| t.kind.ident()) == Some("StoreError")
-                && tokens.get(i + 2).is_some_and(|t| t.kind.is_punct('{'))
-            {
-                declares = true;
-                collect_enum_variants(path, tokens, i + 2, &mut self.variants);
-            }
-        }
-
-        // Handler sites only count in files whose non-test code
-        // references `VerifyReport` — the verify/replay path, not the
-        // raisers.
-        let handles = tokens
-            .iter()
-            .zip(excluded)
-            .any(|(t, &ex)| !ex && t.kind.ident() == Some("VerifyReport"));
-        if declares && !handles {
-            // Only the Display impl's arms live here; they satisfy
-            // neither half.
-            return;
-        }
-        for i in 0..tokens.len() {
-            if excluded[i] {
-                continue;
-            }
-            if tokens[i].kind.ident() == Some("StoreError")
-                && tokens.get(i + 1).is_some_and(|t| t.kind.is_punct(':'))
-                && tokens.get(i + 2).is_some_and(|t| t.kind.is_punct(':'))
-            {
-                if let Some(v) = tokens.get(i + 3).and_then(|t| t.kind.ident()) {
-                    if v.chars().next().is_some_and(char::is_uppercase) {
-                        // The classes are disjoint: a handler file's
-                        // match arms are not construction sites (the
-                        // tokens cannot tell a struct literal from a
-                        // binding pattern), so raising must happen in
-                        // a file that does neither.
-                        if handles {
-                            self.handled.insert(v.to_string());
-                        } else if !declares {
-                            self.constructed.insert(v.to_string());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emit a deny-level diagnostic for every declared variant missing
-    /// a construction site or a verify/replay handler.
-    pub fn finish(self, diags: &mut Vec<Diagnostic>) {
-        let StoreErrorCoverage {
-            variants,
-            constructed,
-            handled,
-        } = self;
-        for (name, path, line, col) in variants {
-            if !constructed.contains(&name) {
-                diags.push(Diagnostic {
-                    lint: "store_error_coverage",
-                    level: Level::Deny,
-                    path: path.clone(),
-                    line,
-                    col,
-                    message: format!(
-                        "`StoreError::{name}` is declared but never constructed in non-test \
-                         code — a dead error path"
-                    ),
-                    suggestion: "raise the variant where the failure is detected (the decode \
-                                 scan in `snapshot-store/src/store.rs`, the field parsers in \
-                                 `format.rs`), or delete it",
-                });
-            }
-            if !handled.contains(&name) {
-                diags.push(Diagnostic {
-                    lint: "store_error_coverage",
-                    level: Level::Deny,
-                    path,
-                    line,
-                    col,
-                    message: format!(
-                        "`StoreError::{name}` has no handler in the verify/replay path \
-                         (non-test code referencing `VerifyReport`)"
-                    ),
-                    suggestion: "handle the variant in `snapshot-store/src/verify.rs` — \
-                                 `remediation` must map every failure to an operator hint",
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,277 +414,5 @@ mod tests {
             fn f() { let s = "thread_rng Instant::now"; let _ = s; }
         "#;
         assert!(lint_names(src).is_empty());
-    }
-
-    fn coverage(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let mut cov = FaultCoverage::default();
-        for (name, src) in files {
-            let lexed = lex(src);
-            let excluded = test_regions(&lexed.tokens);
-            cov.scan(Path::new(name), &lexed.tokens, &excluded);
-        }
-        let mut diags = Vec::new();
-        cov.finish(&mut diags);
-        diags
-    }
-
-    const FAULT_DECL: &str = "pub enum FaultKind { Crash { target: u32 }, Drain(f64) }";
-
-    #[test]
-    fn fault_variants_applied_by_emitting_file_are_clean() {
-        let apply = "fn apply(k: FaultKind) { match k { \
-                     FaultKind::Crash { .. } => emit(Event::FaultInjected {}), \
-                     FaultKind::Drain(_) => emit(Event::FaultInjected {}), } }";
-        let d = coverage(&[("fault.rs", FAULT_DECL), ("sim.rs", apply)]);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn uncovered_fault_variant_is_denied() {
-        let apply = "fn apply(k: FaultKind) { \
-                     if let FaultKind::Crash { .. } = k { emit(Event::FaultInjected {}) } }";
-        let d = coverage(&[("fault.rs", FAULT_DECL), ("sim.rs", apply)]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].lint, "fault_event_coverage");
-        assert_eq!(d[0].level, Level::Deny);
-        assert!(d[0].message.contains("Drain"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn usage_in_non_emitting_file_does_not_count_as_coverage() {
-        // The scenario parser constructs every variant but emits no
-        // telemetry — that must not satisfy the lint.
-        let parser = "fn parse() -> FaultKind { FaultKind::Crash { target: 0 } } \
-                      fn mk() -> FaultKind { FaultKind::Drain(1.0) }";
-        let d = coverage(&[("fault.rs", FAULT_DECL), ("parse.rs", parser)]);
-        assert_eq!(d.len(), 2, "{d:?}");
-    }
-
-    #[test]
-    fn test_region_usage_does_not_count_as_coverage() {
-        let apply = "#[cfg(test)] mod tests { fn t() { let _ = (\
-                     FaultKind::Crash { target: 0 }, FaultKind::Drain(0.0), \
-                     Event::FaultInjected {}); } }";
-        assert_eq!(
-            coverage(&[("fault.rs", FAULT_DECL), ("sim.rs", apply)]).len(),
-            2
-        );
-    }
-
-    #[test]
-    fn no_fault_enum_means_no_coverage_findings() {
-        assert!(coverage(&[("other.rs", "fn f() { let x = 1; }")]).is_empty());
-    }
-
-    #[test]
-    fn variant_attributes_and_field_blocks_parse_correctly() {
-        let decl = "enum FaultKind { #[doc = \"boom\"] Crash { target: u32, down: u64 }, \
-                    Blackout { x: f64, y: f64 } }";
-        let d = coverage(&[("fault.rs", decl)]);
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d[0].message.contains("Crash"));
-        assert!(d[1].message.contains("Blackout"));
-    }
-
-    fn replay_coverage(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let mut cov = EventReplayCoverage::default();
-        for (name, src) in files {
-            let lexed = lex(src);
-            let excluded = test_regions(&lexed.tokens);
-            cov.scan(Path::new(name), &lexed.tokens, &excluded);
-        }
-        let mut diags = Vec::new();
-        cov.finish(&mut diags);
-        diags
-    }
-
-    const EVENT_DECL: &str = "pub enum Event { MsgSent { tick: u64 }, SpanOpen { id: u64 } }";
-
-    #[test]
-    fn event_variants_handled_by_replaying_file_are_clean() {
-        let replay = "impl TraceSummary { fn feed(e: &Event) { match e { \
-                      Event::MsgSent { .. } => {}, Event::SpanOpen { .. } => {}, } } }";
-        let d = replay_coverage(&[("event.rs", EVENT_DECL), ("replay.rs", replay)]);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unreplayed_event_variant_is_denied() {
-        let replay = "impl TraceSummary { fn feed(e: &Event) { \
-                      if let Event::MsgSent { .. } = e {} } }";
-        let d = replay_coverage(&[("event.rs", EVENT_DECL), ("replay.rs", replay)]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].lint, "event_replay_coverage");
-        assert_eq!(d[0].level, Level::Deny);
-        assert!(d[0].message.contains("SpanOpen"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn event_usage_outside_the_replay_path_does_not_count() {
-        // Emitters construct every variant but never replay — that
-        // must not satisfy the lint.
-        let emitter = "fn emit() { record(Event::MsgSent { tick: 0 }); \
-                       record(Event::SpanOpen { id: 1 }); }";
-        let d = replay_coverage(&[("event.rs", EVENT_DECL), ("sim.rs", emitter)]);
-        assert_eq!(d.len(), 2, "{d:?}");
-    }
-
-    #[test]
-    fn event_method_references_are_not_variants() {
-        // `Event::tick` (a method path, lowercase) must not be
-        // mistaken for coverage of some variant.
-        let replay = "impl TraceSummary { fn feed(es: &mut [Event]) { \
-                      es.sort_by_key(Event::tick); \
-                      if let Some(Event::MsgSent { .. }) = es.first() {} \
-                      if let Some(Event::SpanOpen { .. }) = es.first() {} } }";
-        assert!(replay_coverage(&[("event.rs", EVENT_DECL), ("replay.rs", replay)]).is_empty());
-    }
-
-    fn wake_coverage(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let mut cov = WakeSourceCoverage::default();
-        for (name, src) in files {
-            let lexed = lex(src);
-            let excluded = test_regions(&lexed.tokens);
-            cov.scan(Path::new(name), &lexed.tokens, &excluded);
-        }
-        let mut diags = Vec::new();
-        cov.finish(&mut diags);
-        diags
-    }
-
-    const WAKE_DECL: &str = "pub enum WakeReason { Message, Timer }";
-
-    #[test]
-    fn wake_reasons_registered_at_wake_calls_are_clean() {
-        let src = "fn deliver(s: &mut Scheduler) { \
-                   s.wake(NodeId::from_index(0), WakeReason::Message); \
-                   s.wake(NodeId(1), WakeReason::Timer); }";
-        let d = wake_coverage(&[("scheduler.rs", WAKE_DECL), ("sim.rs", src)]);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unregistered_wake_reason_is_denied() {
-        let src = "fn deliver(s: &mut Scheduler) { s.wake(NodeId(0), WakeReason::Message); }";
-        let d = wake_coverage(&[("scheduler.rs", WAKE_DECL), ("sim.rs", src)]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].lint, "wake_source_coverage");
-        assert_eq!(d[0].level, Level::Deny);
-        assert!(d[0].message.contains("Timer"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn wake_reason_outside_a_wake_call_does_not_count() {
-        // The `ALL` table names every variant, and the `wake` fn
-        // declaration mentions the type — neither registers a wake.
-        let src = "const ALL: [WakeReason; 2] = [WakeReason::Message, WakeReason::Timer]; \
-                   fn wake(node: NodeId, reason: WakeReason) -> bool { true }";
-        let d = wake_coverage(&[("scheduler.rs", WAKE_DECL), ("table.rs", src)]);
-        assert_eq!(d.len(), 2, "{d:?}");
-    }
-
-    #[test]
-    fn test_region_wakes_do_not_count_as_coverage() {
-        let src = "#[cfg(test)] mod tests { fn t(s: &mut Scheduler) { \
-                   s.wake(NodeId(0), WakeReason::Message); \
-                   s.wake(NodeId(0), WakeReason::Timer); } }";
-        let d = wake_coverage(&[("scheduler.rs", WAKE_DECL), ("sim.rs", src)]);
-        assert_eq!(d.len(), 2, "{d:?}");
-    }
-
-    fn store_coverage(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let mut cov = StoreErrorCoverage::default();
-        for (name, src) in files {
-            let lexed = lex(src);
-            let excluded = test_regions(&lexed.tokens);
-            cov.scan(Path::new(name), &lexed.tokens, &excluded);
-        }
-        let mut diags = Vec::new();
-        cov.finish(&mut diags);
-        diags
-    }
-
-    const STORE_DECL: &str =
-        "pub enum StoreError { Corrupt { offset: u64 }, Truncated { offset: u64 } } \
-         impl fmt::Display for StoreError { fn fmt(&self) { match self { \
-         StoreError::Corrupt { .. } => {}, StoreError::Truncated { .. } => {}, } } }";
-
-    #[test]
-    fn constructed_and_handled_store_variants_are_clean() {
-        let raise = "fn scan() -> StoreError { if torn { StoreError::Truncated { offset } } \
-                     else { StoreError::Corrupt { offset } } }";
-        let handle = "pub fn remediation(e: &StoreError) -> &str { let _: VerifyReport; match e { \
-                      StoreError::Corrupt { .. } => \"restore\", \
-                      StoreError::Truncated { .. } => \"rebuild\", } }";
-        let d = store_coverage(&[
-            ("error.rs", STORE_DECL),
-            ("store.rs", raise),
-            ("verify.rs", handle),
-        ]);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unconstructed_store_variant_is_denied() {
-        let raise = "fn scan() -> StoreError { StoreError::Corrupt { offset: 0 } }";
-        let handle = "pub fn remediation(e: &StoreError) -> &str { let _: VerifyReport; match e { \
-                      StoreError::Corrupt { .. } => \"restore\", \
-                      StoreError::Truncated { .. } => \"rebuild\", } }";
-        let d = store_coverage(&[
-            ("error.rs", STORE_DECL),
-            ("store.rs", raise),
-            ("verify.rs", handle),
-        ]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].lint, "store_error_coverage");
-        assert_eq!(d[0].level, Level::Deny);
-        assert!(d[0].message.contains("Truncated"), "{}", d[0].message);
-        assert!(
-            d[0].message.contains("never constructed"),
-            "{}",
-            d[0].message
-        );
-    }
-
-    #[test]
-    fn unhandled_store_variant_is_denied() {
-        let raise = "fn scan() -> StoreError { if torn { StoreError::Truncated { offset } } \
-                     else { StoreError::Corrupt { offset } } }";
-        let handle = "pub fn remediation(e: &StoreError) -> &str { let _: VerifyReport; \
-                      if let StoreError::Corrupt { .. } = e { \"restore\" } else { \"?\" } }";
-        let d = store_coverage(&[
-            ("error.rs", STORE_DECL),
-            ("store.rs", raise),
-            ("verify.rs", handle),
-        ]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("Truncated"), "{}", d[0].message);
-        assert!(d[0].message.contains("no handler"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn display_arms_in_the_declaring_file_satisfy_neither_half() {
-        // STORE_DECL alone names every variant in its Display impl;
-        // both halves must still be reported missing for both variants.
-        let d = store_coverage(&[("error.rs", STORE_DECL)]);
-        assert_eq!(d.len(), 4, "{d:?}");
-    }
-
-    #[test]
-    fn handler_file_usage_does_not_count_as_construction() {
-        // Token-level scans cannot tell a struct literal from a match
-        // binding, so occurrences in the VerifyReport file only count
-        // as handling — raising must happen elsewhere.
-        let verify = "pub fn verify() -> VerifyReport { \
-                      let _ = StoreError::Corrupt { offset: 0 }; \
-                      let _ = StoreError::Truncated { offset: 0 }; todo!() }";
-        let d = store_coverage(&[("error.rs", STORE_DECL), ("verify.rs", verify)]);
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|d| d.message.contains("never constructed")));
-    }
-
-    #[test]
-    fn no_store_enum_means_no_store_findings() {
-        assert!(store_coverage(&[("other.rs", "fn f() { let x = 1; }")]).is_empty());
     }
 }

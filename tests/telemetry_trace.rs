@@ -3,7 +3,12 @@
 //! exported as JSONL, parsed back, and replayed into summaries.
 
 use snapshot_bench::experiments::trace::{record_election_trace, ELECTION_MSG_BUDGET};
+use snapshot_queries::core::{
+    Aggregate, QueryMode, SensorNetwork, SnapshotConfig, SnapshotQuery, SpatialPredicate,
+};
+use snapshot_queries::datagen::{random_walk, RandomWalkConfig};
 use snapshot_queries::netsim::telemetry::{jsonl, Phase, TraceSummary};
+use snapshot_queries::netsim::{EnergyModel, LinkModel, NodeId, Topology};
 
 #[test]
 fn recorded_traces_are_byte_identical_across_identical_seeds() {
@@ -51,4 +56,97 @@ fn jsonl_round_trips_through_parse_and_rewrite() {
         text,
         "parse -> rewrite must reproduce the exported trace byte-for-byte"
     );
+}
+
+/// Per-node × per-phase message counts are kept three times: by
+/// `NetStats`, by the metrics registry, and by `TraceSummary` replaying
+/// the recorded events. Over one whole run — training, election,
+/// maintenance under loss with a crashed representative, and live
+/// queries — the three must read the same, so that one of them can
+/// become the single ledger and the others be derived from it.
+///
+/// Losses are compared per phase, not per node: the registry and the
+/// replay charge a lost delivery to its sender, `NetStats` to the
+/// receiver that missed it.
+#[test]
+fn net_stats_registry_and_replayed_trace_keep_the_same_ledger() {
+    let (seed, n) = (7, 100);
+    // The deployment `record_election_trace` builds, with telemetry
+    // attached before training so all three ledgers start at zero.
+    let data = random_walk(&RandomWalkConfig {
+        n_nodes: n,
+        steps: 100,
+        ..RandomWalkConfig::paper_defaults(10, seed)
+    })
+    .expect("valid random-walk configuration");
+    let topo =
+        Topology::random_uniform(n, std::f64::consts::SQRT_2, seed).expect("valid deployment");
+    let mut sn = SensorNetwork::new(
+        topo,
+        LinkModel::iid_loss(0.0),
+        EnergyModel::default(),
+        SnapshotConfig::paper(1.0, 2048, seed),
+        data.trace,
+    );
+    sn.enable_telemetry(1 << 20);
+    sn.train(0, 10);
+    sn.set_time(99);
+    let _ = sn.elect();
+
+    // Maintenance under 10 % loss, with one representative (not the
+    // sink) crashed.
+    let sink = NodeId(0);
+    sn.net_mut().set_link_model(LinkModel::iid_loss(0.1));
+    let rep = sn
+        .snapshot()
+        .representatives()
+        .into_iter()
+        .find(|&r| r != sink)
+        .expect("the election picked a representative besides the sink");
+    sn.kill_representative(rep);
+    sn.advance(1);
+    let _ = sn.maintain();
+    let pred = SpatialPredicate::window(0.5, 0.5, 0.5);
+    for mode in [QueryMode::Regular, QueryMode::Snapshot] {
+        let _ = sn.query(&SnapshotQuery::aggregate(pred, Aggregate::Avg, mode), sink);
+    }
+
+    let telemetry = sn.net().telemetry();
+    let ring = telemetry.ring().expect("ring attached");
+    assert_eq!(ring.dropped(), 0, "the ring wrapped; widen it");
+    let replayed = TraceSummary::from_events(&ring.events());
+    let registry = telemetry.registry().expect("registry attached");
+    let stats = sn.stats();
+    for phase in Phase::ALL {
+        // Query charges are counted by `NetStats::record_send` alone:
+        // the executor emits no `MsgSent` for them, so the registry
+        // and the replay read 0 there.
+        if phase == Phase::Query {
+            continue;
+        }
+        for node in 0..n as u32 {
+            let sent = stats.sent_in_phase(NodeId(node), phase);
+            assert_eq!(
+                registry.sent_in(node, phase),
+                sent,
+                "registry, node {node}, {phase}"
+            );
+            assert_eq!(
+                replayed.sent.get(node, phase),
+                sent,
+                "replay, node {node}, {phase}"
+            );
+        }
+        let lost = stats.phase_lost_total(phase);
+        let registry_lost: u64 = (0..n as u32).map(|v| registry.lost_in(v, phase)).sum();
+        assert_eq!(registry_lost, lost, "registry losses, {phase}");
+        assert_eq!(replayed.phase_lost(phase), lost, "replayed losses, {phase}");
+    }
+    // The run sent in training, election and maintenance, lost
+    // deliveries, and charged queries.
+    for phase in [Phase::Data, Phase::Invitation, Phase::Heartbeat] {
+        assert!(stats.phase_total(phase) > 0, "no {phase} messages");
+    }
+    assert!(stats.total_lost() > 0, "no losses to compare");
+    assert!(stats.phase_total(Phase::Query) > 0, "no query charges");
 }
