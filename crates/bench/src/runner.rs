@@ -18,6 +18,18 @@
 //! regardless of nesting depth; a nested call that finds no permits
 //! free simply runs its cells inline on the worker that issued it.
 
+// The bench crate does not opt in to the workspace lints; this module
+// is on the parallel-experiment and serving paths, so it holds the
+// library crates' panic-freedom policy itself.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -80,6 +92,10 @@ fn release_helpers(n: usize) {
 /// Panics in `f` propagate to the caller (the scope joins all workers
 /// first), so a failing cell fails the whole run loudly rather than
 /// silently dropping a result.
+#[expect(
+    clippy::expect_used,
+    reason = "scope joined every worker, so every cell is computed; a hole is a runner bug worth aborting on"
+)]
 pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -122,7 +138,6 @@ where
     };
     slots
         .into_iter()
-        // xtask-allow(no_expect): scope joined every worker, so every cell is computed; a hole here is a runner bug worth aborting on
         .map(|s| s.expect("scope joined every worker, so every cell is computed"))
         .collect()
 }

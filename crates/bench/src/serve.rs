@@ -11,6 +11,18 @@
 //! retried on the next tick; nothing is ever dropped, so the harness
 //! "sustains" the full query count rather than shedding it.
 
+// The bench crate does not opt in to the workspace lints; this module
+// is on the parallel-experiment and serving paths, so it holds the
+// library crates' panic-freedom policy itself.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::runner::parallel_map;
 use snapshot_core::SensorNetwork;
 use snapshot_query::serve::{plan_text, Completion, QueryService, ServeConfig, ServeStats};
@@ -122,7 +134,6 @@ impl ServeRun {
 /// Drive `workload` through a fresh [`QueryService`] on `sn` until
 /// every query completes. Cache misses are batch-planned on the
 /// work-queue pool; rejected submissions retry next tick.
-// xtask-contract(deterministic)
 pub fn run_serve(
     sn: &mut SensorNetwork,
     workload: &ServeWorkload,

@@ -70,7 +70,6 @@ impl Scope<'_> {
 }
 
 /// Run the initial, network-wide election (Section 5, Figure 2).
-// xtask-contract(deterministic)
 pub fn run_full_election(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],
@@ -85,7 +84,6 @@ pub fn run_full_election(
 /// Run a maintenance re-election for the given initiators
 /// (Section 5.1). Offers are scored by candidate-list length plus the
 /// candidate's current member count.
-// xtask-contract(deterministic)
 pub fn run_maintenance_election(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],

@@ -1,7 +1,8 @@
 //! Error type for the snapshot core.
 //!
 //! The protocol crates are panic-free in library code (enforced by
-//! `cargo xtask analyze`): conditions that used to `expect` now
+//! clippy's workspace lints, DESIGN.md §10): conditions that used to
+//! `expect` now
 //! surface here so callers decide whether to degrade or abort.
 
 use std::fmt;

@@ -95,7 +95,6 @@ impl MaintenanceReport {
 
 /// Run one maintenance cycle. `values[i]` is `N_i`'s current
 /// measurement.
-// xtask-contract(deterministic)
 pub fn run_maintenance(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],
@@ -115,7 +114,6 @@ pub fn run_maintenance(
 /// members anything — the key to the Figure 10 lifetime result, where
 /// a representative answers nearly every query and must rotate out
 /// well before its battery dies.
-// xtask-contract(deterministic)
 pub fn run_handoff_check(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],

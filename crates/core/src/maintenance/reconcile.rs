@@ -32,7 +32,6 @@ pub struct ReconcileReport {
 
 /// Run one announce/objection/correction pass. Message loss can leave
 /// residual stale claims; repeated passes converge.
-// xtask-contract(deterministic)
 pub fn reconcile(net: &mut Network<ProtocolMsg>, nodes: &mut [SensorNode]) -> ReconcileReport {
     let n = nodes.len();
     // Wake-list drain candidates (DESIGN.md §16): post-deliver drains

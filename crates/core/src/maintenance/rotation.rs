@@ -30,7 +30,6 @@ pub struct RotationReport {
 
 /// Rotate representatives with the given per-representative
 /// probability. `values[i]` is `N_i`'s current measurement.
-// xtask-contract(deterministic)
 #[allow(clippy::too_many_arguments)]
 pub fn rotate_representatives(
     net: &mut Network<ProtocolMsg>,

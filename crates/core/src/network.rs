@@ -233,7 +233,10 @@ impl SensorNetwork {
         Self::from_parts(net, cfg, trace)
     }
 
-    #[allow(clippy::expect_used)] // documented fail-fast, see xtask-allow below
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor fail-fast on a bad experiment definition, like the trace-size assert"
+    )]
     fn from_parts(net: Network<ProtocolMsg>, cfg: SnapshotConfig, trace: Trace) -> Self {
         assert_eq!(
             net.len(),
@@ -242,7 +245,6 @@ impl SensorNetwork {
             trace.nodes(),
             net.len()
         );
-        // xtask-allow(no_expect): constructor fail-fast on a bad experiment definition, like the assert above
         cfg.validate().expect("invalid snapshot configuration");
         let nodes = net
             .node_ids()

@@ -11,8 +11,8 @@
 //! (`scale` experiment) the paper's §6 could not reach.
 //!
 //! Determinism contract: cells live in a `BTreeMap` (iteration order
-//! is a pure function of the inserted keys — `cargo xtask analyze`
-//! forbids hash maps here), buckets are plain `Vec`s mutated only by
+//! is a pure function of the inserted keys — `clippy.toml` forbids
+//! hash maps here), buckets are plain `Vec`s mutated only by
 //! the deterministic build/relocate sequence, and every caller that
 //! derives neighbor lists from candidate scans sorts them by
 //! [`NodeId`] before exposing them. No query result ever depends on

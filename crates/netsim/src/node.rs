@@ -20,9 +20,11 @@ impl NodeId {
 
     /// Construct from a vector index.
     #[inline]
-    #[allow(clippy::expect_used)] // documented fail-fast, see xtask-allow below
+    #[expect(
+        clippy::expect_used,
+        reason = "truncating would silently alias node ids; real deployments are far below u32::MAX"
+    )]
     pub fn from_index(i: usize) -> Self {
-        // xtask-allow(no_expect): truncating would silently alias node ids; real deployments are far below u32::MAX
         NodeId(u32::try_from(i).expect("node index exceeds u32 range"))
     }
 }

@@ -8,9 +8,9 @@
 //! standard tool for deriving such sub-seeds.
 //!
 //! This module is also the *only* sanctioned source of randomness in
-//! the protocol and simulator crates: `cargo xtask analyze` forbids
-//! `rand::thread_rng`, argless `rand::random`, and ambient clocks in
-//! those crates, so every stochastic choice flows through a [`DetRng`]
+//! the protocol and simulator crates: the workspace depends on no RNG
+//! crate, and `clippy.toml` forbids ambient clocks, so every
+//! stochastic choice flows through a [`DetRng`]
 //! seeded (directly or via [`derive_seed`]) from an experiment's master
 //! seed. [`DetRng`] is xoshiro256++ seeded through SplitMix64 — fast,
 //! well-mixed, and fully specified here so results never depend on an

@@ -624,7 +624,6 @@ impl<P: Clone> Network<P> {
     /// place, and an envelope reaching `R` receivers costs `R − 1`
     /// payload clones — the last receiver takes the payload by move.
     // xtask-contract(zero_alloc)
-    // xtask-contract(deterministic)
     pub fn deliver(&mut self) -> usize {
         self.round += 1;
         let wakes_before = self.sched.total_wakes();

@@ -189,7 +189,10 @@ impl Topology {
 
     /// Place `side * side` nodes on a regular grid covering the unit
     /// square. Useful for tests that need predictable neighborhoods.
-    #[allow(clippy::expect_used)] // documented fail-fast, see xtask-allow below
+    #[expect(
+        clippy::expect_used,
+        reason = "documented fail-fast on an invalid experiment definition"
+    )]
     pub fn grid(side: usize, range: f64) -> Self {
         assert!(side > 0, "grid side must be positive");
         let step = 1.0 / side as f64;
@@ -202,7 +205,6 @@ impl Topology {
                 ));
             }
         }
-        // xtask-allow(no_expect): documented fail-fast on an invalid experiment definition
         Self::new(positions, range).expect("invalid parameters for grid")
     }
 

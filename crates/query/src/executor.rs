@@ -110,7 +110,6 @@ pub fn plan_traced(
 
 /// Execute a plan against the network, collecting results at `sink`.
 /// Advances the network's clock by `interval_ticks` between epochs.
-// xtask-contract(deterministic)
 pub fn execute_plan(sn: &mut SensorNetwork, plan: &QueryPlan, sink: NodeId) -> PlannedExecution {
     let span = sn.net_mut().open_span(SpanKind::QueryExec);
     let mut epochs = Vec::with_capacity(plan.epochs as usize);
@@ -188,7 +187,6 @@ impl HistoryExecution {
 /// Errors are typed [`QueryError::History`] values: a plan without a
 /// time-travel clause, an `AS OF` tick before the first stored
 /// version, a corrupt store, or a checkpoint the replay rejects.
-// xtask-contract(deterministic)
 pub fn execute_plan_history(
     store: &SnapshotStore,
     plan: &QueryPlan,

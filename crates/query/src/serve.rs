@@ -463,7 +463,6 @@ impl QueryService {
     /// plan per text in the same order. It must be a pure function of
     /// the texts — the bench harness hands the list to its work-queue
     /// pool, so results must not depend on execution order.
-    // xtask-contract(deterministic)
     pub fn tick_with<F>(&mut self, sn: &mut SensorNetwork, plan_batch: F)
     where
         F: Fn(&[String]) -> Vec<Result<QueryPlan, QueryError>>,

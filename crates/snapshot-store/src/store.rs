@@ -528,14 +528,16 @@ impl SnapshotStore {
 
     fn read_keyframe(&self, entry: &Entry) -> Result<DecodedCheckpoint, StoreError> {
         let body = self.read_body(entry)?;
-        let decoded = format::decode_checkpoint(&body_lines(&body))?;
+        let decoded = format::decode_checkpoint(&body_lines(&body))
+            .map_err(|e| self.in_file_lines(entry, e))?;
         same_version(entry, decoded.version)?;
         Ok(decoded)
     }
 
     fn read_delta(&self, entry: &Entry, n: usize) -> Result<DecodedDelta, StoreError> {
         let body = self.read_body(entry)?;
-        let decoded = format::decode_delta(&body_lines(&body), n)?;
+        let decoded = format::decode_delta(&body_lines(&body), n)
+            .map_err(|e| self.in_file_lines(entry, e))?;
         same_version(entry, decoded.version)?;
         if entry.base != Some(decoded.base) {
             return Err(StoreError::Inconsistent {
@@ -548,9 +550,29 @@ impl SnapshotStore {
 
     fn read_serve(&self, entry: &Entry) -> Result<ServeStateRecord, StoreError> {
         let body = self.read_body(entry)?;
-        let (version, record) = format::decode_serve_state(&body_lines(&body))?;
+        let (version, record) = format::decode_serve_state(&body_lines(&body))
+            .map_err(|e| self.in_file_lines(entry, e))?;
         same_version(entry, version)?;
         Ok(record)
+    }
+
+    /// Renumber a decoding error's block line as a file line, by adding
+    /// the number of lines before `entry`'s opener. Only the error path
+    /// pays for the count: it reads the file up to the block again.
+    fn in_file_lines(&self, entry: &Entry, e: StoreError) -> StoreError {
+        let StoreError::BadRecord { line, detail } = e else {
+            return e;
+        };
+        let mut before = Vec::new();
+        let read = fs::File::open(&self.path)
+            .and_then(|file| file.take(entry.offset).read_to_end(&mut before));
+        match read {
+            Ok(_) => StoreError::BadRecord {
+                line: line + before.iter().filter(|&&b| b == b'\n').count() as u64,
+                detail,
+            },
+            Err(e) => io_error("read")(e),
+        }
     }
 
     /// Read `entry`'s block back from the file and check its seal
@@ -631,10 +653,10 @@ fn shape_change(last: &CheckpointState, cp: &CheckpointState) -> Option<String> 
     })
 }
 
-/// Block body lines with their 1-based line numbers. Numbering
-/// restarts at the block's first line: blocks know their byte offset,
-/// not their line offset, so errors count from the block start while
-/// offsets stay exact.
+/// Block body lines with their 1-based line numbers, counted from the
+/// block's opener: blocks know their byte offset, not their line
+/// offset. `SnapshotStore::in_file_lines` turns a decoding error's
+/// line into a file line.
 fn body_lines(body: &str) -> Vec<(u64, &str)> {
     body.lines()
         .enumerate()
@@ -1307,12 +1329,37 @@ mod tests {
             .unwrap()
             .checkpoint(1)
             .unwrap_err();
-        // Decoding numbers lines from the block's opener.
+        // Line 3 of the file: the header, the opener, then `config`.
         assert!(
-            matches!(err, StoreError::BadRecord { line: 2, .. }),
+            matches!(err, StoreError::BadRecord { line: 3, .. }),
             "{err:?}"
         );
         raised.push(err);
+
+        // The same kind of edit in a later delta block is reported at
+        // its file line too, past the keyframe before it.
+        let mut store = SnapshotStore::create(&path).unwrap();
+        store.append_checkpoint(&small_checkpoint(40)).unwrap();
+        store.append_checkpoint(&small_checkpoint(50)).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\ndelta 2 "), "version 2 must be a delta");
+        let edited = reseal(&text, 2, |line| {
+            if line.starts_with("values ") {
+                "values garbage".to_string()
+            } else {
+                line.to_string()
+            }
+        });
+        let want = edited.lines().position(|l| l == "values garbage").unwrap() as u64 + 1;
+        fs::write(&path, edited).unwrap();
+        let err = SnapshotStore::open(&path)
+            .unwrap()
+            .checkpoint(2)
+            .unwrap_err();
+        assert!(
+            matches!(err, StoreError::BadRecord { line, .. } if line == want),
+            "{err:?}, want line {want}"
+        );
 
         // Two sealed blocks in swapped order.
         let serve = ServeStateRecord {

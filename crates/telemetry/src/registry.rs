@@ -1,6 +1,8 @@
 //! The metrics registry: named counters and gauges, fixed-bucket
-//! histograms, and the per-node × per-phase energy/message breakdown
-//! that the paper's Figures 8–10 are built from.
+//! histograms, and the per-node × per-phase energy breakdown that the
+//! paper's Figures 8–10 are built from. Per-node message counts are
+//! `NetStats`'s (netsim); the registry keeps the network-wide
+//! `msg_sent` and `msg_dropped` counters.
 //!
 //! The registry is itself a [`Recorder`]: it folds the typed event
 //! stream into aggregates, so one publish path (events) serves both
@@ -191,10 +193,6 @@ pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    /// Messages sent, per node × phase.
-    sent: PerNodePhase<u64>,
-    /// Deliveries lost, per (sender) node × phase.
-    lost: PerNodePhase<u64>,
     /// Energy drawn (transmission equivalents), per node × phase.
     energy: PerNodePhase<f64>,
 }
@@ -254,16 +252,6 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Messages sent by `node` in `phase`.
-    pub fn sent_in(&self, node: u32, phase: Phase) -> u64 {
-        self.sent.get(node, phase)
-    }
-
-    /// Deliveries from `node` destroyed by loss in `phase`.
-    pub fn lost_in(&self, node: u32, phase: Phase) -> u64 {
-        self.lost.get(node, phase)
-    }
-
     /// Energy `node` drew in `phase`, in transmission equivalents.
     pub fn energy_in(&self, node: u32, phase: Phase) -> f64 {
         self.energy.get(node, phase)
@@ -292,13 +280,8 @@ impl MetricsRegistry {
         &self.energy
     }
 
-    /// The per-node × per-phase sent-message table.
-    pub fn sent_table(&self) -> &PerNodePhase<u64> {
-        &self.sent
-    }
-
     /// Fold `other` into `self`: counters, histograms, and the
-    /// per-node × per-phase tables accumulate; gauges take `other`'s
+    /// per-node × per-phase energy table accumulate; gauges take `other`'s
     /// value (a gauge is a level, not a flow — summing two runs'
     /// "cache_bytes_used" would be meaningless, so last merge wins and
     /// callers that need per-run gauges must read them before merging).
@@ -307,7 +290,6 @@ impl MetricsRegistry {
     /// private registry, and the harness folds them in canonical
     /// repetition order, so the merged aggregate is byte-identical no
     /// matter which worker thread finished first.
-    // xtask-contract(deterministic)
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name).or_insert(0) += v;
@@ -323,8 +305,6 @@ impl MetricsRegistry {
                 std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(h),
             }
         }
-        self.sent.merge(&other.sent);
-        self.lost.merge(&other.lost);
         self.energy.merge(&other.energy);
     }
 }
@@ -333,17 +313,11 @@ impl Recorder for MetricsRegistry {
     // xtask-contract(alloc_cold): metrics sink reached only behind `enabled()`; BTreeMap counter nodes allocate on first touch, and the bench contract measures telemetry off
     fn record(&mut self, ev: &Event) {
         match *ev {
-            Event::MsgSent {
-                node, phase, bytes, ..
-            } => {
+            Event::MsgSent { bytes, .. } => {
                 self.inc("msg_sent", 1);
-                *self.sent.cell_mut(node, phase) += 1;
                 self.observe_hist("msg_bytes", BYTES_BUCKETS, u64::from(bytes));
             }
-            Event::MsgDropped { src, phase, .. } => {
-                self.inc("msg_dropped", 1);
-                *self.lost.cell_mut(src, phase) += 1;
-            }
+            Event::MsgDropped { .. } => self.inc("msg_dropped", 1),
             Event::EnergyDraw {
                 node,
                 phase,
@@ -468,8 +442,7 @@ mod tests {
         });
 
         assert_eq!(m.counter("msg_sent"), 1);
-        assert_eq!(m.sent_in(2, Phase::Invitation), 1);
-        assert_eq!(m.lost_in(2, Phase::Invitation), 1);
+        assert_eq!(m.counter("msg_dropped"), 1);
         assert_eq!(m.counter("cache_reject"), 1);
         assert!((m.energy_in(2, Phase::Invitation) - 1.0).abs() < 1e-12);
         assert!((m.node_energy(2) - 1.1).abs() < 1e-12);
@@ -491,8 +464,8 @@ mod tests {
         b.observe_hist("msg_bytes", BYTES_BUCKETS, 4);
         b.observe_hist("msg_bytes", BYTES_BUCKETS, 9000);
         b.observe_hist("latency", &[1, 2], 1);
-        *a.sent.cell_mut(1, Phase::Data) += 5;
-        *b.sent.cell_mut(1, Phase::Data) += 7;
+        *a.energy.cell_mut(1, Phase::Data) += 5.0;
+        *b.energy.cell_mut(1, Phase::Data) += 7.0;
         *b.energy.cell_mut(9, Phase::Query) += 1.5;
 
         a.merge(&b);
@@ -503,7 +476,7 @@ mod tests {
         assert_eq!(a.histogram("msg_bytes").map(Histogram::total), Some(3));
         assert_eq!(a.histogram("msg_bytes").map(Histogram::sum), Some(9008));
         assert_eq!(a.histogram("latency").map(Histogram::total), Some(1));
-        assert_eq!(a.sent_in(1, Phase::Data), 12);
+        assert_eq!(a.energy_in(1, Phase::Data), 12.0);
         assert!((a.energy_in(9, Phase::Query) - 1.5).abs() < 1e-12);
         // Table grew to cover b's widest row.
         assert_eq!(a.energy_table().nodes(), 10);
@@ -515,7 +488,9 @@ mod tests {
             .map(|i| {
                 let mut m = MetricsRegistry::new();
                 m.inc("msg_sent", i + 1);
-                *m.sent.cell_mut(i as u32, Phase::Data) += i + 1;
+                // Integral energy sums are exact in f64, so any merge
+                // order must agree bit for bit.
+                *m.energy.cell_mut(i as u32, Phase::Data) += (i + 1) as f64;
                 m
             })
             .collect();
@@ -533,8 +508,8 @@ mod tests {
         assert_eq!(left.counter("msg_sent"), pairwise.counter("msg_sent"));
         for n in 0..4 {
             assert_eq!(
-                left.sent_in(n, Phase::Data),
-                pairwise.sent_in(n, Phase::Data)
+                left.energy_in(n, Phase::Data).to_bits(),
+                pairwise.energy_in(n, Phase::Data).to_bits()
             );
         }
     }

@@ -16,8 +16,8 @@
 //!   records.
 //! * **Monotonic wall-clock nanoseconds** — only when a clock source
 //!   was injected with [`Telemetry::set_wall_clock`]. The telemetry
-//!   crate never reads a clock itself (the `no_wall_clock` lint and
-//!   `clippy.toml` forbid it below `crates/bench`); the default is
+//!   crate never reads a clock itself (`clippy.toml` forbids it below
+//!   `crates/bench`); the default is
 //!   `wall_ns: 0`, which keeps default traces byte-identical across
 //!   machines and `--jobs` values.
 //!

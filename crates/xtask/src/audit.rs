@@ -3,8 +3,7 @@
 //! Every `xtask-allow` and every `xtask-contract(alloc_cold)` is a
 //! hole punched in a lint. Individually each is justified; in
 //! aggregate they rot — so the total is budgeted in `xtask.toml` at
-//! the repo root (next to `clippy.toml`, which mirrors the same
-//! policy for clippy). The audit fails when the honored-suppression
+//! the repo root. The audit fails when the honored-suppression
 //! count exceeds the committed budget, forcing the budget bump into
 //! the same diff as the new allow where a reviewer can see both.
 
@@ -141,12 +140,12 @@ mod tests {
     #[test]
     fn parses_budget_section() {
         let b = parse_budget(
-            "# comment\n[allow-budget]\ntotal = 12  # inline comment\nno_expect = 4\n\n\
+            "# comment\n[allow-budget]\ntotal = 12  # inline comment\ncontract_zero_alloc = 4\n\n\
              [other]\ntotal = 99\n",
         )
         .expect("budget parsed");
         assert_eq!(b.total, 12);
-        assert_eq!(b.per_lint.get("no_expect"), Some(&4));
+        assert_eq!(b.per_lint.get("contract_zero_alloc"), Some(&4));
         assert_eq!(b.per_lint.len(), 1);
     }
 
@@ -157,7 +156,7 @@ mod tests {
 
     #[test]
     fn total_over_budget_fails() {
-        let r = report(&[("no_expect", 3)], 2);
+        let r = report(&[("contract_zero_alloc", 3)], 2);
         let b = Budget {
             total: 4,
             per_lint: BTreeMap::new(),
@@ -170,9 +169,9 @@ mod tests {
 
     #[test]
     fn per_lint_ceiling_fails_even_under_total() {
-        let r = report(&[("no_expect", 3)], 0);
+        let r = report(&[("contract_zero_alloc", 3)], 0);
         let mut per_lint = BTreeMap::new();
-        per_lint.insert("no_expect".to_string(), 2);
+        per_lint.insert("contract_zero_alloc".to_string(), 2);
         let out = audit(
             &r,
             &Budget {
@@ -185,7 +184,7 @@ mod tests {
 
     #[test]
     fn under_budget_passes_and_counts_cold_marks() {
-        let r = report(&[("no_expect", 2)], 3);
+        let r = report(&[("contract_zero_alloc", 2)], 3);
         let out = audit(
             &r,
             &Budget {

@@ -9,8 +9,8 @@
 //! enforces both with a file-local call-graph scan over `election/`
 //! and `maintenance/` sources.
 
-use crate::lexer::{Token, TokenKind};
-use crate::{Diagnostic, Level};
+use crate::lexer::{matching_brace, Token, TokenKind};
+use crate::Diagnostic;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -103,23 +103,6 @@ fn parse_fns(tokens: &[Token], excluded: &[bool]) -> BTreeMap<String, FnInfo> {
         i = close + 1;
     }
     fns
-}
-
-fn matching_brace(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        match &t.kind {
-            TokenKind::Punct('{') => depth += 1,
-            TokenKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    tokens.len() - 1
 }
 
 /// Record calls and send sites inside one function body.
@@ -228,7 +211,6 @@ pub fn energy_accounting(
         for (line, col, method) in &info.dynamic_sends {
             diags.push(Diagnostic {
                 lint: "unaccounted_send",
-                level: Level::Deny,
                 path: path.to_path_buf(),
                 line: *line,
                 col: *col,
@@ -245,7 +227,6 @@ pub fn energy_accounting(
             if reaches_send(name, &fns, &mut seen) && !info.has_network_param {
                 diags.push(Diagnostic {
                     lint: "unthreaded_network",
-                    level: Level::Deny,
                     path: path.to_path_buf(),
                     line: info.name_line,
                     col: info.name_col,
@@ -264,8 +245,7 @@ pub fn energy_accounting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::lints::test_regions;
+    use crate::lexer::{lex, test_regions};
 
     fn lint_names(src: &str) -> Vec<(&'static str, u32)> {
         let lexed = lex(src);

@@ -2,7 +2,7 @@
 //!
 //! `// xtask-contract(kind)` annotations bind to the next `fn`
 //! declaration below them in the same file (within a few lines, so a
-//! doc comment block between annotation and item stays legal). Three
+//! doc comment block between annotation and item stays legal). Two
 //! kinds exist:
 //!
 //! * `zero_alloc` — the function, and everything it can reach through
@@ -11,17 +11,16 @@
 //!   and must carry a site-level `xtask-allow(contract_zero_alloc)`
 //!   documenting why capacity is warm — the static pass makes every
 //!   such site visible, the dynamic bench gate proves the claim.
-//! * `deterministic` — the reachable set must contain no
-//!   nondeterminism source (hash collections, ambient RNG, wall
-//!   clock, unmanaged `thread::spawn`).
 //! * `alloc_cold` — a *barrier* for `zero_alloc` propagation: the
 //!   function is a dynamically-gated cold path (telemetry sinks,
 //!   tick-boundary fault application) that may allocate, so traversal
 //!   stops at its boundary instead of descending. The reason is
 //!   mandatory — a cold mark is a suppression and is counted by the
-//!   allow audit. `alloc_cold` does **not** stop `deterministic`
-//!   propagation: being off the hot path is no excuse for leaking
-//!   wall-clock time into protocol state.
+//!   allow audit.
+//!
+//! Determinism needs no contract: clippy's `disallowed-types` and
+//! `disallowed-methods` (`clippy.toml`) reject its sources in every
+//! crate a contracted function can reach (DESIGN.md §10).
 //!
 //! Violations render the full blame chain, one hop per call edge:
 //!
@@ -36,8 +35,8 @@
 //! reaches it.
 
 use crate::lexer::Lexed;
-use crate::symbols::{SiteKind, SymbolTable};
-use crate::{Diagnostic, Level};
+use crate::symbols::SymbolTable;
+use crate::Diagnostic;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -47,7 +46,7 @@ const ATTACH_WINDOW: u32 = 10;
 /// One attached contract, for reporting.
 #[derive(Debug, Clone)]
 pub struct AttachedContract {
-    /// Contract kind (`zero_alloc`, `deterministic`, `alloc_cold`).
+    /// Contract kind (`zero_alloc` or `alloc_cold`).
     pub kind: String,
     /// Function the contract binds to (index into the symbol table).
     pub fn_index: usize,
@@ -102,20 +101,16 @@ pub fn attach(
     for ann in &lexed.contracts {
         let bad = |message: String, suggestion: &'static str| Diagnostic {
             lint: "bad_contract",
-            level: Level::Deny,
             path: path.to_path_buf(),
             line: ann.line,
             col: 1,
             message,
             suggestion,
         };
-        if !matches!(
-            ann.kind.as_str(),
-            "zero_alloc" | "deterministic" | "alloc_cold"
-        ) {
+        if !matches!(ann.kind.as_str(), "zero_alloc" | "alloc_cold") {
             diags.push(bad(
                 format!("xtask-contract names unknown kind `{}`", ann.kind),
-                "use zero_alloc, deterministic, or alloc_cold",
+                "use zero_alloc or alloc_cold",
             ));
             continue;
         }
@@ -165,28 +160,15 @@ pub fn attach(
     }
 }
 
-/// Walk every contracted root and emit blame-chain diagnostics for
-/// each violating site the root can reach.
+/// Walk every `zero_alloc` root and emit blame-chain diagnostics for
+/// each allocation site the root can reach.
 pub fn check(table: &SymbolTable, set: &ContractSet, diags: &mut Vec<Diagnostic>) {
     for root in set.fns_with("zero_alloc") {
-        propagate(table, set, root, SiteKind::Alloc, diags);
-    }
-    for root in set.fns_with("deterministic") {
-        propagate(table, set, root, SiteKind::Nondet, diags);
+        propagate(table, set, root, diags);
     }
 }
 
-fn propagate(
-    table: &SymbolTable,
-    set: &ContractSet,
-    root: usize,
-    kind: SiteKind,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let (lint, contract_name): (&'static str, &str) = match kind {
-        SiteKind::Alloc => ("contract_zero_alloc", "zero_alloc"),
-        SiteKind::Nondet => ("contract_deterministic", "deterministic"),
-    };
+fn propagate(table: &SymbolTable, set: &ContractSet, root: usize, diags: &mut Vec<Diagnostic>) {
     // BFS with parent pointers so each violation can render the exact
     // chain that reached it. One visit per function per root keeps the
     // pass linear in the edge count.
@@ -195,36 +177,26 @@ fn propagate(
     let mut visited = std::collections::BTreeSet::from([root]);
     while let Some(cur) = queue.pop_front() {
         let f = &table.fns[cur];
-        for site in f.sites.iter().filter(|s| s.kind == kind) {
+        for site in &f.sites {
             let chain = render_chain(table, &prev, root, cur, site.what, site.line);
             diags.push(Diagnostic {
-                lint,
-                level: Level::Deny,
+                lint: "contract_zero_alloc",
                 path: f.path.clone(),
                 line: site.line,
                 col: site.col,
                 message: format!(
-                    "`{}` is contracted {} but reaches {} ({}); chain: {}",
-                    table.fns[root].name, contract_name, site.what, site.why, chain
+                    "`{}` is contracted zero_alloc but reaches {} ({}); chain: {}",
+                    table.fns[root].name, site.what, site.why, chain
                 ),
-                suggestion: match kind {
-                    SiteKind::Alloc => {
-                        "hoist the allocation out of the contracted path, mark the callee \
-                         `xtask-contract(alloc_cold)` if it is dynamically gated, or justify the \
-                         site with `xtask-allow(contract_zero_alloc): why capacity is recycled`"
-                    }
-                    SiteKind::Nondet => {
-                        "route randomness through the seeded netsim::rng, use BTreeMap/BTreeSet, \
-                         and keep wall-clock reads outside contracted protocol code"
-                    }
-                },
+                suggestion: "hoist the allocation out of the contracted path, mark the callee \
+                             `xtask-contract(alloc_cold)` if it is dynamically gated, or justify \
+                             the site with `xtask-allow(contract_zero_alloc): why capacity is \
+                             recycled`",
             });
         }
         for call in &f.calls {
             for target in table.resolve(cur, call) {
-                // alloc_cold is a propagation barrier for zero_alloc
-                // only; determinism still descends.
-                if kind == SiteKind::Alloc && set.is_cold(target) {
+                if set.is_cold(target) {
                     continue;
                 }
                 if visited.insert(target) {
@@ -269,8 +241,7 @@ fn render_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::lints::test_regions;
+    use crate::lexer::{lex, test_regions};
     use std::path::PathBuf;
 
     fn analyze(files: &[(&str, &str)]) -> (Vec<Diagnostic>, ContractSet, SymbolTable) {
@@ -325,15 +296,16 @@ mod tests {
     fn alloc_cold_is_a_barrier_for_zero_alloc_only() {
         let (diags, set, _) = analyze(&[(
             "crates/x/src/a.rs",
-            "// xtask-contract(zero_alloc)\n// xtask-contract(deterministic)\n\
-             fn hot() { sink(); }\n\
+            "// xtask-contract(zero_alloc)\n\
+             fn hot() { sink(); warm(); }\n\
              // xtask-contract(alloc_cold): gated behind enabled()\n\
-             fn sink() { let s = String::from(\"x\"); let t = Instant::now(); }\n",
+             fn sink() { let s = String::from(\"x\"); }\n\
+             fn warm() { let v = vec![1]; }\n",
         )]);
         assert_eq!(set.cold_count(), 1);
-        // The String::from is shielded; the wall clock is not.
+        // The String::from is shielded; the unmarked sibling is not.
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].lint, "contract_deterministic");
+        assert!(diags[0].message.contains("`vec!`"), "{diags:?}");
     }
 
     #[test]
@@ -372,23 +344,21 @@ mod tests {
     }
 
     #[test]
-    fn cross_crate_nondet_is_found_through_resolution() {
+    fn cross_crate_alloc_is_found_through_resolution() {
         let (diags, ..) = analyze(&[
             (
                 "crates/a/src/m.rs",
-                "// xtask-contract(deterministic)\nfn tick() { sample_noise(); }\n",
+                "// xtask-contract(zero_alloc)\nfn tick() { label(); }\n",
             ),
             (
                 "crates/b/src/n.rs",
-                "fn sample_noise() -> u64 { thread_rng() }\n",
+                "fn label() -> String { format!(\"x\") }\n",
             ),
         ]);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].lint, "contract_deterministic");
+        assert_eq!(diags[0].lint, "contract_zero_alloc");
         assert!(diags[0].message.contains("tick (crates/a/src/m.rs:2)"));
-        assert!(diags[0]
-            .message
-            .contains("sample_noise (crates/b/src/n.rs:1)"));
+        assert!(diags[0].message.contains("label (crates/b/src/n.rs:1)"));
         assert_eq!(diags[0].path, PathBuf::from("crates/b/src/n.rs"));
     }
 

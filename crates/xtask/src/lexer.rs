@@ -351,9 +351,155 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
+/// Compute which token indices sit inside test-only regions:
+/// `#[cfg(test)]`-gated items and `#[test]` functions. The analysis
+/// skips these — contracts are statements about library code.
+pub fn test_regions(tokens: &[Token]) -> Vec<bool> {
+    let mut excluded = vec![false; tokens.len()];
+    let mut i = 0;
+    while i < tokens.len() {
+        if let Some(attr_end) = match_test_attr(tokens, i) {
+            // Find the start of the gated item's block: the next `{`
+            // not preceded by a terminating `;` (e.g. `#[cfg(test)]
+            // use foo;` gates a single statement, no block).
+            let mut j = attr_end;
+            let mut block_start = None;
+            while j < tokens.len() {
+                match &tokens[j].kind {
+                    TokenKind::Punct(';') => break,
+                    TokenKind::Punct('{') => {
+                        block_start = Some(j);
+                        break;
+                    }
+                    _ => j += 1,
+                }
+            }
+            if let Some(open) = block_start {
+                let close = matching_brace(tokens, open);
+                for slot in excluded.iter_mut().take(close + 1).skip(i) {
+                    *slot = true;
+                }
+                i = close + 1;
+                continue;
+            }
+            // Blockless gated item: exclude through the `;`.
+            for slot in excluded.iter_mut().take(j + 1).skip(i) {
+                *slot = true;
+            }
+            i = j + 1;
+            continue;
+        }
+        i += 1;
+    }
+    excluded
+}
+
+/// If tokens at `i` begin `#[cfg(test)]`-like or `#[test]` attributes,
+/// return the index just past the closing `]`.
+fn match_test_attr(tokens: &[Token], i: usize) -> Option<usize> {
+    if !tokens.get(i)?.kind.is_punct('#') || !tokens.get(i + 1)?.kind.is_punct('[') {
+        return None;
+    }
+    // Find the matching `]` (attributes can nest brackets in theory;
+    // parens are common).
+    let mut depth = 0usize;
+    let mut j = i + 1;
+    let mut close = None;
+    while j < tokens.len() {
+        match &tokens[j].kind {
+            TokenKind::Punct('[') => depth += 1,
+            TokenKind::Punct(']') => {
+                depth -= 1;
+                if depth == 0 {
+                    close = Some(j);
+                    break;
+                }
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    let close = close?;
+    let inner: Vec<&str> = tokens[i + 2..close]
+        .iter()
+        .filter_map(|t| t.kind.ident())
+        .collect();
+    // `#[test]`, `#[cfg(test)]`, `#[cfg(any(test, …))]` all gate test
+    // code. (`#[cfg(not(test))]` would be mis-excluded, but the
+    // workspace never uses it and the analyzer's self-check would
+    // surface it.)
+    let gates_tests = inner.first() == Some(&"test")
+        || (inner.first() == Some(&"cfg") && inner.contains(&"test") && !inner.contains(&"not"));
+    if gates_tests {
+        Some(close + 1)
+    } else {
+        None
+    }
+}
+
+/// Index of the `}` matching the `{` at `open` (the last token when
+/// the braces never balance).
+pub fn matching_brace(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(open) {
+        match &t.kind {
+            TokenKind::Punct('{') => depth += 1,
+            TokenKind::Punct('}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+    }
+    tokens.len() - 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Identifiers outside test regions, in source order.
+    fn library_idents(src: &str) -> Vec<String> {
+        let lexed = lex(src);
+        let excluded = test_regions(&lexed.tokens);
+        lexed
+            .tokens
+            .iter()
+            .zip(excluded)
+            .filter(|(_, test)| !test)
+            .filter_map(|(t, _)| t.kind.ident().map(String::from))
+            .collect()
+    }
+
+    #[test]
+    fn cfg_test_modules_are_exempt() {
+        let src = r#"
+            fn lib() -> u8 { 0 }
+            #[cfg(test)]
+            mod tests {
+                #[test]
+                fn t() { Some(1).unwrap(); }
+            }
+        "#;
+        assert_eq!(library_idents(src), vec!["fn", "lib", "u8"]);
+    }
+
+    #[test]
+    fn test_attr_fn_is_exempt_but_code_after_is_not() {
+        let src = r#"
+            #[test]
+            fn t() { Some(1).unwrap(); }
+            #[cfg(test)]
+            use helpers::fixture;
+            fn lib(x: Option<u8>) -> u8 { x.unwrap() }
+        "#;
+        assert_eq!(
+            library_idents(src),
+            vec!["fn", "lib", "x", "Option", "u8", "u8", "x", "unwrap"]
+        );
+    }
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)

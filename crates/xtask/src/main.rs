@@ -3,41 +3,36 @@
 //!
 //! See the crate docs ([`xtask`]) for the lint families and the
 //! `xtask-allow` escape hatch. Exit status: 0 when clean, 1 on any
-//! deny-level finding (or warn-level with `--strict`), 2 on usage or
-//! I/O errors.
+//! finding or an over-budget audit, 2 on usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: cargo xtask analyze [--json] [--sarif FILE] [--github] [--strict]
+usage: cargo xtask analyze [--json] [--sarif FILE] [--github]
                            [--allow-audit] [--list-lints] [paths…]
        cargo xtask benchcmp <baseline.json> <current.json> [--tolerance F]
 
-Scans workspace sources for determinism, panic-freedom,
-energy-accounting and contract violations. With no paths, scans the
-lint roots (core, netsim, query, datagen, telemetry, plus the
-sanctioned bench runner) and feeds every other library source into the
-workspace call graph for contract propagation.
+Scans workspace sources for energy-accounting and allocation-contract
+violations; clippy holds determinism and panic-freedom (DESIGN.md §10).
+With no paths, scans every library source of the workspace (each
+crates/*/src tree except xtask's, and the root src/).
 
 options:
   --json         emit a machine-readable JSON report on stdout
   --sarif FILE   additionally write a SARIF 2.1.0 log to FILE
-  --github       additionally emit GitHub Actions ::error/::warning
-                 annotations on stdout
-  --strict       promote warn-level lints (slice_index) to failures
+  --github       additionally emit GitHub Actions ::error annotations
+                 on stdout
   --allow-audit  audit suppression counts against the [allow-budget]
                  section of xtask.toml; over-budget fails the run
-  --list-lints   print the lint catalog (name | level | summary) and
-                 exit
+  --list-lints   print the lint catalog (name | summary) and exit
   --help         show this message
 
 Run `cargo xtask analyze --list-lints` for the full lint catalog; the
 same table lives in DESIGN.md §15. Suppress a single finding with
 `// xtask-allow(lint): reason` on the same line or the line above.
-Contract functions with `// xtask-contract(zero_alloc)`,
-`// xtask-contract(deterministic)`, or mark a dynamically-gated cold
-path with `// xtask-contract(alloc_cold): reason`.
+Contract functions with `// xtask-contract(zero_alloc)`, or mark a
+dynamically-gated cold path with `// xtask-contract(alloc_cold): reason`.
 
 benchcmp compares two MICROBENCH_JSON files (one JSON record per
 bench). Deterministic allocation counters gate hard beyond the
@@ -61,7 +56,6 @@ fn main() -> ExitCode {
     }
 
     let mut json = false;
-    let mut strict = false;
     let mut github = false;
     let mut allow_audit = false;
     let mut sarif_path: Option<PathBuf> = None;
@@ -70,7 +64,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--strict" => strict = true,
             "--github" => github = true,
             "--allow-audit" => allow_audit = true,
             "--list-lints" => {
@@ -123,10 +116,9 @@ fn main() -> ExitCode {
             println!("{}\n", d.render());
         }
         println!(
-            "xtask analyze: {} file(s), {} error(s), {} warning(s), {} allow(s) honored, {} contract(s)",
+            "xtask analyze: {} file(s), {} error(s), {} allow(s) honored, {} contract(s)",
             report.files_scanned,
-            report.deny_count(),
-            report.warn_count(),
+            report.diagnostics.len(),
             report.allows_honored,
             report.contracts.len()
         );
@@ -163,7 +155,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if report.failed(strict) || audit_failed {
+    if report.failed() || audit_failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

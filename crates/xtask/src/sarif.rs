@@ -7,7 +7,7 @@
 //! hand-rolled over the same minimal JSON helpers as `--json` — the
 //! analyzer stays dependency-free.
 
-use crate::{json_escape, lint_infos, Diagnostic, Level, Report};
+use crate::{json_escape, Diagnostic, Report, LINTS};
 
 /// Render a report as a minimal SARIF 2.1.0 log with one run and one
 /// rule per lint.
@@ -15,25 +15,19 @@ pub fn to_sarif(report: &Report) -> String {
     let mut out = String::from(
         "{\n  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n          \"name\": \"xtask-analyze\",\n          \"informationUri\": \"https://example.org/snapshot-queries\",\n          \"rules\": [\n",
     );
-    let infos = lint_infos();
-    for (i, info) in infos.iter().enumerate() {
+    for (i, info) in LINTS.iter().enumerate() {
         out.push_str(&format!(
-            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \"defaultConfiguration\": {{\"level\": \"{}\"}}}}{}\n",
+            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \"defaultConfiguration\": {{\"level\": \"error\"}}}}{}\n",
             info.name,
             json_escape(info.summary),
-            if info.level == "deny" { "error" } else { "warning" },
-            if i + 1 < infos.len() { "," } else { "" }
+            if i + 1 < LINTS.len() { "," } else { "" }
         ));
     }
     out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
     for (i, d) in report.diagnostics.iter().enumerate() {
         out.push_str(&format!(
-            "        {{\"ruleId\": \"{}\", \"level\": \"{}\", \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}{}\n",
+            "        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}{}\n",
             d.lint,
-            match d.level {
-                Level::Deny => "error",
-                Level::Warn => "warning",
-            },
             json_escape(&d.message),
             json_escape(&d.path.display().to_string()),
             d.line,
@@ -61,11 +55,7 @@ fn escape_property(s: &str) -> String {
 /// (`::error file=…,line=…,col=…,title=…::message`).
 pub fn to_github_annotation(d: &Diagnostic) -> String {
     format!(
-        "::{} file={},line={},col={},title={}::{}",
-        match d.level {
-            Level::Deny => "error",
-            Level::Warn => "warning",
-        },
+        "::error file={},line={},col={},title={}::{}",
         escape_property(&d.path.display().to_string()),
         d.line,
         d.col,
@@ -92,8 +82,7 @@ mod tests {
 
     fn diag(message: &str) -> Diagnostic {
         Diagnostic {
-            lint: "no_unwrap",
-            level: Level::Deny,
+            lint: "contract_zero_alloc",
             path: PathBuf::from("crates/x/src/a.rs"),
             line: 3,
             col: 7,
@@ -108,28 +97,20 @@ mod tests {
         r.diagnostics.push(diag("boom"));
         let s = to_sarif(&r);
         assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\": \"no_unwrap\""));
+        assert!(s.contains("\"ruleId\": \"contract_zero_alloc\""));
         assert!(s.contains("\"startLine\": 3"));
         // One rule entry per known lint.
-        assert_eq!(
-            s.matches("\"shortDescription\"").count(),
-            crate::LINT_NAMES.len()
-        );
+        assert_eq!(s.matches("\"shortDescription\"").count(), LINTS.len());
     }
 
     #[test]
     fn github_annotation_escapes_message_and_properties() {
         let d = diag("50% broken\nsecond line");
         let a = to_github_annotation(&d);
-        assert!(a.starts_with("::error file=crates/x/src/a.rs,line=3,col=7,title=no_unwrap::"));
+        assert!(a.starts_with(
+            "::error file=crates/x/src/a.rs,line=3,col=7,title=contract_zero_alloc::"
+        ));
         assert!(a.contains("50%25 broken%0Asecond line"));
         assert!(!a.contains('\n'));
-    }
-
-    #[test]
-    fn warn_levels_map_to_warning_commands() {
-        let mut d = diag("careful");
-        d.level = Level::Warn;
-        assert!(to_github_annotation(&d).starts_with("::warning "));
     }
 }

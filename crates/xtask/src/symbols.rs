@@ -4,7 +4,7 @@
 //! `Network::deliver` reach, through any call chain, in any crate?" —
 //! a question the file-local scan in [`crate::callgraph`] cannot. This
 //! module parses every scanned file into [`FnDecl`]s (name, location,
-//! call sites, allocation and nondeterminism sites) and resolves call
+//! call sites, allocation sites) and resolves call
 //! sites to candidate declarations with three precision guards:
 //!
 //! 1. **Dependency direction** — an edge from crate A may only bind to
@@ -32,7 +32,7 @@
 //! pre-contract state of the world — the dynamic bench gates remain
 //! the backstop.
 
-use crate::lexer::{Lexed, Token, TokenKind};
+use crate::lexer::{matching_brace, Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -69,21 +69,9 @@ pub struct CallSite {
     pub col: u32,
 }
 
-/// What kind of contract-relevant pattern a [`Site`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
-    /// Allocates (or may allocate) on the heap.
-    Alloc,
-    /// Leaks nondeterminism (hash order, ambient RNG, wall clock,
-    /// unmanaged threads).
-    Nondet,
-}
-
-/// A contract-relevant pattern found in a function body.
+/// An allocation site found in a function body.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// Which contract family the pattern violates.
-    pub kind: SiteKind,
     /// Pattern rendered for diagnostics, e.g. `` `format!` `` or
     /// `` `.push(…)` ``.
     pub what: &'static str,
@@ -110,7 +98,7 @@ pub struct FnDecl {
     pub line: u32,
     /// Call sites in body order.
     pub calls: Vec<CallSite>,
-    /// Allocation / nondeterminism sites in body order.
+    /// Allocation sites in body order.
     pub sites: Vec<Site>,
 }
 
@@ -284,8 +272,8 @@ pub fn load_workspace_deps(repo_root: &Path, table: &mut SymbolTable) {
     }
 }
 
-/// Heap-allocation patterns recognized as [`SiteKind::Alloc`] sites,
-/// split by how they appear in tokens.
+/// Heap-allocation patterns recognized as [`Site`]s, split by how they
+/// appear in tokens.
 mod alloc_site_patterns {
     /// `name!(…)` macros that build heap values.
     pub const MACROS: &[(&str, &str)] = &[
@@ -369,7 +357,7 @@ fn method_site(name: &str) -> Option<(&'static str, &'static str)> {
 }
 
 /// Parse every non-test `fn` in the token stream into `out`,
-/// recording call sites and contract-relevant sites per body.
+/// recording call sites and allocation sites per body.
 fn parse_fns(
     path: &Path,
     crate_name: &str,
@@ -430,24 +418,7 @@ fn parse_fns(
     }
 }
 
-fn matching_brace(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        match &t.kind {
-            TokenKind::Punct('{') => depth += 1,
-            TokenKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    tokens.len() - 1
-}
-
-/// Record call sites and alloc/nondet sites inside one function body.
+/// Record call sites and allocation sites inside one function body.
 fn scan_body(tokens: &[Token], start: usize, end: usize, decl: &mut FnDecl) {
     let mut j = start;
     while j < end {
@@ -458,8 +429,7 @@ fn scan_body(tokens: &[Token], start: usize, end: usize, decl: &mut FnDecl) {
         };
         let next_is = |c: char| tokens.get(j + 1).is_some_and(|t| t.kind.is_punct(c));
         let prev_is = |c: char| j > 0 && tokens[j - 1].kind.is_punct(c);
-        let site = |what, why, kind| Site {
-            kind,
+        let site = |what, why| Site {
             what,
             why,
             line: t.line,
@@ -470,7 +440,7 @@ fn scan_body(tokens: &[Token], start: usize, end: usize, decl: &mut FnDecl) {
         if next_is('!') {
             for &(what, why) in alloc_site_patterns::MACROS {
                 if what.trim_start_matches('`').trim_end_matches("!`") == name {
-                    decl.sites.push(site(what, why, SiteKind::Alloc));
+                    decl.sites.push(site(what, why));
                 }
             }
             j += 1;
@@ -481,7 +451,7 @@ fn scan_body(tokens: &[Token], start: usize, end: usize, decl: &mut FnDecl) {
         // not required so turbofish forms still match.
         if prev_is('.') {
             if let Some((what, why)) = method_site(name) {
-                decl.sites.push(site(what, why, SiteKind::Alloc));
+                decl.sites.push(site(what, why));
             }
         }
 
@@ -497,44 +467,10 @@ fn scan_body(tokens: &[Token], start: usize, end: usize, decl: &mut FnDecl) {
                             ("String", "from") => "`String::from(…)`",
                             _ => "`with_capacity(…)`",
                         };
-                        decl.sites.push(site(what, why, SiteKind::Alloc));
+                        decl.sites.push(site(what, why));
                     }
                 }
-                // Nondeterminism: qualified forms.
-                match (name, seg2) {
-                    ("rand", "random") => decl.sites.push(site(
-                        "`rand::random`",
-                        "draws from the ambient thread RNG",
-                        SiteKind::Nondet,
-                    )),
-                    ("Instant", "now") | ("SystemTime", "now") => decl.sites.push(site(
-                        "`::now()` wall clock",
-                        "leaks wall-clock time into simulated state",
-                        SiteKind::Nondet,
-                    )),
-                    ("thread", "spawn") => decl.sites.push(site(
-                        "`thread::spawn`",
-                        "spawns an unmanaged thread outside the sanctioned bench pool",
-                        SiteKind::Nondet,
-                    )),
-                    _ => {}
-                }
             }
-        }
-
-        // Nondeterminism: bare identifiers.
-        match name {
-            "HashMap" | "HashSet" => decl.sites.push(site(
-                "`HashMap`/`HashSet`",
-                "iteration order is nondeterministic (RandomState)",
-                SiteKind::Nondet,
-            )),
-            "thread_rng" => decl.sites.push(site(
-                "`thread_rng`",
-                "draws from ambient OS entropy",
-                SiteKind::Nondet,
-            )),
-            _ => {}
         }
 
         // Call edges: `name(` plain or method, skipping keywords,
@@ -577,8 +513,7 @@ fn is_keyword(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
-    use crate::lints::test_regions;
+    use crate::lexer::{lex, test_regions};
 
     fn table(files: &[(&str, &str)]) -> SymbolTable {
         let mut t = SymbolTable::default();
@@ -681,30 +616,6 @@ mod tests {
         assert!(deps.contains("netsim"));
         assert!(deps.contains("datagen"));
         assert!(!deps.contains("bench"), "dev-deps must be ignored");
-    }
-
-    #[test]
-    fn nondet_sites_are_recorded() {
-        let t = table(&[(
-            "crates/x/src/a.rs",
-            "fn f() { let m: HashMap<u8,u8> = make(); let t = Instant::now(); \
-             thread::spawn(|| {}); }\n",
-        )]);
-        let f = &t.fns[0];
-        let nondet: Vec<&str> = f
-            .sites
-            .iter()
-            .filter(|s| s.kind == SiteKind::Nondet)
-            .map(|s| s.what)
-            .collect();
-        assert_eq!(
-            nondet,
-            vec![
-                "`HashMap`/`HashSet`",
-                "`::now()` wall clock",
-                "`thread::spawn`"
-            ]
-        );
     }
 
     #[test]

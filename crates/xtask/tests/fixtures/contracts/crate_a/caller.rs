@@ -1,7 +1,7 @@
-//! Contract fixture (crate_a): a deterministic contract whose
-//! violation lives in a different crate.
+//! Contract fixture (crate_a): a zero_alloc contract whose violation
+//! lives in a different crate.
 
-// xtask-contract(deterministic)
+// xtask-contract(zero_alloc)
 pub fn tick_all(n: u64) -> u64 {
-    shuffle_seed(n)
+    seed_label(n)
 }

@@ -1,7 +1,7 @@
-//! Contract fixture (crate_b): the nondeterminism source reached by
+//! Contract fixture (crate_b): the allocation site reached by
 //! crate_a's contracted entry point.
 
-pub fn shuffle_seed(n: u64) -> u64 {
-    let r: u64 = rand::random();
-    n ^ r
+pub fn seed_label(n: u64) -> u64 {
+    let label = format!("{n}");
+    n ^ label.len() as u64
 }

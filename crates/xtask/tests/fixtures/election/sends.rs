@@ -1,4 +1,4 @@
-// Fixture: energy-accounting violations (scanned as a protocol file).
+// Fixture: energy-accounting violations (`election/` makes it protocol).
 // Expected diagnostics (lint, line) are asserted by tests/fixtures.rs.
 
 pub fn run(net: &mut Network<Msg>, tag: &'static str) {

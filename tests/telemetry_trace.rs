@@ -58,16 +58,16 @@ fn jsonl_round_trips_through_parse_and_rewrite() {
     );
 }
 
-/// Per-node × per-phase message counts are kept three times: by
-/// `NetStats`, by the metrics registry, and by `TraceSummary` replaying
-/// the recorded events. Over one whole run — training, election,
-/// maintenance under loss with a crashed representative, and live
-/// queries — the three must read the same, so that one of them can
-/// become the single ledger and the others be derived from it.
+/// Per-node × per-phase message counts are kept twice: by `NetStats`,
+/// the ledger, and by `TraceSummary` replaying the recorded events, the
+/// one reader that has no `NetStats`. The metrics registry keeps only
+/// network-wide `msg_sent` and `msg_dropped` counters. Over one whole
+/// run — training, election, maintenance under loss with a crashed
+/// representative, and live queries — all of them must agree.
 ///
-/// Losses are compared per phase, not per node: the registry and the
-/// replay charge a lost delivery to its sender, `NetStats` to the
-/// receiver that missed it.
+/// Losses are compared per phase, not per node: the replay charges a
+/// lost delivery to its sender, `NetStats` to the receiver that missed
+/// it.
 #[test]
 fn net_stats_registry_and_replayed_trace_keep_the_same_ledger() {
     let (seed, n) = (7, 100);
@@ -117,6 +117,7 @@ fn net_stats_registry_and_replayed_trace_keep_the_same_ledger() {
     let replayed = TraceSummary::from_events(&ring.events());
     let registry = telemetry.registry().expect("registry attached");
     let stats = sn.stats();
+    let (mut sent_total, mut lost_total) = (0, 0);
     for phase in Phase::ALL {
         // Query charges are counted by `NetStats::record_send` alone:
         // the executor emits no `MsgSent` for them, so the registry
@@ -125,23 +126,23 @@ fn net_stats_registry_and_replayed_trace_keep_the_same_ledger() {
             continue;
         }
         for node in 0..n as u32 {
-            let sent = stats.sent_in_phase(NodeId(node), phase);
-            assert_eq!(
-                registry.sent_in(node, phase),
-                sent,
-                "registry, node {node}, {phase}"
-            );
             assert_eq!(
                 replayed.sent.get(node, phase),
-                sent,
+                stats.sent_in_phase(NodeId(node), phase),
                 "replay, node {node}, {phase}"
             );
         }
         let lost = stats.phase_lost_total(phase);
-        let registry_lost: u64 = (0..n as u32).map(|v| registry.lost_in(v, phase)).sum();
-        assert_eq!(registry_lost, lost, "registry losses, {phase}");
         assert_eq!(replayed.phase_lost(phase), lost, "replayed losses, {phase}");
+        sent_total += stats.phase_total(phase);
+        lost_total += lost;
     }
+    assert_eq!(registry.counter("msg_sent"), sent_total, "registry sends");
+    assert_eq!(
+        registry.counter("msg_dropped"),
+        lost_total,
+        "registry losses"
+    );
     // The run sent in training, election and maintenance, lost
     // deliveries, and charged queries.
     for phase in [Phase::Data, Phase::Invitation, Phase::Heartbeat] {
