@@ -41,7 +41,12 @@ fn every_registered_bench_emits_valid_json() {
             line.starts_with("{\"name\":\"") && line.ends_with('}'),
             "record is not a JSON object: {line}"
         );
-        for key in ["\"median_ns\":", "\"iters\":", "\"allocs_per_iter\":"] {
+        for key in [
+            "\"median_ns\":",
+            "\"min_ns\":",
+            "\"iters\":",
+            "\"allocs_per_iter\":",
+        ] {
             assert!(line.contains(key), "record missing {key}: {line}");
         }
         // The numeric fields must parse; reject NaN/inf, which the
@@ -56,6 +61,7 @@ fn every_registered_bench_emits_valid_json() {
                 .unwrap_or_else(|e| panic!("bad number for {key} in {line}: {e}"))
         };
         assert!(field("\"median_ns\":").is_finite());
+        assert!(field("\"min_ns\":") <= field("\"median_ns\":"));
         assert!(field("\"iters\":") >= 1.0);
         assert!(field("\"allocs_per_iter\":").is_finite());
     }

@@ -13,12 +13,45 @@
 
 use crate::model::{LinearModel, SuffStats};
 use std::collections::VecDeque;
+use std::fmt;
+
+/// One cached `(x_i, x_j)` measurement pair.
+type Pair = (f64, f64);
 
 /// The cached pairs for one neighbor, oldest first.
-#[derive(Debug, Clone, Default)]
+///
+/// The pairs sit in a ring buffer: `len` pairs from `ring[head]` on,
+/// wrapping at the end. It grows as a `VecDeque` does (four slots, then
+/// doubling), and its two `u32` cursors keep a line at 72 bytes, eight
+/// fewer than a `VecDeque` of the pairs would take.
+#[derive(Default)]
 pub struct CacheLine {
-    pairs: VecDeque<(f64, f64)>,
+    ring: Box<[Pair]>,
+    head: u32,
+    len: u32,
     stats: SuffStats,
+}
+
+impl Clone for CacheLine {
+    /// A clone holds its pairs in a buffer of exactly their number, as a
+    /// cloned `VecDeque` does.
+    fn clone(&self) -> Self {
+        CacheLine {
+            ring: self.pairs().copied().collect(),
+            head: 0,
+            len: self.len,
+            stats: self.stats,
+        }
+    }
+}
+
+impl fmt::Debug for CacheLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CacheLine")
+            .field("pairs", &self.pairs().collect::<Vec<_>>())
+            .field("stats", &self.stats)
+            .finish()
+    }
 }
 
 impl CacheLine {
@@ -32,38 +65,70 @@ impl CacheLine {
     /// floating-point residue from the historical add/remove sequence.
     /// Replaying [`CacheLine::push`] would recompute the sums without
     /// that residue, so a faithful (byte-identical) restore must carry
-    /// the stats verbatim.
+    /// the stats verbatim. The deque's buffer becomes the ring, spare
+    /// capacity included, so nothing is reallocated.
     pub fn from_parts(pairs: VecDeque<(f64, f64)>, stats: SuffStats) -> Self {
-        CacheLine { pairs, stats }
+        let len = u32::try_from(pairs.len()).unwrap_or(u32::MAX);
+        let mut ring = Vec::from(pairs);
+        ring.resize(ring.capacity(), (0.0, 0.0));
+        CacheLine {
+            ring: ring.into_boxed_slice(),
+            head: 0,
+            len,
+            stats,
+        }
     }
 
     /// Number of cached pairs.
     #[inline]
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.len as usize
     }
 
     /// True when no pairs are cached.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.len == 0
+    }
+
+    /// The pairs as two runs, oldest first: from `head` toward the end
+    /// of the ring, then the part that wrapped to its start.
+    fn runs(&self) -> (&[Pair], &[Pair]) {
+        let (wrapped, from_head) = self
+            .ring
+            .split_at_checked(self.head as usize)
+            .unwrap_or_default();
+        match from_head.get(..self.len()) {
+            Some(run) => (run, &[]),
+            None => (
+                from_head,
+                wrapped
+                    .get(..self.len() - from_head.len())
+                    .unwrap_or_default(),
+            ),
+        }
     }
 
     /// The cached pairs, oldest first.
     pub fn pairs(&self) -> impl Iterator<Item = &(f64, f64)> {
-        self.pairs.iter()
+        let (first, second) = self.runs();
+        first.iter().chain(second)
     }
 
     /// The oldest pair, if any.
     #[inline]
     pub fn oldest(&self) -> Option<(f64, f64)> {
-        self.pairs.front().copied()
+        if self.is_empty() {
+            return None;
+        }
+        self.ring.get(self.head as usize).copied()
     }
 
     /// The newest pair, if any.
     #[inline]
     pub fn newest(&self) -> Option<(f64, f64)> {
-        self.pairs.back().copied()
+        let (first, second) = self.runs();
+        second.last().or(first.last()).copied()
     }
 
     /// Current sufficient statistics.
@@ -79,17 +144,44 @@ impl CacheLine {
 
     /// Append a new (most recent) pair.
     pub fn push(&mut self, x: f64, y: f64) {
-        self.pairs.push_back((x, y));
-        self.stats.add(x, y);
+        if self.len() == self.ring.len() {
+            self.grow();
+        }
+        let at = self.head as usize + self.len();
+        let at = at.checked_sub(self.ring.len()).unwrap_or(at);
+        if let Some(slot) = self.ring.get_mut(at) {
+            *slot = (x, y);
+            self.len += 1;
+            self.stats.add(x, y);
+        }
+    }
+
+    /// Double the ring (four slots at first), moving the pairs to its
+    /// start: one allocation, as a `VecDeque` takes to grow.
+    #[cold]
+    fn grow(&mut self) {
+        let capacity = (self.ring.len() * 2).max(4);
+        let mut ring = Vec::with_capacity(capacity);
+        ring.extend(self.pairs().copied());
+        ring.resize(capacity, (0.0, 0.0));
+        self.ring = ring.into_boxed_slice();
+        self.head = 0;
     }
 
     /// Remove and return the oldest pair.
     pub fn evict_oldest(&mut self) -> Option<(f64, f64)> {
-        let (x, y) = self.pairs.pop_front()?;
+        let (x, y) = self.oldest()?;
+        let next = self.head as usize + 1;
+        self.head = if next < self.ring.len() {
+            next as u32
+        } else {
+            0
+        };
+        self.len -= 1;
         self.stats.remove(x, y);
         // An emptied line has exactly-zero statistics by definition;
         // snap off any floating-point residue from the running sums.
-        if self.pairs.is_empty() {
+        if self.is_empty() {
             self.stats = SuffStats::new();
         }
         Some((x, y))
@@ -126,19 +218,26 @@ impl CacheLine {
     /// are evaluated over the full line `c'`. Always >= 0 because the
     /// full-line fit minimizes sse over the full line.
     pub fn eviction_penalty(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
+        self.model_and_penalty().1
+    }
+
+    /// The line's model together with its eviction penalty: the penalty
+    /// fits the full line on the way, so the model costs nothing more.
+    /// An empty line has the zero model and penalty 0.
+    pub(crate) fn model_and_penalty(&self) -> (LinearModel, f64) {
         let full_model = self.model();
+        if self.is_empty() {
+            return (full_model, 0.0);
+        }
         let truncated_model = self.stats_without_oldest().fit();
         let p = self.stats.benefit(&full_model) - self.stats.benefit(&truncated_model);
-        p.max(0.0)
+        (full_model, p.max(0.0))
     }
 
     /// Recompute statistics from the raw pairs (reference path used by
     /// tests to bound incremental drift).
     pub fn recomputed_stats(&self) -> SuffStats {
-        SuffStats::from_pairs(self.pairs.iter())
+        SuffStats::from_pairs(self.pairs())
     }
 }
 
@@ -243,6 +342,50 @@ mod tests {
         // dropping one pair: the refit is identical.
         let l = line_of(&[(1.0, 2.0), (2.0, 4.0), (3.0, 6.0), (4.0, 8.0)]);
         assert!(l.eviction_penalty() < 1e-9);
+    }
+
+    #[test]
+    fn the_ring_keeps_fifo_order_across_wraps_and_growth() {
+        // Against a VecDeque fed the same pushes and evictions: the
+        // ring wraps once the front has moved, and grows while wrapped.
+        let mut l = CacheLine::new();
+        let mut reference = VecDeque::new();
+        for i in 0..200u32 {
+            let p = (f64::from(i), f64::from(i) * 0.5);
+            l.push(p.0, p.1);
+            reference.push_back(p);
+            if i % 3 == 1 {
+                assert_eq!(l.evict_oldest(), reference.pop_front());
+            }
+            assert_eq!(l.len(), reference.len());
+            assert_eq!(l.oldest(), reference.front().copied());
+            assert_eq!(l.newest(), reference.back().copied());
+            assert!(l.pairs().eq(reference.iter()));
+        }
+        let c = l.clone();
+        assert!(c.pairs().eq(l.pairs()));
+        assert_eq!(c.stats(), l.stats());
+    }
+
+    #[test]
+    fn from_parts_keeps_a_wrapped_deque_in_order() {
+        let mut pairs = VecDeque::with_capacity(4);
+        for i in 0..4 {
+            pairs.push_back((f64::from(i), 1.0));
+        }
+        pairs.pop_front();
+        pairs.push_back((9.0, 1.0));
+        let stats = SuffStats::from_pairs(&pairs);
+        let mut l = CacheLine::from_parts(pairs.clone(), stats);
+        assert!(l.pairs().eq(pairs.iter()));
+        l.push(10.0, 1.0);
+        assert_eq!(l.oldest(), Some((1.0, 1.0)));
+        assert_eq!(l.newest(), Some((10.0, 1.0)));
+    }
+
+    #[test]
+    fn a_line_takes_72_bytes() {
+        assert_eq!(std::mem::size_of::<CacheLine>(), 72);
     }
 
     #[test]

@@ -112,28 +112,38 @@ pub enum CacheDecision {
     Rejected,
 }
 
-/// One cache line with its memoized eviction penalty.
-#[derive(Debug, Clone, Default)]
+/// A line with its eviction penalty and the model that penalty's
+/// computation fits on the way, both current while the cache is live.
+#[derive(Debug, Clone)]
 struct Slot {
     line: CacheLine,
-    /// The line's eviction penalty, computed lazily (the paper's
-    /// precompute optimization) and reset to `None` whenever the line
-    /// is pushed or evicted.
-    penalty: Option<f64>,
+    /// The line's eviction penalty; NaN for an empty line, which no
+    /// comparison lets become a victim.
+    penalty: f64,
+    /// The fit of the whole line: the next decision's current model.
+    model: LinearModel,
 }
 
 /// The per-node cache of neighbor observations.
 ///
 /// Lines live in one flat layout in key order: `keys` is a dense,
 /// strictly ascending array used only for lookups, and `slots` holds
-/// each key's line and penalty memo at the same index. A victim search
-/// is one pass over the slots; a slot is inserted or removed only when
-/// a line appears or empties.
+/// each key's line at the same index. A key and a slot are inserted or
+/// removed only when a line appears or empties. Once the cache first
+/// needs a victim it is *live*: every slot's penalty and fit are
+/// computed, and from then on every push and evict brings its slot's
+/// two up to date, so a victim search is one pass that reads each
+/// slot's penalty and computes nothing.
 #[derive(Debug, Clone)]
 pub struct ModelCache {
     config: CacheConfig,
     keys: Vec<LineKey>,
     slots: Vec<Slot>,
+    /// Whether penalties and fits are current (see above).
+    live: bool,
+    /// Where the next lookup looks first: the slot after the line the
+    /// last observation went to.
+    hint: usize,
     /// Round-robin rotation state for newcomer victims / the
     /// round-robin baseline policy: the key *after* which the search
     /// for the next victim line starts.
@@ -148,6 +158,8 @@ impl ModelCache {
             config,
             keys: Vec::new(),
             slots: Vec::new(),
+            live: false,
+            hint: 0,
             rr_after: None,
             total_pairs: 0,
         }
@@ -158,10 +170,10 @@ impl ModelCache {
     /// [`CacheLine::from_parts`]) in key order, as [`ModelCache::lines`]
     /// yields it, plus the round-robin rotation marker. A line out of
     /// order is sorted into place and a repeated key keeps its last
-    /// line; empty lines are kept. The penalty memo is restored empty —
-    /// entries are reset on every line mutation, so a memoized penalty
-    /// always equals a pure recompute from current line state and
-    /// carries no history.
+    /// line; empty lines are kept. The cache is restored not live: a
+    /// live penalty or fit always equals a recompute from its line's
+    /// current state and carries no history, so the next victim search
+    /// computes them.
     pub fn from_parts(
         config: CacheConfig,
         lines: impl IntoIterator<Item = (LineKey, CacheLine)>,
@@ -169,17 +181,13 @@ impl ModelCache {
     ) -> Self {
         let lines = lines.into_iter();
         let mut cache = ModelCache {
-            config,
             keys: Vec::with_capacity(lines.size_hint().0),
             slots: Vec::with_capacity(lines.size_hint().0),
             rr_after,
-            total_pairs: 0,
+            ..ModelCache::new(config)
         };
         for (key, line) in lines {
-            let slot = Slot {
-                line,
-                penalty: None,
-            };
+            let slot = Slot::new(line);
             // Lines in key order, the normal case, append.
             let at = match cache.keys.last() {
                 Some(&last) if last >= key => cache.find(key),
@@ -202,14 +210,26 @@ impl ModelCache {
     }
 
     /// Where `key` is in `keys` (`Ok`), or where it would be inserted
-    /// to keep them ascending (`Err`). A node caches a few dozen lines,
-    /// and over so few keys a scan that stops at the first key not
-    /// below `key` is faster than a binary search.
+    /// to keep them ascending (`Err`): the first key not below `key`. A
+    /// node caches a few dozen lines, and over so few keys a scan beats
+    /// a binary search. A delivery round hands a node its neighbours'
+    /// messages in ascending sender order, so the scan starts at
+    /// `hint`, the slot after the last observed line, whenever the key
+    /// before that slot is below `key`: then so is every key before
+    /// it. The next sender is usually the key at `hint` (one compare),
+    /// a lost message skips a slot or two, and a new last line is
+    /// appended at once. When the order breaks the scan starts from the
+    /// first key, as it would without a hint.
     #[inline]
     fn find(&self, key: LineKey) -> Result<usize, usize> {
-        match self.keys.iter().enumerate().find(|&(_, &k)| k >= key) {
-            Some((i, &k)) if k == key => Ok(i),
-            Some((i, _)) => Err(i),
+        let from = match self.hint.checked_sub(1).and_then(|i| self.keys.get(i)) {
+            Some(&before) if before < key => self.hint,
+            _ => 0,
+        };
+        let rest = self.keys.get(from..).unwrap_or_default();
+        match rest.iter().enumerate().find(|&(_, &k)| k >= key) {
+            Some((i, &k)) if k == key => Ok(from + i),
+            Some((i, _)) => Err(from + i),
             None => Err(self.keys.len()),
         }
     }
@@ -299,7 +319,8 @@ impl ModelCache {
     /// Process a new observation of any line key: this node measured
     /// `x_own` while hearing the value `x_j` for that key. All
     /// measurements of all neighbors compete for the same byte budget
-    /// under the same model-aware policy.
+    /// under the same model-aware policy. The key is looked up once;
+    /// the eviction and the push that follow reuse its index.
     pub fn observe_measurement(
         &mut self,
         key: impl Into<LineKey>,
@@ -310,22 +331,32 @@ impl ModelCache {
         if self.config.capacity_pairs() == 0 {
             return CacheDecision::Rejected;
         }
+        let at = self.find(key);
+        self.hint = match at {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        };
         if !self.is_full() {
-            self.push_pair(key, x_own, x_j);
+            self.push_at(at, key, x_own, x_j);
             return CacheDecision::Inserted;
         }
         match self.config.policy {
-            CachePolicy::RoundRobin => self.observe_round_robin(key, x_own, x_j),
-            CachePolicy::ModelAware => self.observe_model_aware(key, x_own, x_j),
+            CachePolicy::RoundRobin => self.observe_round_robin(at, key, x_own, x_j),
+            CachePolicy::ModelAware => self.observe_model_aware(at, key, x_own, x_j),
         }
     }
 
     /// Baseline policy: always admit, evicting round-robin.
-    fn observe_round_robin(&mut self, j: LineKey, x: f64, y: f64) -> CacheDecision {
-        match self.next_rr_victim(None) {
-            Some(victim) => {
-                self.evict_oldest_of(victim);
-                self.push_pair(j, x, y);
+    fn observe_round_robin(
+        &mut self,
+        at: Result<usize, usize>,
+        j: LineKey,
+        x: f64,
+        y: f64,
+    ) -> CacheDecision {
+        match self.next_rr_victim() {
+            Some(v) => {
+                let victim = self.move_pair(v, at, j, x, y);
                 if victim == j {
                     CacheDecision::TimeShifted
                 } else {
@@ -337,25 +368,32 @@ impl ModelCache {
     }
 
     /// The paper's model-aware admission algorithm.
-    fn observe_model_aware(&mut self, j: LineKey, x: f64, y: f64) -> CacheDecision {
-        let Some(line) = self.line_for(j).filter(|l| !l.is_empty()) else {
+    fn observe_model_aware(
+        &mut self,
+        at: Result<usize, usize>,
+        j: LineKey,
+        x: f64,
+        y: f64,
+    ) -> CacheDecision {
+        let Some((ji, slot)) = at
+            .ok()
+            .and_then(|i| Some((i, self.slots.get(i)?)))
+            .filter(|(_, s)| !s.line.is_empty())
+        else {
             // Newcomer: round-robin victim "among all the available
             // cache lines" (never the newcomer's own empty line).
-            return match self.next_rr_victim(Some(j)) {
-                Some(victim) => {
-                    self.evict_oldest_of(victim);
-                    self.push_pair(j, x, y);
-                    CacheDecision::NewcomerEvicting(victim)
-                }
+            return match self.next_rr_victim() {
+                Some(v) => CacheDecision::NewcomerEvicting(self.move_pair(v, at, j, x, y)),
                 None => CacheDecision::Rejected,
             };
         };
+        let line = &slot.line;
 
         // All three candidate models are *evaluated* on c_aug — every
         // known observation of x_j including the new one — because the
         // model must serve future estimates, not relive the past.
         let c_aug = line.stats_augmented(x, y);
-        let model_cur = line.model();
+        let model_cur = if self.live { slot.model } else { line.model() };
         let model_shift = line.stats_shifted(x, y).fit();
         let model_aug = c_aug.fit();
 
@@ -368,97 +406,156 @@ impl ModelCache {
             return CacheDecision::Rejected;
         }
         if b_shift >= b_aug {
-            self.evict_oldest_of(j);
-            self.push_pair(j, x, y);
+            self.move_pair(ji, at, j, x, y);
             return CacheDecision::TimeShifted;
         }
 
         // Augmenting wins; look for the cheapest victim elsewhere.
         let gain_augment = b_aug - b_shift;
-        if let Some(victim) = self.cheapest_victim(j, gain_augment) {
-            self.evict_oldest_of(victim);
-            self.push_pair(j, x, y);
-            return CacheDecision::AdmittedEvicting(victim);
+        if let Some(v) = self.cheapest_victim(ji, gain_augment) {
+            return CacheDecision::AdmittedEvicting(self.move_pair(v, at, j, x, y));
         }
 
         // No victim is cheap enough; fall back to the next-best local
         // action.
         if b_shift > b_cur {
-            self.evict_oldest_of(j);
-            self.push_pair(j, x, y);
+            self.move_pair(ji, at, j, x, y);
             CacheDecision::TimeShifted
         } else {
             CacheDecision::Rejected
         }
     }
 
-    /// The line (≠ `j`) with the smallest eviction penalty strictly
-    /// below `gain`, if any: one pass over the slots, computing and
-    /// memoizing each penalty the first time it is needed.
-    fn cheapest_victim(&mut self, j: LineKey, gain: f64) -> Option<LineKey> {
-        let mut best: Option<(f64, LineKey)> = None;
-        for (&key, slot) in self.keys.iter().zip(self.slots.iter_mut()) {
-            if key == j || slot.line.is_empty() {
-                continue;
-            }
-            let p = *slot
-                .penalty
-                .get_or_insert_with(|| slot.line.eviction_penalty());
-            if p < gain && best.is_none_or(|(bp, _)| p < bp) {
-                best = Some((p, key));
+    /// The line other than the one at `ji` with the smallest eviction
+    /// penalty strictly below `gain`, if any: one pass over the slots,
+    /// after the first search has made the cache live. On a tie the
+    /// first, lowest key wins; an empty line's NaN never does.
+    fn cheapest_victim(&mut self, ji: usize, gain: f64) -> Option<usize> {
+        if !self.live {
+            self.live = true;
+            for i in 0..self.slots.len() {
+                self.refresh(i);
             }
         }
-        best.map(|(_, key)| key)
+        let mut best = None;
+        let mut bound = gain;
+        for (i, slot) in self.slots.iter().enumerate() {
+            if slot.penalty < bound && i != ji {
+                bound = slot.penalty;
+                best = Some(i);
+            }
+        }
+        best
     }
 
-    /// Next victim for round-robin rotation: the first line after
-    /// `rr_after` (cyclically, in id order) that has pairs and is not
-    /// `exclude`.
-    fn next_rr_victim(&mut self, exclude: Option<LineKey>) -> Option<LineKey> {
+    /// Bring the live penalty and fit of the line at `i` up to date.
+    fn refresh(&mut self, i: usize) {
+        if let Some(slot) = self.slots.get_mut(i) {
+            let (model, penalty) = slot.line.model_and_penalty();
+            slot.penalty = if slot.line.is_empty() {
+                f64::NAN
+            } else {
+                penalty
+            };
+            slot.model = model;
+        }
+    }
+
+    /// Next victim for round-robin rotation: the index of the first
+    /// line after `rr_after` (cyclically, in key order) that has pairs.
+    /// A newcomer's own line is absent or empty, so never chosen.
+    fn next_rr_victim(&mut self) -> Option<usize> {
         let mut eligible = self
             .keys
             .iter()
             .zip(&self.slots)
-            .filter(|(&key, slot)| !slot.line.is_empty() && Some(key) != exclude)
-            .map(|(&key, _)| key);
+            .enumerate()
+            .filter(|(_, (_, slot))| !slot.line.is_empty())
+            .map(|(i, (&key, _))| (i, key));
         let first = eligible.next()?;
-        let victim = match self.rr_after {
-            Some(after) if first <= after => eligible.find(|&key| key > after).unwrap_or(first),
+        let (v, victim) = match self.rr_after {
+            Some(after) if first.1 <= after => {
+                eligible.find(|&(_, key)| key > after).unwrap_or(first)
+            }
             _ => first,
         };
         self.rr_after = Some(victim);
-        Some(victim)
+        Some(v)
     }
 
-    fn push_pair(&mut self, j: LineKey, x: f64, y: f64) {
-        let i = match self.find(j) {
+    /// Move one pair of the budget to `j`, whose lookup gave `at`: evict
+    /// the oldest pair of the line at `v` (`j`'s own for a time shift),
+    /// then push `(x, y)` to `j`'s line. Returns the key of `v`.
+    fn move_pair(
+        &mut self,
+        v: usize,
+        at: Result<usize, usize>,
+        j: LineKey,
+        x: f64,
+        y: f64,
+    ) -> LineKey {
+        let victim = self.keys.get(v).copied().unwrap_or(j);
+        let at = self.evict_at(v, at);
+        self.push_at(at, j, x, y);
+        victim
+    }
+
+    /// Push `(x, y)` to `key`'s line, which the lookup found at `at`,
+    /// inserting the line there when it is new.
+    fn push_at(&mut self, at: Result<usize, usize>, key: LineKey, x: f64, y: f64) {
+        let i = match at {
             Ok(i) => i,
             Err(i) => {
-                self.keys.insert(i, j);
-                self.slots.insert(i, Slot::default());
+                self.keys.insert(i, key);
+                self.slots.insert(i, Slot::new(CacheLine::new()));
                 i
             }
         };
         if let Some(slot) = self.slots.get_mut(i) {
             slot.line.push(x, y);
-            slot.penalty = None;
             self.total_pairs += 1;
+            if self.live {
+                self.refresh(i);
+            }
         }
+        self.hint = i + 1;
     }
 
-    fn evict_oldest_of(&mut self, id: LineKey) {
-        let Ok(i) = self.find(id) else { return };
-        let Some(slot) = self.slots.get_mut(i) else {
-            return;
+    /// Evict the oldest pair of the line at `v`, removing the line when
+    /// it empties, and return `at`, a lookup result for another key, as
+    /// it reads afterwards.
+    fn evict_at(&mut self, v: usize, at: Result<usize, usize>) -> Result<usize, usize> {
+        let Some(slot) = self.slots.get_mut(v) else {
+            return at;
         };
         if slot.line.evict_oldest().is_some() {
             self.total_pairs -= 1;
         }
-        if slot.line.is_empty() {
-            self.keys.remove(i);
-            self.slots.remove(i);
-        } else {
-            slot.penalty = None;
+        if !slot.line.is_empty() {
+            if self.live {
+                self.refresh(v);
+            }
+            return at;
+        }
+        self.keys.remove(v);
+        self.slots.remove(v);
+        match at {
+            Ok(i) if i == v => Err(i),
+            Ok(i) if i > v => Ok(i - 1),
+            Err(i) if i > v => Err(i - 1),
+            at => at,
+        }
+    }
+}
+
+impl Slot {
+    /// A slot for `line`; its penalty and fit are set when the cache is
+    /// live.
+    fn new(line: CacheLine) -> Self {
+        Slot {
+            line,
+            penalty: f64::NAN,
+            model: LinearModel::constant(0.0),
         }
     }
 }
@@ -698,6 +795,38 @@ mod tests {
         assert_eq!(c.populated_lines(), 2);
         assert!(c.line(NodeId(2)).is_some_and(CacheLine::is_empty));
         assert!(c.model_for(NodeId(2)).is_none());
+    }
+
+    #[test]
+    fn a_cached_line_costs_the_layout_104_bytes() {
+        // A key, and a line with its penalty and fit: no more than a key
+        // and a line with a memo `Option<f64>` took before.
+        use std::mem::size_of;
+        assert_eq!(size_of::<LineKey>() + size_of::<Slot>(), 104);
+    }
+
+    #[test]
+    fn a_lookup_starts_at_the_hint_only_when_the_key_before_it_is_below() {
+        let mut c = cache(1024, CachePolicy::ModelAware);
+        for n in [2, 4, 6, 8] {
+            c.observe(NodeId(n), 1.0, 1.0);
+        }
+        let find = |c: &ModelCache, n| c.find(NodeId(n).into());
+        // The hint is past the end, after 8: a larger key appends at
+        // once, a smaller one is scanned for from the start.
+        assert_eq!(c.hint, 4);
+        assert_eq!(find(&c, 9), Err(4));
+        for (n, expect) in [(4, Ok(1)), (5, Err(2)), (1, Err(0)), (8, Ok(3))] {
+            assert_eq!(find(&c, n), expect, "key {n}");
+        }
+        // The hint at 6, after 4: a hit, a gap, a newcomer's slot, and
+        // keys at or below 4 found by the scan from the start.
+        c.hint = 2;
+        for (n, expect) in [(6, Ok(2)), (8, Ok(3)), (5, Err(2)), (4, Ok(1)), (2, Ok(0))] {
+            assert_eq!(find(&c, n), expect, "key {n}");
+        }
+        c.hint = 99;
+        assert_eq!(find(&c, 6), Ok(2), "a hint out of range");
     }
 
     #[test]

@@ -138,9 +138,10 @@ impl CheckpointState {
 
     /// Structural validation: every per-node vector has the same
     /// length, ids stay in range, each node's cache lines are in
-    /// strictly ascending key order (as extraction writes them), and
-    /// each line's statistics count matches its pair count. Decoded
-    /// store data must pass here before any index-based access.
+    /// strictly ascending key order (as extraction writes them), each
+    /// line's statistics count matches its pair count, and no node
+    /// caches more pairs than the byte budget allows. Decoded store
+    /// data must pass here before any index-based access.
     pub fn validate(&self) -> Result<(), CoreError> {
         let n = self.nodes.len();
         if n == 0 {
@@ -163,7 +164,7 @@ impl CheckpointState {
             });
         }
         validate_neighbors(n, &self.neighbors)?;
-        validate_nodes(n, &self.nodes)
+        validate_nodes(n, self.cache_config().capacity_pairs(), &self.nodes)
     }
 
     /// Compute the quality summary. Index-safe on malformed data
@@ -235,9 +236,11 @@ fn validate_neighbors(n: usize, neighbors: &[Vec<u32>]) -> Result<(), CoreError>
 }
 
 /// Every node record must name nodes in range, keep its cache lines in
-/// strictly ascending key order, and count each line's pairs in its
-/// statistics.
-fn validate_nodes(n: usize, nodes: &[NodeCheckpoint]) -> Result<(), CoreError> {
+/// strictly ascending key order, count each line's pairs in its
+/// statistics, and hold at most `capacity` pairs: a full cache swaps
+/// one pair for one, so a cache restored over its budget would stay
+/// over it.
+fn validate_nodes(n: usize, capacity: usize, nodes: &[NodeCheckpoint]) -> Result<(), CoreError> {
     let in_range = |id: u32| (id as usize) < n;
     let key = |lc: &LineCheckpoint| (lc.node, lc.measurement);
     for nc in nodes {
@@ -269,6 +272,11 @@ fn validate_nodes(n: usize, nodes: &[NodeCheckpoint]) -> Result<(), CoreError> {
                     detail: "cache-line statistics disagree with pair count",
                 });
             }
+        }
+        if nc.lines.iter().map(|lc| lc.pairs.len()).sum::<usize>() > capacity {
+            return Err(CoreError::InvalidCheckpoint {
+                detail: "cache holds more pairs than its byte budget allows",
+            });
         }
     }
     Ok(())
@@ -484,7 +492,7 @@ impl FrozenCheckpoint {
         let nodes = match child.nodes {
             None => Arc::clone(&self.nodes),
             Some(records) => {
-                validate_nodes(n, records)?;
+                validate_nodes(n, self.cache.capacity_pairs(), records)?;
                 rehydrate_nodes(records, self.cache)
             }
         };
@@ -791,6 +799,47 @@ mod tests {
             bad.validate(),
             Err(CoreError::InvalidCheckpoint { .. })
         ));
+
+        // A cache over its byte budget: the node with the most pairs
+        // against a budget of one pair fewer.
+        let (node, most) = good
+            .nodes
+            .iter()
+            .map(|n| n.lines.iter().map(|l| l.pairs.len()).sum::<usize>())
+            .enumerate()
+            .max_by_key(|&(_, pairs)| pairs)
+            .expect("the deployment has nodes");
+        let mut bad = good.clone();
+        bad.budget_bytes = (most as u64 - 1) * bad.pair_bytes;
+        assert_eq!(
+            bad.validate(),
+            Err(CoreError::InvalidCheckpoint {
+                detail: "cache holds more pairs than its byte budget allows",
+            })
+        );
+        bad.budget_bytes = most as u64 * bad.pair_bytes;
+        assert_eq!(
+            bad.validate(),
+            Ok(()),
+            "a cache exactly at its budget is valid"
+        );
+        // A delta's node records are held to the parent image's budget.
+        let mut tight = good.clone();
+        tight.budget_bytes = most as u64 * tight.pair_bytes;
+        let parent = FrozenCheckpoint::new(&tight).expect("at budget");
+        let mut records = good.nodes.clone();
+        records[node].lines[0].pairs.push((0.0, 0.0));
+        records[node].lines[0].stats.n += 1;
+        let err = parent
+            .derive(&ChildParts {
+                tick: good.tick,
+                values: &good.values,
+                alive: None,
+                topology: None,
+                nodes: Some(&records),
+            })
+            .expect_err("a record over the budget is refused");
+        assert!(matches!(err, CoreError::InvalidCheckpoint { .. }));
 
         // quality() on malformed data must not panic.
         let mut bad = good;

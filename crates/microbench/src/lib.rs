@@ -6,7 +6,10 @@
 //! so the bench files read identically while building offline with no
 //! external crates. Timing methodology is deliberately simple: a short
 //! warm-up, then `sample_size` samples of an adaptively chosen
-//! iteration count, reporting the median per-iteration time.
+//! iteration count, reporting the median and the minimum
+//! per-iteration time. A ms-scale bench runs one iteration per sample,
+//! so its median moves with whatever else the host runs; the minimum,
+//! the run least disturbed, is the steadier reading.
 
 #![warn(missing_docs)]
 
@@ -193,17 +196,24 @@ impl Bencher {
         self.allocs_per_iter = allocs as f64 / (self.sample_size.max(1)) as f64;
     }
 
-    fn median_ns_per_iter(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
+    /// The samples' per-iteration times, ascending.
+    fn sorted_ns_per_iter(&self) -> Vec<f64> {
         let mut ns: Vec<f64> = self
             .samples
             .iter()
             .map(|d| d.as_nanos() as f64 / self.iters_per_sample as f64)
             .collect();
         ns.sort_by(|a, b| a.total_cmp(b));
-        ns[ns.len() / 2]
+        ns
+    }
+
+    fn median_ns_per_iter(&self) -> f64 {
+        let ns = self.sorted_ns_per_iter();
+        ns.get(ns.len() / 2).copied().unwrap_or(0.0)
+    }
+
+    fn min_ns_per_iter(&self) -> f64 {
+        self.sorted_ns_per_iter().first().copied().unwrap_or(0.0)
     }
 }
 
@@ -221,12 +231,12 @@ fn human_time(ns: f64) -> String {
 
 /// When the `MICROBENCH_JSON` environment variable names a file,
 /// append one machine-readable line per benchmark:
-/// `{"name":"...","median_ns":...,"iters":...,"allocs_per_iter":...}`.
+/// `{"name":"...","median_ns":...,"min_ns":...,"iters":...,"allocs_per_iter":...}`.
 /// CI compares these against the committed `BENCH_baseline.json` with
 /// `cargo xtask benchcmp` (allocation counts gate hard, wall-clock is
 /// advisory); failures to write are silently ignored (benchmarks
 /// still print to stdout).
-fn append_json_record(label: &str, median_ns: f64, iters: u64, allocs_per_iter: f64) {
+fn append_json_record(label: &str, median_ns: f64, min_ns: f64, iters: u64, allocs_per_iter: f64) {
     let Ok(path) = std::env::var("MICROBENCH_JSON") else {
         return;
     };
@@ -241,8 +251,8 @@ fn append_json_record(label: &str, median_ns: f64, iters: u64, allocs_per_iter: 
         })
         .collect();
     let line = format!(
-        "{{\"name\":\"{escaped}\",\"median_ns\":{median_ns:?},\"iters\":{iters},\
-         \"allocs_per_iter\":{allocs_per_iter:?}}}\n"
+        "{{\"name\":\"{escaped}\",\"median_ns\":{median_ns:?},\"min_ns\":{min_ns:?},\
+         \"iters\":{iters},\"allocs_per_iter\":{allocs_per_iter:?}}}\n"
     );
     use std::io::Write as _;
     if let Ok(mut f) = std::fs::OpenOptions::new()
@@ -278,12 +288,20 @@ impl Criterion {
         let mut b = Bencher::new(self.sample_size);
         f(&mut b);
         let median_ns = b.median_ns_per_iter();
+        let min_ns = b.min_ns_per_iter();
         println!(
-            "{label:<40} {:>12}/iter {:>10.1} allocs/iter",
+            "{label:<40} {:>12}/iter (min {:>10}) {:>10.1} allocs/iter",
             human_time(median_ns),
+            human_time(min_ns),
             b.allocs_per_iter
         );
-        append_json_record(label, median_ns, b.iters_per_sample, b.allocs_per_iter);
+        append_json_record(
+            label,
+            median_ns,
+            min_ns,
+            b.iters_per_sample,
+            b.allocs_per_iter,
+        );
     }
 
     /// Register and immediately run one benchmark.
@@ -410,6 +428,16 @@ mod tests {
     }
 
     #[test]
+    fn the_minimum_is_the_fastest_sample_and_never_above_the_median() {
+        let mut b = Bencher::new(0);
+        assert_eq!((b.median_ns_per_iter(), b.min_ns_per_iter()), (0.0, 0.0));
+        b.iters_per_sample = 2;
+        b.samples = [40, 10, 30, 20, 50].map(Duration::from_nanos).to_vec();
+        assert_eq!(b.min_ns_per_iter(), 5.0);
+        assert_eq!(b.median_ns_per_iter(), 15.0);
+    }
+
+    #[test]
     fn benchmark_id_formats_label() {
         assert_eq!(BenchmarkId::new("fit", 64).to_string(), "fit/64");
     }
@@ -430,6 +458,7 @@ mod tests {
             .find(|l| l.contains("\"json_probe\""))
             .expect("record for the benchmark");
         assert!(line.starts_with("{\"name\":\"json_probe\",\"median_ns\":"));
+        assert!(line.contains("\"min_ns\":"));
         assert!(line.contains("\"iters\":"));
         assert!(line.contains("\"allocs_per_iter\":"));
         assert!(line.ends_with('}'));

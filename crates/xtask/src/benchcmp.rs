@@ -2,9 +2,9 @@
 //! gate on regressions.
 //!
 //! The microbench harness (crates/microbench) appends one JSON object
-//! per benchmark: `{"name":"...","median_ns":...,"iters":...,
-//! "allocs_per_iter":...}`. This module diffs a committed baseline
-//! against a fresh run:
+//! per benchmark: `{"name":"...","median_ns":...,"min_ns":...,
+//! "iters":...,"allocs_per_iter":...}`. This module diffs a committed
+//! baseline against a fresh run:
 //!
 //! - **`allocs_per_iter` gates hard.** Allocation counts are
 //!   deterministic — independent of CPU load, frequency scaling or the
@@ -12,9 +12,12 @@
 //!   the comparison. A baseline of exactly 0 is a contract: the
 //!   current run must also be 0 (the deliver-path "zero per-envelope
 //!   heap allocation" invariant from DESIGN.md §12).
-//! - **`median_ns` is advisory.** Wall-clock on shared CI runners is
+//! - **Wall-clock is advisory.** Wall-clock on shared CI runners is
 //!   noisy; regressions beyond the tolerance are reported as warnings
-//!   only and never affect the exit status.
+//!   only and never affect the exit status. The check compares minima
+//!   when both records carry `min_ns`, medians otherwise: a ms-scale
+//!   bench takes one iteration per sample, and its median swings with
+//!   the host far more than its fastest sample does.
 //! - **A baseline bench missing from the current run fails** — the
 //!   gate must not silently shrink. New benches in the current run are
 //!   reported informationally (commit a refreshed baseline to adopt
@@ -29,6 +32,8 @@ pub struct BenchRecord {
     pub name: String,
     /// Median wall-clock nanoseconds per iteration.
     pub median_ns: f64,
+    /// Fastest sample's nanoseconds per iteration, when recorded.
+    pub min_ns: Option<f64>,
     /// Heap allocations per iteration (deterministic).
     pub allocs_per_iter: f64,
 }
@@ -115,15 +120,16 @@ pub fn parse_records(contents: &str) -> Vec<BenchRecord> {
         ) else {
             continue;
         };
-        if let Some(existing) = records.iter_mut().find(|r| r.name == name) {
-            existing.median_ns = median_ns;
-            existing.allocs_per_iter = allocs_per_iter;
+        let record = BenchRecord {
+            name,
+            median_ns,
+            min_ns: find_number(line, "min_ns"),
+            allocs_per_iter,
+        };
+        if let Some(existing) = records.iter_mut().find(|r| r.name == record.name) {
+            *existing = record;
         } else {
-            records.push(BenchRecord {
-                name,
-                median_ns,
-                allocs_per_iter,
-            });
+            records.push(record);
         }
     }
     records
@@ -157,21 +163,25 @@ pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord], tolerance: f64
             ));
         }
         // Wall-clock is advisory on shared runners.
-        if cur.median_ns > base.median_ns * (1.0 + tolerance) {
+        let (what, base_ns, cur_ns) = match (base.min_ns, cur.min_ns) {
+            (Some(base_min), Some(cur_min)) => ("min", base_min, cur_min),
+            _ => ("median", base.median_ns, cur.median_ns),
+        };
+        if cur_ns > base_ns * (1.0 + tolerance) {
             report.warnings.push(format!(
-                "{}: median {:.0} ns is {:+.1}% vs baseline {:.0} ns (advisory)",
+                "{}: {what} {:.0} ns is {:+.1}% vs baseline {:.0} ns (advisory)",
                 base.name,
-                cur.median_ns,
-                (cur.median_ns / base.median_ns - 1.0) * 100.0,
-                base.median_ns
+                cur_ns,
+                (cur_ns / base_ns - 1.0) * 100.0,
+                base_ns
             ));
-        } else if cur.median_ns < base.median_ns * (1.0 - tolerance) {
+        } else if cur_ns < base_ns * (1.0 - tolerance) {
             report.notes.push(format!(
-                "{}: median improved {:.1}% ({:.0} ns -> {:.0} ns); consider refreshing the baseline",
+                "{}: {what} improved {:.1}% ({:.0} ns -> {:.0} ns); consider refreshing the baseline",
                 base.name,
-                (1.0 - cur.median_ns / base.median_ns) * 100.0,
-                base.median_ns,
-                cur.median_ns
+                (1.0 - cur_ns / base_ns) * 100.0,
+                base_ns,
+                cur_ns
             ));
         }
     }
@@ -194,7 +204,15 @@ mod tests {
         BenchRecord {
             name: name.to_owned(),
             median_ns,
+            min_ns: None,
             allocs_per_iter: allocs,
+        }
+    }
+
+    fn timed(name: &str, median_ns: f64, min_ns: f64) -> BenchRecord {
+        BenchRecord {
+            min_ns: Some(min_ns),
+            ..rec(name, median_ns, 1.0)
         }
     }
 
@@ -210,6 +228,43 @@ mod tests {
         assert_eq!(records[0].allocs_per_iter, 0.0);
         assert_eq!(records[1].name, "model_fit/32");
         assert_eq!(records[1].median_ns, 1234.5);
+        assert_eq!(records[1].min_ns, None);
+    }
+
+    #[test]
+    fn parses_the_minimum_when_a_record_carries_it() {
+        let text = "{\"name\":\"query_batch_5k\",\"median_ns\":1740000.0,\"min_ns\":1060000.5,\"iters\":1,\"allocs_per_iter\":12.0}\n";
+        let records = parse_records(text);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].median_ns, 1740000.0);
+        assert_eq!(records[0].min_ns, Some(1060000.5));
+        assert_eq!(records[0].allocs_per_iter, 12.0);
+    }
+
+    #[test]
+    fn timing_compares_minima_when_both_records_have_them() {
+        // The median swings 60 % while the fastest sample holds: no
+        // warning, because both sides carry a minimum.
+        let base = [timed("a", 1000.0, 900.0)];
+        let report = compare(&base, &[timed("a", 1600.0, 920.0)], 0.15);
+        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+        // A slower minimum warns, whatever the medians say.
+        let report = compare(&base, &[timed("a", 1000.0, 1200.0)], 0.15);
+        assert_eq!(report.warnings.len(), 1);
+        assert!(report.warnings[0].contains("min 1200 ns"));
+        // And a faster one notes an improvement.
+        let report = compare(&base, &[timed("a", 1000.0, 500.0)], 0.15);
+        assert!(report.notes[0].contains("min improved"));
+        assert!(!report.failed());
+    }
+
+    #[test]
+    fn timing_falls_back_to_medians_when_either_side_lacks_a_minimum() {
+        let report = compare(&[rec("a", 1000.0, 1.0)], &[timed("a", 1600.0, 900.0)], 0.15);
+        assert_eq!(report.warnings.len(), 1);
+        assert!(report.warnings[0].contains("median 1600 ns"));
+        let report = compare(&[timed("a", 1000.0, 900.0)], &[rec("a", 1100.0, 1.0)], 0.15);
+        assert!(report.warnings.is_empty());
     }
 
     #[test]

@@ -37,8 +37,9 @@ dynamically-gated cold path with `// xtask-contract(alloc_cold): reason`.
 benchcmp compares two MICROBENCH_JSON files (one JSON record per
 bench). Deterministic allocation counters gate hard beyond the
 tolerance (default 0.15; a baseline of 0 allocs admits only 0);
-wall-clock medians are advisory warnings only. A baseline bench
-missing from the current file fails the gate.";
+wall-clock is advisory, warnings only: it compares minima when both
+records carry min_ns, medians otherwise. A baseline bench missing
+from the current file fails the gate.";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);

@@ -2,11 +2,13 @@
 //!
 //! `ModelCache` keeps its lines in one flat layout in key order — a
 //! dense key array for lookups and a parallel array of slots, each a
-//! line with its memoized eviction penalty — and finds victims in one
-//! pass. This suite holds it to a reference written the direct way:
-//! the same admission algorithm over a `BTreeMap` of lines and a
-//! `BTreeMap` of memoized penalties, collecting the candidate lines
-//! afresh for every victim search.
+//! line with its eviction penalty and fit, kept current once the cache
+//! first needs a victim — looks each observed key up once, starting
+//! after the last one, and finds victims in one pass. This suite holds
+//! it to a reference written the direct way: the same admission
+//! algorithm over a `BTreeMap` of lines and a `BTreeMap` of lazily
+//! memoized penalties, collecting the candidate lines afresh for every
+//! victim search.
 //!
 //! Seeded random observation streams cover both policies, budgets from
 //! zero pairs up to 256 (including one pair per line), 1–60 neighbours
@@ -18,6 +20,11 @@
 //! After every observation the decision, the pair count, the
 //! round-robin marker and every line's key, pairs and statistics must
 //! match the reference bit for bit.
+//!
+//! A second set of streams has the shape training gives them: rounds
+//! of ascending sweeps over the neighbours with lost messages,
+//! newcomers joining mid-sweep and a few out-of-order repeats, so the
+//! lookup's start after the last key is both hit and missed.
 
 use snapshot_queries::core::cache::CacheLine;
 use snapshot_queries::core::{
@@ -378,6 +385,130 @@ fn flat_cache_matches_the_reference_bit_for_bit() {
     }
     // The comparison proves something only if the streams reach every
     // branch of the admission algorithm.
+    for k in ["inserted", "admitted", "newcomer", "shifted", "rejected"] {
+        assert!(
+            seen.get(k).is_some_and(|&n| n > 0),
+            "no {k} decision in {seen:?}"
+        );
+    }
+}
+
+/// Run one stream shaped like training's delivery rounds and compare
+/// after every observation. Each round is an ascending sweep over the
+/// neighbours, as a node drains its inbox: a lossy link drops a
+/// neighbour's message (a gap), some neighbours first appear mid-run
+/// (newcomers in the middle of a sweep), every heard neighbour brings
+/// each of its measurements, and the node's own reading is fixed for
+/// the round. One round in eight repeats a few earlier senders after
+/// the sweep, out of order. Between rounds both caches go through the
+/// `lines()` → `from_parts` round trip now and then, and tight budgets
+/// empty lines that later sweeps revisit.
+fn run_delivery_stream(
+    policy: CachePolicy,
+    budget_bytes: usize,
+    values: Values,
+    seed: u64,
+    seen: &mut BTreeMap<&'static str, usize>,
+) {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let neighbours = rng.random_range(2..=40u32);
+    let measurements = rng.random_range(1..=3u32);
+    let loss = rng.random_range(0..5u32) as f64 * 0.1;
+    // The round each neighbour is first heard in: most from the start,
+    // some later, so they arrive as newcomers in the middle of a sweep.
+    let joins: Vec<usize> = (0..neighbours)
+        .map(|_| {
+            if rng.random_bool(0.2) {
+                rng.random_range(1..12usize)
+            } else {
+                0
+            }
+        })
+        .collect();
+    let keys: Vec<LineKey> = (0..neighbours)
+        .flat_map(|n| (0..measurements).map(move |m| (NodeId(n), MeasurementId(m as u8)).into()))
+        .collect();
+    let relation: Vec<(f64, f64)> = keys
+        .iter()
+        .map(|_| {
+            (
+                rng.random_range(0..5u32) as f64 - 2.0,
+                rng.random_range(0..21u32) as f64,
+            )
+        })
+        .collect();
+    let config = CacheConfig {
+        budget_bytes,
+        pair_bytes: 8,
+        policy,
+    };
+    let mut cache = ModelCache::new(config);
+    let mut reference = ReferenceCache::new(config);
+    for round in 0..24 {
+        let own = match values {
+            Values::ConstantX => 3.0,
+            Values::ExactLine => rng.random_range(0..10u32) as f64,
+            Values::Noisy => rng.random_f64() * 10.0,
+        };
+        let m = measurements as usize;
+        let mut order = Vec::new();
+        for (n, &join) in joins.iter().enumerate() {
+            if join <= round && !rng.random_bool(loss) {
+                order.extend(n * m..(n + 1) * m);
+            }
+        }
+        if round % 8 == 7 {
+            for _ in 0..rng.random_range(1..4usize) {
+                if let Some(&k) = order.get(rng.random_range(0..order.len().max(1))) {
+                    order.push(k);
+                }
+            }
+        }
+        for (step, &k) in order.iter().enumerate() {
+            let (a, b) = relation[k];
+            let y = match values {
+                Values::ConstantX => rng.random_range(0..8u32) as f64,
+                Values::ExactLine => a * own + b,
+                Values::Noisy => a * own + b + (rng.random_f64() - 0.5) * 4.0,
+            };
+            let decision = cache.observe_measurement(keys[k], own, y);
+            let expected = reference.observe_measurement(keys[k], own, y);
+            let context = format!(
+                "delivery {policy:?} {budget_bytes} B {values:?} seed {seed} round {round} step {step} key {:?}",
+                keys[k]
+            );
+            assert_eq!(decision, expected, "{context}: decision");
+            *seen.entry(kind(decision)).or_default() += 1;
+            assert_same(&cache, &reference, &context);
+        }
+        if rng.random_bool(0.25) {
+            (cache, reference) = round_trip(&cache, &keys, &mut rng);
+            assert_same(
+                &cache,
+                &reference,
+                &format!("after round {round} round trip"),
+            );
+        }
+    }
+}
+
+#[test]
+fn delivery_rounds_match_the_reference_bit_for_bit() {
+    let budgets = [16usize, 64, 200, 512, 2048];
+    let value_kinds = [Values::ConstantX, Values::ExactLine, Values::Noisy];
+    let mut seen = BTreeMap::new();
+    let mut stream = 0u64;
+    for policy in [CachePolicy::ModelAware, CachePolicy::RoundRobin] {
+        for &budget in &budgets {
+            for &values in &value_kinds {
+                for _ in 0..3 {
+                    stream += 1;
+                    let seed = derive_seed(0xDE11, stream);
+                    run_delivery_stream(policy, budget, values, seed, &mut seen);
+                }
+            }
+        }
+    }
     for k in ["inserted", "admitted", "newcomer", "shifted", "rejected"] {
         assert!(
             seen.get(k).is_some_and(|&n| n > 0),
