@@ -1,9 +1,11 @@
 //! Macro-benchmarks on the paper's 100-node network: a full
 //! representative election (training already done), a maintenance
-//! cycle, and training ticks with the caches filling and full.
+//! cycle, and training ticks with the caches filling and full; plus a
+//! maintenance cycle at 1,000 nodes on a lossy, sparse deployment.
 
 use crate::RandomWalkSetup;
 use snapshot_microbench::{BatchSize, Criterion};
+use snapshot_netsim::NodeId;
 use std::hint::black_box;
 
 fn bench_election(c: &mut Criterion) {
@@ -25,6 +27,43 @@ fn bench_election(c: &mut Criterion) {
     c.bench_function("maintenance_cycle_100_nodes", |b| {
         b.iter_batched(
             || elected.clone(),
+            |mut sn| black_box(sn.maintain()),
+            BatchSize::LargeInput,
+        )
+    });
+}
+
+/// One maintenance cycle where the re-elections do real work: 1,000
+/// nodes at the connectivity-threshold range (mean degree ≈ 2 ln n,
+/// as on e2e's deploy-churn), 5 % i.i.d. loss, trained and elected,
+/// then one tick on with 1 % of the representatives killed. The 100-node
+/// cycle above runs on a calm, lossless network.
+fn bench_lossy_maintenance(c: &mut Criterion) {
+    let n = 1_000;
+    let mut sn = RandomWalkSetup {
+        n_nodes: n,
+        k: 10,
+        range: (2.0 * (n as f64).ln() / (std::f64::consts::PI * n as f64)).sqrt(),
+        p_loss: 0.05,
+        steps: 60,
+        elect_at: 20,
+        ..RandomWalkSetup::default()
+    }
+    .build(42);
+    let _ = sn.elect();
+    sn.advance(1);
+    let snap = sn.snapshot();
+    let reps: Vec<NodeId> = snap
+        .representatives()
+        .into_iter()
+        .filter(|&id| sn.net().is_alive(id) && !snap.members_of(id).is_empty())
+        .collect();
+    for &rep in reps.iter().step_by(100) {
+        sn.kill_representative(rep);
+    }
+    c.bench_function("maintenance_cycle_1k_lossy", |b| {
+        b.iter_batched(
+            || sn.clone(),
             |mut sn| black_box(sn.maintain()),
             BatchSize::LargeInput,
         )
@@ -78,6 +117,7 @@ fn bench_full_cache_training(c: &mut Criterion) {
 /// Run the suite.
 pub fn benches(c: &mut Criterion) {
     bench_election(c);
+    bench_lossy_maintenance(c);
     bench_training(c);
     bench_full_cache_training(c);
 }

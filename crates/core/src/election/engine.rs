@@ -25,6 +25,7 @@ use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::rng::DetRng;
 use snapshot_netsim::rng::RngExt;
 use snapshot_netsim::{Event, Network, NodeId, Phase, SpanKind};
+use std::sync::Arc;
 
 /// Summary of one election run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,7 +252,7 @@ fn run_election(
             };
             if viable {
                 let msg = ProtocolMsg::Candidates {
-                    cand: node.cand_list.clone(),
+                    cand: Arc::from(node.cand_list.as_slice()),
                     already: node.member_count(),
                 };
                 to_send.push((i, None, msg));
@@ -284,7 +285,7 @@ fn run_election(
         let node = &mut nodes[j.index()];
         for d in inbox.drain(..) {
             if let ProtocolMsg::Candidates { cand, already } = d.payload {
-                node.heard_cand_len.insert(d.from, cand.len());
+                node.hear_cand_len(d.from, cand.len());
                 if electing[j.index()] && cand.contains(&j) {
                     node.offers.push(Offer {
                         from: d.from,
@@ -374,6 +375,9 @@ fn run_election(
         phase: Phase::Refinement,
     });
     let hard_cap = cfg.max_wait + 16;
+    // Staging buffer for acknowledgment member lists, reused by every
+    // representative so that each broadcast allocates only its list.
+    let mut members = Vec::new();
     let mut rounds = 0u32;
     for round in 0..hard_cap {
         rounds = round + 1;
@@ -429,7 +433,7 @@ fn run_election(
             // expires).
             if node.mode == Mode::Undefined && node.represents.is_empty() {
                 if let Some((j, _)) = node.rep_of {
-                    if node.acked_reps.contains(&j) {
+                    if node.acked_by(j) {
                         node.mode = Mode::Passive;
                         node.waiting_ack_from = None;
                     } else if node.notify_cooldown == 0 {
@@ -479,9 +483,7 @@ fn run_election(
             let node = &mut nodes[i.index()];
             if !node.pending_ack_members.is_empty() {
                 node.pending_ack_members.clear();
-                let msg = ProtocolMsg::RepresentAck {
-                    members: node.members().collect(),
-                };
+                let msg = ProtocolMsg::represent_ack(node.members(), &mut members);
                 let bytes = msg.wire_bytes();
                 net.broadcast(i, msg, bytes, Phase::Refinement);
             }
@@ -521,7 +523,7 @@ fn run_election(
                             // Remember the claim; Rule 3 may use it in
                             // a later round even if we are not waiting
                             // for it yet.
-                            node.acked_reps.insert(d.from);
+                            node.hear_ack(d.from);
                         }
                         if node.mode == Mode::Undefined
                             && node.waiting_ack_from == Some(d.from)

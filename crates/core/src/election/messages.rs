@@ -4,10 +4,16 @@
 //! election, maintenance, data reporting and tree formation — so a
 //! single [`snapshot_netsim::Network`] carries all traffic and the
 //! per-phase statistics stay comparable to the paper's Table 2.
+//!
+//! The two list messages (`Candidates`, `RepresentAck`) share their id
+//! list through an `Arc<[NodeId]>`: a broadcast builds the list once,
+//! and every receiver but the last gets a refcount bump where a `Vec`
+//! payload would cost a heap copy (DESIGN.md §12).
 
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::flood::FloodToken;
 use snapshot_netsim::NodeId;
+use std::sync::Arc;
 
 /// Every message the snapshot framework exchanges.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +31,7 @@ pub enum ProtocolMsg {
     /// (the maintenance-mode score component).
     Candidates {
         /// Nodes the sender can represent.
-        cand: Vec<NodeId>,
+        cand: Arc<[NodeId]>,
         /// Nodes the sender already represents.
         already: usize,
     },
@@ -42,7 +48,7 @@ pub enum ProtocolMsg {
     /// a member hearing itself listed may go PASSIVE.
     RepresentAck {
         /// All nodes the sender represents.
-        members: Vec<NodeId>,
+        members: Arc<[NodeId]>,
     },
     /// Unicast heartbeat from a passive node to its representative,
     /// carrying the current measurement (Section 5.1).
@@ -84,6 +90,16 @@ pub enum ProtocolMsg {
 }
 
 impl ProtocolMsg {
+    /// A `RepresentAck` listing `members`, staged through `buf` so that
+    /// the list costs one allocation: the shared slice itself.
+    pub fn represent_ack(members: impl IntoIterator<Item = NodeId>, buf: &mut Vec<NodeId>) -> Self {
+        buf.clear();
+        buf.extend(members);
+        ProtocolMsg::RepresentAck {
+            members: Arc::from(buf.as_slice()),
+        }
+    }
+
     /// Approximate wire size in bytes (for accounting; 4-byte floats
     /// and ids, matching the paper's cache accounting).
     pub fn wire_bytes(&self) -> u32 {
@@ -111,15 +127,28 @@ mod tests {
     #[test]
     fn candidate_lists_grow_on_the_wire() {
         let short = ProtocolMsg::Candidates {
-            cand: vec![],
+            cand: Arc::from([]),
             already: 0,
         };
         let long = ProtocolMsg::Candidates {
-            cand: vec![NodeId(1), NodeId(2), NodeId(3)],
+            cand: Arc::from([NodeId(1), NodeId(2), NodeId(3)]),
             already: 0,
         };
         assert!(long.wire_bytes() > short.wire_bytes());
         assert_eq!(long.wire_bytes() - short.wire_bytes(), 12);
+    }
+
+    #[test]
+    fn a_represent_ack_lists_its_members_in_order() {
+        let mut buf = vec![NodeId(9)];
+        let msg = ProtocolMsg::represent_ack([NodeId(2), NodeId(5)], &mut buf);
+        assert_eq!(
+            msg,
+            ProtocolMsg::RepresentAck {
+                members: Arc::from([NodeId(2), NodeId(5)]),
+            }
+        );
+        assert_eq!(msg.wire_bytes(), 4 + 2 * 4);
     }
 
     #[test]

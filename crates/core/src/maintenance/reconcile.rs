@@ -43,16 +43,15 @@ pub fn reconcile(net: &mut Network<ProtocolMsg>, nodes: &mut [SensorNode]) -> Re
         corrected: 0,
     };
 
-    // Announce.
+    // Announce, staging every member list through one buffer.
+    let mut members = Vec::new();
     for i in (0..n).map(NodeId::from_index) {
         if !net.is_alive(i) {
             continue;
         }
         let node = &nodes[i.index()];
         if node.member_count() > 0 {
-            let msg = ProtocolMsg::RepresentAck {
-                members: node.members().collect(),
-            };
+            let msg = ProtocolMsg::represent_ack(node.members(), &mut members);
             let bytes = msg.wire_bytes();
             net.broadcast(i, msg, bytes, Phase::Announce);
             report.announcements += 1;

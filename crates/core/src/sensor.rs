@@ -6,11 +6,15 @@
 //! candidate list, refinement-rule flags). The election engine and the
 //! maintenance protocol drive these nodes by delivering messages; no
 //! component ever reads another node's private state directly.
+//!
+//! The per-election scratch lives in `Vec`s that `reset_scratch`
+//! clears without freeing, so a node pays for its scratch once, not
+//! once per election.
 
 use crate::cache::{CacheConfig, ModelCache};
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A node's mode flag (Section 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +70,9 @@ pub struct SensorNode {
     pub(crate) cand_list: Vec<NodeId>,
     /// Offers heard in the current election.
     pub(crate) offers: Vec<Offer>,
-    /// Candidate-list lengths overheard (for Rule-0 tie-breaks).
-    pub(crate) heard_cand_len: BTreeMap<NodeId, usize>,
+    /// Candidate-list lengths overheard (for Rule-0 tie-breaks), as
+    /// `(sender, length)` ascending by sender.
+    heard_cand_len: Vec<(NodeId, usize)>,
     /// Refinement bookkeeping: whether the Rule-2 recall has been sent
     /// this election (at most one, per the paper's message bound).
     pub(crate) sent_recall: bool,
@@ -84,8 +89,8 @@ pub struct SensorNode {
     /// Representatives overheard acknowledging this node as a member.
     /// An overheard acknowledgment is as good as an addressed one —
     /// the representative is ACTIVE and lists us — so Rule 3 can go
-    /// PASSIVE without a further exchange.
-    pub(crate) acked_reps: BTreeSet<NodeId>,
+    /// PASSIVE without a further exchange. Ascending, no repeats.
+    acked_reps: Vec<NodeId>,
     /// Rounds spent with an undefined mode (drives Rule-4).
     pub(crate) rounds_undefined: u32,
     /// Whether this node was forced ACTIVE by the Rule-4 timeout.
@@ -109,11 +114,11 @@ impl SensorNode {
             represents: BTreeMap::new(),
             cand_list: Vec::new(),
             offers: Vec::new(),
-            heard_cand_len: BTreeMap::new(),
+            heard_cand_len: Vec::new(),
             sent_recall: false,
             waiting_ack_from: None,
             notify_cooldown: 0,
-            acked_reps: BTreeSet::new(),
+            acked_reps: Vec::new(),
             rounds_undefined: 0,
             forced_active: false,
             pending_ack_members: Vec::new(),
@@ -206,10 +211,47 @@ impl SensorNode {
             .max_by_key(|o| (o.score(count_already), o.from))
     }
 
+    /// Record that `from` broadcast a candidate list of `len` nodes in
+    /// this election (a repeat overwrites).
+    pub(crate) fn hear_cand_len(&mut self, from: NodeId, len: usize) {
+        upsert_sorted(&mut self.heard_cand_len, (from, len), |&(id, _)| id);
+    }
+
     /// `length(Cand_nodes_j)` as overheard in this election, 0 when
     /// the broadcast was lost.
     pub(crate) fn heard_len(&self, j: NodeId) -> usize {
-        self.heard_cand_len.get(&j).copied().unwrap_or(0)
+        match self.heard_cand_len.binary_search_by_key(&j, |&(id, _)| id) {
+            Ok(k) => self.heard_cand_len[k].1,
+            Err(_) => 0,
+        }
+    }
+
+    /// Record that representative `rep` was overheard acknowledging
+    /// this node as a member in this election.
+    pub(crate) fn hear_ack(&mut self, rep: NodeId) {
+        upsert_sorted(&mut self.acked_reps, rep, |&id| id);
+    }
+
+    /// Whether `rep` was overheard acknowledging this node as a member
+    /// in this election (Rule 3).
+    pub(crate) fn acked_by(&self, rep: NodeId) -> bool {
+        self.acked_reps.binary_search(&rep).is_ok()
+    }
+}
+
+/// Put `item` into `list`, which is kept ascending by `key`, replacing
+/// the entry with the same key if there is one. A delivery round hands
+/// a node its messages in ascending sender order, so the usual case is
+/// one compare and a push; anything else takes a binary search.
+fn upsert_sorted<T, K: Ord>(list: &mut Vec<T>, item: T, key: impl Fn(&T) -> K) {
+    let k = key(&item);
+    if list.last().is_none_or(|last| key(last) < k) {
+        list.push(item);
+        return;
+    }
+    match list.binary_search_by(|e| key(e).cmp(&k)) {
+        Ok(at) => list[at] = item,
+        Err(at) => list.insert(at, item),
     }
 }
 
@@ -217,6 +259,8 @@ impl SensorNode {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use snapshot_netsim::rng::{DetRng, RngExt};
+    use std::collections::BTreeSet;
 
     fn node(id: u32) -> SensorNode {
         SensorNode::new(NodeId(id), CacheConfig::default())
@@ -308,8 +352,105 @@ mod tests {
     #[test]
     fn heard_len_defaults_to_zero_for_lost_broadcasts() {
         let mut n = node(0);
-        n.heard_cand_len.insert(NodeId(4), 7);
+        n.hear_cand_len(NodeId(4), 7);
         assert_eq!(n.heard_len(NodeId(4)), 7);
         assert_eq!(n.heard_len(NodeId(5)), 0);
+    }
+
+    /// The order in which one election's senders reach a node.
+    #[derive(Clone, Copy, Debug)]
+    enum Sweep {
+        /// Ascending with gaps: a delivery round of candidate lists.
+        Ascending,
+        /// Any order: a node's traffic from several rounds.
+        Shuffled,
+        /// Ascending, then earlier senders heard again.
+        Repeats,
+    }
+
+    fn senders(rng: &mut DetRng, sweep: Sweep, ids: u32) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = (0..ids)
+            .filter(|_| rng.random_bool(0.6))
+            .map(NodeId)
+            .collect();
+        match sweep {
+            Sweep::Ascending => {}
+            Sweep::Shuffled => {
+                for i in (1..out.len()).rev() {
+                    out.swap(i, rng.random_range(0..=i));
+                }
+            }
+            Sweep::Repeats => {
+                for _ in 0..out.len() / 2 {
+                    let again = out[rng.random_range(0..out.len())];
+                    out.push(again);
+                }
+            }
+        }
+        out
+    }
+
+    /// Hold the scratch to the ordered map and set it replaced: after
+    /// every heard candidate list or acknowledgment, the scratch holds
+    /// exactly the reference's entries in its order, and `heard_len`
+    /// and `acked_by` answer for every id as the reference does, across
+    /// elections separated by `reset_scratch`.
+    fn scratch_answers_as_ordered_maps_do(sweep: Sweep, seed: u64) {
+        const IDS: u32 = 24;
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut n = node(0);
+        for election in 0..60 {
+            n.reset_scratch();
+            let mut lens: BTreeMap<NodeId, usize> = BTreeMap::new();
+            let mut acks: BTreeSet<NodeId> = BTreeSet::new();
+            for from in senders(&mut rng, sweep, IDS) {
+                if rng.random_bool(0.75) {
+                    let len = rng.random_range(0..12usize);
+                    n.hear_cand_len(from, len);
+                    lens.insert(from, len);
+                } else {
+                    n.hear_ack(from);
+                    acks.insert(from);
+                }
+                let at = format!("{sweep:?} election {election}, after {from:?}");
+                let entries: Vec<(NodeId, usize)> = lens.iter().map(|(&j, &l)| (j, l)).collect();
+                assert_eq!(n.heard_cand_len, entries, "{at}");
+                assert!(n.acked_reps.iter().eq(&acks), "{at}");
+                for j in (0..IDS + 2).map(NodeId) {
+                    let len = lens.get(&j).copied().unwrap_or(0);
+                    assert_eq!(n.heard_len(j), len, "{at}, id {j:?}");
+                    assert_eq!(n.acked_by(j), acks.contains(&j), "{at}, id {j:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_matches_the_maps_on_ascending_sweeps_with_gaps() {
+        scratch_answers_as_ordered_maps_do(Sweep::Ascending, 1);
+    }
+
+    #[test]
+    fn scratch_matches_the_maps_on_out_of_order_senders() {
+        scratch_answers_as_ordered_maps_do(Sweep::Shuffled, 2);
+    }
+
+    #[test]
+    fn scratch_matches_the_maps_on_repeated_senders() {
+        scratch_answers_as_ordered_maps_do(Sweep::Repeats, 3);
+    }
+
+    #[test]
+    fn scratch_keeps_its_capacity_across_elections() {
+        let mut n = node(0);
+        for j in 1..=8 {
+            n.hear_cand_len(NodeId(j), 1);
+            n.hear_ack(NodeId(j));
+        }
+        let caps = (n.heard_cand_len.capacity(), n.acked_reps.capacity());
+        n.reset_scratch();
+        assert_eq!(n.heard_len(NodeId(3)), 0);
+        assert!(!n.acked_by(NodeId(3)));
+        assert_eq!((n.heard_cand_len.capacity(), n.acked_reps.capacity()), caps);
     }
 }

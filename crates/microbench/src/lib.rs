@@ -9,7 +9,9 @@
 //! iteration count, reporting the median and the minimum
 //! per-iteration time. A ms-scale bench runs one iteration per sample,
 //! so its median moves with whatever else the host runs; the minimum,
-//! the run least disturbed, is the steadier reading.
+//! the run least disturbed, is the steadier reading. Allocations are
+//! counted apart from the timing, over a fixed number of calls, so
+//! that figure does not depend on the host at all.
 
 #![warn(missing_docs)]
 
@@ -21,9 +23,10 @@ pub mod counting_alloc {
     //!
     //! Bench binaries that register [`CountingAllocator`] as their
     //! `#[global_allocator]` get a deterministic *allocations per
-    //! iteration* figure alongside every timing: the harness reads the
-    //! global counter around the timed loops and divides by the
-    //! iteration count. Unlike wall-clock medians, allocation counts
+    //! iteration* figure alongside every timing: `Bencher::iter` reads
+    //! the global counter around an untimed pass of a fixed number of
+    //! calls, and `Bencher::iter_batched` around each of its timed
+    //! calls. Unlike wall-clock medians, allocation counts
     //! are exactly reproducible on any machine, so the CI regression
     //! gate (`cargo xtask benchcmp`) treats them as hard numbers and
     //! wall-clock as advisory.
@@ -83,6 +86,14 @@ pub mod counting_alloc {
     pub fn allocated_bytes() -> u64 {
         ALLOCATED_BYTES.load(Ordering::Relaxed)
     }
+
+    /// Whether a [`CountingAllocator`] serves this process: whether the
+    /// counter sees one probe allocation.
+    pub fn is_counting() -> bool {
+        let before = allocations();
+        drop(std::hint::black_box(Box::new(0u8)));
+        allocations() != before
+    }
 }
 
 /// Opaque value barrier preventing the optimizer from deleting the
@@ -125,6 +136,14 @@ impl Display for BenchmarkId {
     }
 }
 
+/// Calls of the routine over which [`Bencher::iter`] counts
+/// allocations, after the warm-up call and before the timed samples. A
+/// fixed number makes `allocs_per_iter` a property of the code, not of
+/// how many calls fit in a sample on the host: an amortized growth
+/// reads `1 / ALLOC_COUNT_ITERS` or 0 everywhere. Sixteen calls of the
+/// heaviest bench, a 73 ms experiment cell, add about a second.
+const ALLOC_COUNT_ITERS: u64 = 16;
+
 /// Drives the timed iterations of one benchmark.
 #[derive(Debug)]
 pub struct Bencher {
@@ -153,13 +172,34 @@ impl Bencher {
         black_box(routine());
         let once = start.elapsed().max(Duration::from_nanos(1));
         let target = Duration::from_millis(1);
-        self.iters_per_sample = (target.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+        let iters = (target.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
+        // Without a counting allocator the pass could only read 0.
+        let counter = counting_alloc::is_counting().then_some(counting_alloc::allocations);
+        self.count_then_time(iters, routine, counter);
+    }
+
+    /// The part of [`Bencher::iter`] after the warm-up call: count the
+    /// allocations of [`ALLOC_COUNT_ITERS`] calls of `routine` as
+    /// `allocations` reads them (skipped when it is `None`), then time
+    /// `sample_size` samples of `iters_per_sample` calls each.
+    #[allow(clippy::disallowed_methods)] // the bench harness is the one sanctioned wall-clock user
+    fn count_then_time<O>(
+        &mut self,
+        iters_per_sample: u64,
+        mut routine: impl FnMut() -> O,
+        allocations: Option<impl Fn() -> u64>,
+    ) {
+        self.allocs_per_iter = 0.0;
+        if let Some(allocations) = allocations {
+            let before = allocations();
+            for _ in 0..ALLOC_COUNT_ITERS {
+                black_box(routine());
+            }
+            self.allocs_per_iter = (allocations() - before) as f64 / ALLOC_COUNT_ITERS as f64;
+        }
+        self.iters_per_sample = iters_per_sample;
         self.samples.clear();
-        // Pre-size the sample vector so the harness itself does not
-        // allocate inside the measured region (the allocation counter
-        // must see only the routine's allocations).
         self.samples.reserve(self.sample_size);
-        let allocs_before = counting_alloc::allocations();
         for _ in 0..self.sample_size {
             let t0 = Instant::now();
             for _ in 0..self.iters_per_sample {
@@ -167,9 +207,6 @@ impl Bencher {
             }
             self.samples.push(t0.elapsed());
         }
-        let total_iters = self.sample_size as u64 * self.iters_per_sample;
-        self.allocs_per_iter =
-            (counting_alloc::allocations() - allocs_before) as f64 / total_iters.max(1) as f64;
     }
 
     /// Time `routine` on fresh input from `setup`, excluding setup
@@ -386,6 +423,7 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     // Exercise the counting allocator in this crate's own test binary;
     // the workspace bench binaries register it the same way.
@@ -410,6 +448,52 @@ mod tests {
         b.iter(|| black_box(21u64 * 2));
         assert!(b.median_ns_per_iter() >= 0.0);
         assert_eq!(b.samples.len(), 3);
+    }
+
+    #[test]
+    fn is_counting_sees_the_registered_allocator() {
+        assert!(counting_alloc::is_counting());
+    }
+
+    /// A routine that allocates once in its life, on its third call,
+    /// as an amortized growth does. The allocations are counted on a
+    /// counter of the test's own, which tests running beside this one
+    /// cannot move.
+    fn allocs_per_iter_at(iters_per_sample: u64, counted: bool) -> (f64, u32) {
+        let (calls, allocs) = (Cell::new(0u32), Cell::new(0u64));
+        let routine = || {
+            calls.set(calls.get() + 1);
+            if calls.get() == 3 {
+                allocs.set(allocs.get() + 1);
+            }
+        };
+        let mut b = Bencher::new(5);
+        routine(); // the warm-up call
+        b.count_then_time(
+            iters_per_sample,
+            routine,
+            counted.then_some(|| allocs.get()),
+        );
+        assert_eq!(b.samples.len(), 5);
+        (b.allocs_per_iter, calls.get())
+    }
+
+    #[test]
+    fn allocs_per_iter_does_not_depend_on_the_iterations_per_sample() {
+        let figures: Vec<f64> = [1, 3, 300, 350]
+            .into_iter()
+            .map(|iters| allocs_per_iter_at(iters, true).0)
+            .collect();
+        assert_eq!(figures, [1.0 / ALLOC_COUNT_ITERS as f64; 4]);
+    }
+
+    #[test]
+    fn without_a_counter_no_calls_are_spent_on_counting() {
+        assert_eq!(allocs_per_iter_at(7, false), (0.0, 1 + 5 * 7));
+        assert_eq!(
+            allocs_per_iter_at(7, true).1,
+            1 + ALLOC_COUNT_ITERS as u32 + 5 * 7
+        );
     }
 
     #[test]

@@ -718,7 +718,7 @@ impl<P: Clone> Network<P> {
                         inboxes[prev.index()].push(Delivery {
                             from: env.src,
                             addressed: env.dst.is_addressed_to(prev),
-                            // xtask-allow(contract_zero_alloc): the documented R−1 clone contract — only multi-receiver envelopes clone, and the last receiver takes the payload by move
+                            // xtask-allow(contract_zero_alloc): the documented R−1 clone contract — only multi-receiver envelopes clone, the last receiver takes the payload by move, and core's list payloads are shared, so their clones are refcount bumps (counted by crates/bench/tests/list_payload_alloc.rs)
                             payload: env.payload.clone(),
                         });
                     }

@@ -2,13 +2,16 @@
 //! paper's 100-node deployment, recorded through the ring buffer,
 //! exported as JSONL, parsed back, and replayed into summaries.
 
-use snapshot_bench::experiments::trace::{record_election_trace, ELECTION_MSG_BUDGET};
+use snapshot_bench::experiments::trace::{
+    record_election_trace, record_election_trace_with_plan, ELECTION_MSG_BUDGET,
+};
 use snapshot_queries::core::{
     Aggregate, QueryMode, SensorNetwork, SnapshotConfig, SnapshotQuery, SpatialPredicate,
 };
 use snapshot_queries::datagen::{random_walk, RandomWalkConfig};
 use snapshot_queries::netsim::telemetry::{jsonl, Phase, TraceSummary};
-use snapshot_queries::netsim::{EnergyModel, LinkModel, NodeId, Topology};
+use snapshot_queries::netsim::{EnergyModel, FaultPlan, LinkModel, NodeId, Topology};
+use snapshot_queries::store::format::crc32;
 
 #[test]
 fn recorded_traces_are_byte_identical_across_identical_seeds() {
@@ -17,6 +20,25 @@ fn recorded_traces_are_byte_identical_across_identical_seeds() {
     assert_eq!(a, b, "identical seeds must record identical traces");
     let c = record_election_trace(43, 100);
     assert_ne!(a, c, "different seeds should not collide");
+}
+
+/// The golden traces, pinned across commits by their CRC-32: the
+/// canonical run at seed 1, and the same run under `faults/demo.fault`
+/// (crashes, outages, a blackout, i.i.d. and burst loss). A change
+/// that alters a trace on purpose updates these constants and says why
+/// in CHANGES.md; any other change must leave them as they are.
+#[test]
+fn golden_traces_keep_their_digests() {
+    let plain = record_election_trace(1, 100);
+    let plan = FaultPlan::parse(include_str!("../faults/demo.fault")).expect("demo parses");
+    let faulted = record_election_trace_with_plan(1, 100, Some(&plan));
+    let digest = |trace: &str| (crc32(trace.as_bytes()), trace.len());
+    assert_eq!(digest(&plain), (0x2c6f_1296, 292_846), "seed 1 trace");
+    assert_eq!(
+        digest(&faulted),
+        (0xdb8a_a0db, 335_058),
+        "seed 1 trace under demo.fault"
+    );
 }
 
 #[test]
