@@ -1,60 +1,13 @@
-//! DESIGN.md §12 allocation contract, asserted exactly: once warm,
-//! the netsim delivery hot path — broadcast, deliver, drain — performs
-//! **zero** heap allocations with telemetry off. The counting global
-//! allocator observes every allocation in the process, so this file
-//! holds exactly one test: a second concurrent test would pollute the
-//! counter.
+//! DESIGN.md §12 allocation contract, asserted exactly: once warm, a
+//! dense broadcast → `deliver` → `take_inbox_into` round performs
+//! **zero** heap allocations with telemetry off, under every link
+//! model. These are the sweep's `deliver/*` cases (`zero_alloc/mod.rs`);
+//! its counting allocator is process-wide, so this file holds exactly
+//! one test.
 
-use snapshot_microbench::counting_alloc::{self, CountingAllocator};
-use snapshot_netsim::{
-    Delivery, EnergyModel, LinkModel, Network, NodeId, Phase, SpanKind, Topology,
-};
-
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
-
-fn round(net: &mut Network<u64>, buf: &mut Vec<Delivery<u64>>, n: u32) -> usize {
-    // With telemetry off the explicit span pair (and the `Deliver`
-    // span `deliver` opens internally) must be allocation-free no-ops.
-    let span = net.open_span(SpanKind::Election);
-    for i in 0..n {
-        net.broadcast(NodeId(i), u64::from(i), 16, Phase::Data);
-    }
-    let delivered = net.deliver();
-    for i in 0..n {
-        net.take_inbox_into(NodeId(i), buf);
-    }
-    net.close_span(span);
-    delivered
-}
+mod zero_alloc;
 
 #[test]
 fn warm_deliver_round_makes_zero_heap_allocations() {
-    const N: u32 = 50;
-    for link in [LinkModel::Perfect, LinkModel::iid_loss(0.3)] {
-        let topo = Topology::random_uniform(N as usize, std::f64::consts::SQRT_2, 7)
-            .expect("valid deployment");
-        let mut net: Network<u64> = Network::new(topo, link, EnergyModel::default(), 11);
-        let mut buf = Vec::new();
-        // Warm rounds grow the outbox, the scratch buffer, every
-        // inbox, and the stats tables to steady-state capacity.
-        // Capacities circulate between the drain buffer and the
-        // inboxes, and under loss the per-round receive counts are
-        // binomial, so convergence (every circulating Vec at least as
-        // large as the worst-case receive count) takes a few dozen
-        // rounds rather than one.
-        for _ in 0..30 {
-            round(&mut net, &mut buf, N);
-        }
-
-        let before = counting_alloc::allocations();
-        let delivered: usize = (0..5).map(|_| round(&mut net, &mut buf, N)).sum();
-        let allocs = counting_alloc::allocations() - before;
-
-        assert!(delivered > 0, "rounds must deliver traffic");
-        assert_eq!(
-            allocs, 0,
-            "warm deliver rounds allocated {allocs} times with telemetry off"
-        );
-    }
+    zero_alloc::assert_zero_alloc("deliver/");
 }

@@ -6,7 +6,8 @@
 //!
 //! Release-only: the point is the wall-clock bound, and a debug build
 //! of the 1M construction alone would dominate the suite (the same
-//! code paths run at smaller N in `quiescent_zero_alloc.rs`).
+//! code paths run at smaller N in the `quiescent/*` cases of
+//! `zero_alloc_sweep.rs`).
 
 // Wall-clock readings here measure the *host build*, not simulated
 // protocol time, which is exactly what a performance gate wants.

@@ -1,48 +1,14 @@
 //! DESIGN.md §16 allocation contract, asserted exactly: a quiescent
 //! tick — `deliver` with an empty outbox, nothing scheduled, nobody
 //! woken, followed by the wake-list drain — performs **zero** heap
-//! allocations, independent of network size. This is the property
-//! that makes 1M-node quiescent simulation affordable: idle ticks cost
-//! O(active) = O(1), not O(N). The counting global allocator observes
-//! every allocation in the process, so this file holds exactly one
-//! test.
+//! allocations at 1k and at 20k nodes, which is what makes 1M-node
+//! quiescent simulation affordable. These are the sweep's
+//! `quiescent/*` cases (`zero_alloc/mod.rs`); its counting allocator
+//! is process-wide, so this file holds exactly one test.
 
-use snapshot_microbench::counting_alloc::{self, CountingAllocator};
-use snapshot_netsim::{EnergyModel, LinkModel, Network, NodeId, Phase, Topology};
-
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
+mod zero_alloc;
 
 #[test]
 fn warm_quiescent_tick_makes_zero_heap_allocations() {
-    for n in [1_000usize, 20_000] {
-        let topo = Topology::random_uniform(n, 0.004, 7).expect("valid deployment");
-        let mut net: Network<u64> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 11);
-        let mut ids = Vec::new();
-
-        // Warm with one *active* round (grows outbox/inbox/scratch to
-        // steady state) and one quiescent tick, then measure.
-        net.broadcast(NodeId(0), 1, 16, Phase::Data);
-        net.deliver();
-        net.drain_candidates_into(&mut ids);
-        for &id in &ids {
-            net.clear_inbox(id);
-        }
-        net.deliver();
-        net.drain_candidates_into(&mut ids);
-        assert!(ids.is_empty(), "quiescent network has drain candidates");
-
-        let before = counting_alloc::allocations();
-        for _ in 0..100 {
-            net.deliver();
-            net.drain_candidates_into(&mut ids);
-        }
-        let allocs = counting_alloc::allocations() - before;
-        assert_eq!(
-            allocs, 0,
-            "100 warm quiescent ticks allocated {allocs} times (n = {n})"
-        );
-        assert!(ids.is_empty(), "quiescent ticks woke nodes (n = {n})");
-    }
+    zero_alloc::assert_zero_alloc("quiescent/");
 }

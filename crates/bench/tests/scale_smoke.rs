@@ -4,7 +4,7 @@
 //! neighborhoods. The counting global allocator observes every
 //! allocation in the process, so the allocation assertion lives in
 //! this dedicated file (one global-allocator test binary per claim,
-//! as in `deliver_zero_alloc.rs`).
+//! as in `zero_alloc_sweep.rs`).
 //!
 //! Timing assertions only run in release builds (`cargo test
 //! --release -p snapshot-bench --test scale_smoke`, the CI step);

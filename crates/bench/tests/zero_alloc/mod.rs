@@ -1,0 +1,373 @@
+//! The allocation contracts of netsim's per-tick entry points
+//! (DESIGN.md §15), asserted exactly: once warm, with telemetry off,
+//! `deliver`, the inbox drains, the wake-list drain, the scheduler and
+//! fault checks and a node move perform **zero** heap allocations.
+//! Each case drives one path to steady state, then counts the
+//! allocations of a window of further ticks and checks that the window
+//! did the work its case names: a window that delivered nothing would
+//! read 0 for the wrong reason.
+//!
+//! The cases are shared by three test files: `zero_alloc_sweep.rs`
+//! runs every case, `deliver_zero_alloc.rs` the `deliver/*` cases and
+//! `quiescent_zero_alloc.rs` the `quiescent/*` cases. This module
+//! registers the counting global allocator, which observes every
+//! allocation in the process, so each file that includes it holds
+//! exactly one test: a second test on a parallel thread would pollute
+//! the counter.
+
+use snapshot_microbench::counting_alloc::{self, CountingAllocator};
+use snapshot_netsim::{
+    Delivery, DrainMode, EnergyModel, FaultPlan, GilbertElliott, LinkModel, Network, NodeId, Phase,
+    Position, SpanKind, Topology,
+};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Nodes of the dense deployment: every node in range of every other,
+/// as in the paper's √2-range deployments.
+const DENSE_N: u32 = 50;
+
+/// Ticks run before a window is counted. Capacities circulate between
+/// the drain buffer and the inboxes, and under loss the per-round
+/// receive counts are random, so every circulating `Vec` is as large
+/// as the worst receive count only after a few dozen rounds.
+const WARM_TICKS: usize = 30;
+
+/// Ticks in a counted window.
+const WINDOW_TICKS: usize = 5;
+
+/// What one case's counted window did.
+struct Window {
+    allocs: u64,
+    /// Whether the window exercised the path its case names.
+    exercised: bool,
+}
+
+/// A named case: it builds a network, warms it and counts one window.
+type Case = (&'static str, fn() -> Window);
+
+/// Count the allocations of `window`, which reports whether it
+/// exercised its path.
+fn count(window: impl FnOnce() -> bool) -> Window {
+    let before = counting_alloc::allocations();
+    let exercised = window();
+    Window {
+        allocs: counting_alloc::allocations() - before,
+        exercised,
+    }
+}
+
+fn dense_topology() -> Topology {
+    Topology::random_uniform(DENSE_N as usize, std::f64::consts::SQRT_2, 7)
+        .expect("valid deployment")
+}
+
+fn dense(link: LinkModel) -> Network<u64> {
+    Network::new(dense_topology(), link, EnergyModel::default(), 11)
+}
+
+/// One round: every node broadcasts, the round is delivered, and every
+/// inbox drains through `buf`. The explicit span pair (and the
+/// `Deliver` span `deliver` opens) must be no-ops with telemetry off.
+/// Returns the deliveries.
+fn round(net: &mut Network<u64>, buf: &mut Vec<Delivery<u64>>) -> usize {
+    let span = net.open_span(SpanKind::Election);
+    for i in 0..DENSE_N {
+        net.broadcast(NodeId(i), u64::from(i), 16, Phase::Data);
+    }
+    let delivered = net.deliver();
+    for i in 0..DENSE_N {
+        net.take_inbox_into(NodeId(i), buf);
+    }
+    net.close_span(span);
+    delivered
+}
+
+/// Warm `net` with broadcast rounds, then count a window of them. The
+/// window must deliver.
+fn rounds(net: &mut Network<u64>) -> Window {
+    let mut buf = Vec::new();
+    for _ in 0..WARM_TICKS {
+        round(net, &mut buf);
+    }
+    count(|| {
+        let delivered: usize = (0..WINDOW_TICKS).map(|_| round(net, &mut buf)).sum();
+        delivered > 0
+    })
+}
+
+fn deliver_under(link: LinkModel) -> Window {
+    rounds(&mut dense(link))
+}
+
+/// Directed losses that differ per link and by direction, the
+/// paper's "obstacle in their direct path" case.
+fn per_link() -> LinkModel {
+    let n = DENSE_N as usize;
+    let p_loss = (0..n)
+        .map(|src| {
+            (0..n)
+                .map(|dst| if src < dst { 0.1 } else { 0.5 })
+                .collect()
+        })
+        .collect();
+    LinkModel::PerLink { p_loss }
+}
+
+/// One tick in which every third node broadcasts, then the wake list
+/// drains: every candidate's inbox is emptied by `take_inbox_into`, or
+/// by `clear_inbox` when `clear` is set. Returns how many nodes were
+/// woken before the drain.
+fn drain_tick(
+    net: &mut Network<u64>,
+    ids: &mut Vec<NodeId>,
+    buf: &mut Vec<Delivery<u64>>,
+    clear: bool,
+) -> usize {
+    for i in (0..DENSE_N).step_by(3) {
+        net.broadcast(NodeId(i), u64::from(i), 16, Phase::Data);
+    }
+    net.deliver();
+    let woken = net.scheduler().woken_len();
+    net.drain_candidates_into(ids);
+    for &id in ids.iter() {
+        if clear {
+            net.clear_inbox(id);
+        } else {
+            net.take_inbox_into(id, buf);
+        }
+    }
+    woken
+}
+
+fn drain(mode: DrainMode, clear: bool) -> Window {
+    let mut net = dense(LinkModel::iid_loss(0.3));
+    net.set_drain_mode(mode);
+    let (mut ids, mut buf) = (Vec::new(), Vec::new());
+    for _ in 0..WARM_TICKS {
+        drain_tick(&mut net, &mut ids, &mut buf, clear);
+    }
+    count(|| {
+        (0..WINDOW_TICKS).all(|_| drain_tick(&mut net, &mut ids, &mut buf, clear) > 0)
+            && net.scheduler().woken_len() == 0
+    })
+}
+
+/// Quiescent ticks at `n` nodes: nothing is sent, scheduled or woken,
+/// so `deliver` and the wake-list drain must cost O(1) and allocate
+/// nothing however large the network.
+fn quiescent(n: usize) -> Window {
+    let topo = Topology::random_uniform(n, 0.004, 7).expect("valid deployment");
+    let mut net: Network<u64> = Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 11);
+    let mut ids = Vec::new();
+    // One active round grows the outbox, an inbox and the scratch
+    // buffer; one quiescent tick follows it.
+    net.broadcast(NodeId(0), 1, 16, Phase::Data);
+    net.deliver();
+    net.drain_candidates_into(&mut ids);
+    for &id in &ids {
+        net.clear_inbox(id);
+    }
+    net.deliver();
+    net.drain_candidates_into(&mut ids);
+    count(|| {
+        (0..100).all(|_| {
+            net.deliver();
+            net.drain_candidates_into(&mut ids);
+            ids.is_empty()
+        })
+    })
+}
+
+/// Broadcast rounds after the one-line fault `plan` fired at tick 1.
+/// The plan stays attached, so every `deliver` asks the schedule when
+/// it is next due. `fired` checks that the fault took effect.
+fn after_fault(plan: &str, fired: fn(&Network<u64>) -> bool) -> Window {
+    let mut net = dense(LinkModel::Perfect);
+    net.set_fault_plan(FaultPlan::parse(plan).expect("valid plan"));
+    let window = rounds(&mut net);
+    Window {
+        exercised: window.exercised && fired(&net),
+        ..window
+    }
+}
+
+/// Ticks that each fire two timers, all scheduled before the window
+/// opened.
+fn timers() -> Window {
+    let mut net = dense(LinkModel::Perfect);
+    let mut ids = Vec::new();
+    let ticks = (WARM_TICKS + WINDOW_TICKS) as u64;
+    for tick in 1..=ticks {
+        for (priority, node) in [(1, tick), (0, tick + 7)] {
+            net.schedule_wake(tick, priority, NodeId(node as u32 % DENSE_N));
+        }
+    }
+    let tick = |net: &mut Network<u64>, ids: &mut Vec<NodeId>| {
+        net.deliver();
+        net.drain_candidates_into(ids);
+        for &id in ids.iter() {
+            net.clear_inbox(id);
+        }
+        ids.len() == 2
+    };
+    for _ in 0..WARM_TICKS {
+        tick(&mut net, &mut ids);
+    }
+    count(|| {
+        (0..WINDOW_TICKS).all(|_| tick(&mut net, &mut ids)) && net.scheduler().pending_timers() == 0
+    })
+}
+
+/// A node moved to a far cell and back, pair after pair: `move_node`
+/// updates the grid (`relocate`) and every affected neighbour list
+/// (`set_position` over `candidates_around`). Both cells hold other
+/// nodes, so neither bucket is ever emptied or created.
+fn moves() -> Window {
+    const RANGE: f64 = 0.1;
+    let topo = Topology::random_uniform(1_000, RANGE, 7).expect("valid deployment");
+    let mut net: Network<u64> = Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 11);
+    let id = NodeId(0);
+    let home = net.topology().position(id);
+    let away = Position::new((home.x + 0.5).fract(), (home.y + 0.5).fract());
+    let mut ids = Vec::new();
+    let pair = |net: &mut Network<u64>, ids: &mut Vec<NodeId>| {
+        net.move_node(id, away);
+        let neighbours_away = net.topology().neighbors(id).len();
+        net.move_node(id, home);
+        net.drain_candidates_into(ids);
+        for &woken in ids.iter() {
+            net.clear_inbox(woken);
+        }
+        neighbours_away > 0 && !net.topology().neighbors(id).is_empty() && ids[..] == [id]
+    };
+    for _ in 0..3 {
+        pair(&mut net, &mut ids);
+    }
+    let far = home.distance(&away) > 2.0 * RANGE;
+    count(|| far && (0..WINDOW_TICKS).all(|_| pair(&mut net, &mut ids)))
+}
+
+/// Broadcast rounds on finite batteries that also pay to receive. The
+/// capacity runs out inside the window, so the window covers the
+/// depletion branch too.
+fn finite_batteries() -> Window {
+    let energy = EnergyModel {
+        rx_cost: 0.05,
+        ..EnergyModel::default()
+    };
+    let mut net = Network::with_finite_batteries(
+        dense_topology(),
+        LinkModel::iid_loss(0.3),
+        energy,
+        90.0,
+        11,
+    );
+    let mut buf = Vec::new();
+    for _ in 0..WARM_TICKS {
+        round(&mut net, &mut buf);
+    }
+    let alive = net.alive_count();
+    count(|| {
+        let delivered: usize = (0..WINDOW_TICKS).map(|_| round(&mut net, &mut buf)).sum();
+        delivered > 0 && alive == DENSE_N as usize && net.alive_count() < alive
+    })
+}
+
+/// Run every case whose name starts with `prefix` (all of them for
+/// `""`) and assert that each counted window made zero allocations
+/// and exercised its path. Every selected case runs, and the failure
+/// names each one that failed, not just the first.
+pub fn assert_zero_alloc(prefix: &str) {
+    let cases: [Case; 20] = [
+        ("deliver/perfect", || deliver_under(LinkModel::Perfect)),
+        ("deliver/iid", || deliver_under(LinkModel::iid_loss(0.3))),
+        ("deliver/per_link", || deliver_under(per_link())),
+        ("deliver/distance_degraded", || {
+            deliver_under(LinkModel::DistanceDegraded {
+                p_near: 0.0,
+                p_far: 0.6,
+            })
+        }),
+        ("deliver/burst", || {
+            let params = GilbertElliott::with_average_loss(0.3, 0.1, 0.1);
+            deliver_under(LinkModel::gilbert_elliott(DENSE_N as usize, params))
+        }),
+        ("drain/wake_list/take_inbox_into", || {
+            drain(DrainMode::WakeList, false)
+        }),
+        ("drain/wake_list/clear_inbox", || {
+            drain(DrainMode::WakeList, true)
+        }),
+        ("drain/all_scan/take_inbox_into", || {
+            drain(DrainMode::AllScan, false)
+        }),
+        ("drain/all_scan/clear_inbox", || {
+            drain(DrainMode::AllScan, true)
+        }),
+        ("quiescent/1k", || quiescent(1_000)),
+        ("quiescent/20k", || quiescent(20_000)),
+        ("fault/crash", || {
+            after_fault("1 crash 3", |net| !net.is_alive(NodeId(3)))
+        }),
+        ("fault/outage_pending", || {
+            // The recovery is due long after the window, so every
+            // tick's due check walks it.
+            after_fault("1 outage 7 for 1000", |net| !net.is_alive(NodeId(7)))
+        }),
+        ("fault/blackout", || {
+            after_fault("1 blackout 0.5 0.5 0.3", |net| {
+                (net.alive_count() as u32) < DENSE_N
+            })
+        }),
+        ("fault/drain", || {
+            after_fault("1 drain 9 x2.0", |net| {
+                net.drain_multiplier(NodeId(9)) == 2.0
+            })
+        }),
+        ("fault/link_iid", || {
+            after_fault("1 link iid 0.3", |net| {
+                matches!(net.link_model(), LinkModel::Iid { .. })
+            })
+        }),
+        ("fault/link_burst", || {
+            after_fault("1 link burst 0.1 0.1 0.0 0.6", |net| {
+                matches!(net.link_model(), LinkModel::Burst { .. })
+            })
+        }),
+        ("timer/due", timers),
+        ("mobility/cross_cell_pair", moves),
+        ("battery/finite_rx_cost", finite_batteries),
+    ];
+
+    let selected: Vec<&Case> = cases
+        .iter()
+        .filter(|(name, _)| name.starts_with(prefix))
+        .collect();
+    assert!(!selected.is_empty(), "no case is named {prefix}*");
+    let failures: Vec<String> = selected
+        .iter()
+        .filter_map(|&&(name, case)| {
+            let window = case();
+            match (window.allocs, window.exercised) {
+                (0, true) => None,
+                (allocs, exercised) => Some(format!(
+                    "{name}: {allocs} allocation(s){}",
+                    if exercised {
+                        ""
+                    } else {
+                        "; the window did not exercise its path"
+                    }
+                )),
+            }
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {} cases failed with telemetry off:\n  {}",
+        failures.len(),
+        selected.len(),
+        failures.join("\n  ")
+    );
+}

@@ -50,6 +50,12 @@ enum Scope<'a> {
 }
 
 impl Scope<'_> {
+    /// A maintenance election: standing representation is kept, so
+    /// offers count the members a candidate already represents.
+    fn is_maintenance(&self) -> bool {
+        matches!(self, Scope::Partial(_))
+    }
+
     /// Per-node "is electing" flags for a deployment of `n` nodes,
     /// built once per election so every membership test is O(1). The
     /// initiator slice may be in any order and hold duplicates; ids
@@ -79,7 +85,7 @@ pub fn run_full_election(
     epoch: Epoch,
     rng: &mut DetRng,
 ) -> ElectionOutcome {
-    run_election(net, nodes, values, cfg, epoch, rng, Scope::Full, false)
+    run_election(net, nodes, values, cfg, epoch, rng, Scope::Full)
 }
 
 /// Run a maintenance re-election for the given initiators
@@ -102,11 +108,9 @@ pub fn run_maintenance_election(
         epoch,
         rng,
         Scope::Partial(initiators),
-        true,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_election(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],
@@ -115,7 +119,6 @@ fn run_election(
     epoch: Epoch,
     rng: &mut DetRng,
     scope: Scope<'_>,
-    count_already: bool,
 ) -> ElectionOutcome {
     debug_assert_eq!(nodes.len(), values.len());
     let election_span = net.open_span(SpanKind::Election);
@@ -207,7 +210,7 @@ fn run_election(
             continue;
         }
         let own = values[i.index()];
-        let learn = !matches!(scope, Scope::Full);
+        let learn = scope.is_maintenance();
         for d in inbox.drain(..) {
             if let ProtocolMsg::Invite { value, .. } = d.payload {
                 if d.from == i {
@@ -296,7 +299,7 @@ fn run_election(
             }
         }
         if electing[j.index()] {
-            if let Some(best) = node.best_offer(count_already) {
+            if let Some(best) = node.best_offer(scope.is_maintenance()) {
                 node.rep_of = Some((best.from, epoch));
                 to_send.push((j, Some(best.from), ProtocolMsg::Accept { epoch }));
                 if net.telemetry_enabled() {
@@ -352,7 +355,7 @@ fn run_election(
                     node.represents.insert(d.from, e);
                     // In a maintenance election an already-settled node
                     // (possibly PASSIVE) gaining a member must serve it.
-                    if !matches!(scope, Scope::Full) && node.mode == Mode::Passive {
+                    if scope.is_maintenance() && node.mode == Mode::Passive {
                         node.mode = Mode::Active;
                     }
                 }

@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 pub mod counting_alloc {
@@ -266,20 +267,20 @@ fn human_time(ns: f64) -> String {
     }
 }
 
-/// When the `MICROBENCH_JSON` environment variable names a file,
-/// append one machine-readable line per benchmark:
+/// Append one machine-readable line for a benchmark to `path`:
 /// `{"name":"...","median_ns":...,"min_ns":...,"iters":...,"allocs_per_iter":...}`.
 /// CI compares these against the committed `BENCH_baseline.json` with
 /// `cargo xtask benchcmp` (allocation counts gate hard, wall-clock is
 /// advisory); failures to write are silently ignored (benchmarks
 /// still print to stdout).
-fn append_json_record(label: &str, median_ns: f64, min_ns: f64, iters: u64, allocs_per_iter: f64) {
-    let Ok(path) = std::env::var("MICROBENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
+fn append_json_record(
+    path: &Path,
+    label: &str,
+    median_ns: f64,
+    min_ns: f64,
+    iters: u64,
+    allocs_per_iter: f64,
+) {
     let escaped: String = label
         .chars()
         .flat_map(|c| match c {
@@ -295,7 +296,7 @@ fn append_json_record(label: &str, median_ns: f64, min_ns: f64, iters: u64, allo
     if let Ok(mut f) = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(&path)
+        .open(path)
     {
         let _ = f.write_all(line.as_bytes());
     }
@@ -306,11 +307,20 @@ fn append_json_record(label: &str, median_ns: f64, min_ns: f64, iters: u64, allo
 #[derive(Debug)]
 pub struct Criterion {
     sample_size: usize,
+    /// Where each benchmark appends its JSON record: the file the
+    /// `MICROBENCH_JSON` environment variable named when this
+    /// `Criterion` was built, if any.
+    json: Option<PathBuf>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 50 }
+        Criterion {
+            sample_size: 50,
+            json: std::env::var_os("MICROBENCH_JSON")
+                .filter(|path| !path.is_empty())
+                .map(PathBuf::from),
+        }
     }
 }
 
@@ -332,13 +342,16 @@ impl Criterion {
             human_time(min_ns),
             b.allocs_per_iter
         );
-        append_json_record(
-            label,
-            median_ns,
-            min_ns,
-            b.iters_per_sample,
-            b.allocs_per_iter,
-        );
+        if let Some(path) = &self.json {
+            append_json_record(
+                path,
+                label,
+                median_ns,
+                min_ns,
+                b.iters_per_sample,
+                b.allocs_per_iter,
+            );
+        }
     }
 
     /// Register and immediately run one benchmark.
@@ -442,7 +455,10 @@ mod tests {
 
     #[test]
     fn bencher_measures_something() {
-        let mut c = Criterion::default().sample_size(5);
+        let mut c = Criterion {
+            sample_size: 5,
+            json: None,
+        };
         c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
         let mut b = Bencher::new(3);
         b.iter(|| black_box(21u64 * 2));
@@ -531,10 +547,11 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("microbench_json_test_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("MICROBENCH_JSON", &path);
-        let mut c = Criterion::default().sample_size(2);
+        let mut c = Criterion {
+            sample_size: 2,
+            json: Some(path.clone()),
+        };
         c.bench_function("json_probe", |b| b.iter(|| black_box(3u64 + 4)));
-        std::env::remove_var("MICROBENCH_JSON");
         let text = std::fs::read_to_string(&path).expect("JSON file written");
         let _ = std::fs::remove_file(&path);
         let line = text

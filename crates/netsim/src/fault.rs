@@ -352,7 +352,6 @@ impl FaultSchedule {
     /// recoveries are pending. O(1) — lets [`crate::sim::Network::deliver`]
     /// skip fault application entirely on quiescent ticks instead of
     /// walking the schedule.
-    // xtask-contract(zero_alloc)
     pub(crate) fn next_due_tick(&self) -> Option<u64> {
         let next_event = self.plan.events.get(self.next).map(|e| e.at);
         let next_recovery = self.recoveries.values().min().copied();

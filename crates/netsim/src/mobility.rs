@@ -58,7 +58,7 @@ impl RandomWaypoint {
     /// Each move registers a mobility wake for the node, and the id
     /// loop is index-driven — a mobility tick performs no per-tick
     /// id-list allocation. (The per-move hot path, `move_node` →
-    /// `set_position`, carries the zero_alloc contract.)
+    /// `set_position`, is allocation-free once warm; DESIGN.md §15.)
     pub fn step<P: Clone>(&mut self, net: &mut Network<P>) -> usize {
         if self.speed == 0.0 {
             return 0;

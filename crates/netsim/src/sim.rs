@@ -341,7 +341,9 @@ impl<P: Clone> Network<P> {
     /// round. Recoveries process first (in node-id order), then due
     /// events in schedule order, so a fault and a recovery landing on
     /// the same tick leave the node dead.
-    // xtask-contract(alloc_cold): tick-boundary fault application runs only when a fault plan is attached, never in the steady-state delivery loop the bench gate measures
+    ///
+    /// Allocates (the due lists, the alive scans), so `deliver` calls it
+    /// only on a tick where a fault event or a recovery is due.
     fn apply_due_faults(&mut self) {
         let Some(mut sched) = self.faults.take() else {
             return;
@@ -463,7 +465,6 @@ impl<P: Clone> Network<P> {
     /// Move a node (mobility): future deliveries use the new
     /// neighborhoods immediately. The move wakes the node so per-tick
     /// consumers re-examine it.
-    // xtask-contract(zero_alloc)
     pub fn move_node(&mut self, id: NodeId, pos: crate::topology::Position) {
         self.topology.set_position(id, pos);
         self.bfs_tree = None;
@@ -531,7 +532,6 @@ impl<P: Clone> Network<P> {
     /// [`DrainMode::WakeList`], every node under [`DrainMode::AllScan`].
     /// Callers drain each candidate with [`Network::take_inbox_into`]
     /// or [`Network::clear_inbox`], which unmark it.
-    // xtask-contract(zero_alloc)
     pub fn drain_candidates_into(&mut self, buf: &mut Vec<NodeId>) {
         self.sched.drain_candidates_into(buf);
     }
@@ -623,7 +623,6 @@ impl<P: Clone> Network<P> {
     /// buffer, receivers iterate the precomputed neighbor slice in
     /// place, and an envelope reaching `R` receivers costs `R − 1`
     /// payload clones — the last receiver takes the payload by move.
-    // xtask-contract(zero_alloc)
     pub fn deliver(&mut self) -> usize {
         self.round += 1;
         let wakes_before = self.sched.total_wakes();
@@ -714,11 +713,15 @@ impl<P: Clone> Network<P> {
                     stats.record_receive(dst);
                     sched.wake(dst, WakeReason::Message);
                     if let Some(prev) = last_hit.replace(dst) {
-                        // xtask-allow(contract_zero_alloc): inbox push reuses capacity recycled by take_inbox_into/clear_inbox; steady-state growth is zero (bench-gated)
+                        // The inbox keeps the capacity `take_inbox_into`
+                        // and `clear_inbox` recycle, so a warm push
+                        // allocates nothing.
                         inboxes[prev.index()].push(Delivery {
                             from: env.src,
                             addressed: env.dst.is_addressed_to(prev),
-                            // xtask-allow(contract_zero_alloc): the documented R−1 clone contract — only multi-receiver envelopes clone, the last receiver takes the payload by move, and core's list payloads are shared, so their clones are refcount bumps (counted by crates/bench/tests/list_payload_alloc.rs)
+                            // Core's list payloads are `Arc`-shared, so
+                            // this clone is a refcount bump
+                            // (`list_payload_alloc.rs` counts it).
                             payload: env.payload.clone(),
                         });
                     }
@@ -736,7 +739,6 @@ impl<P: Clone> Network<P> {
                 }
             }
             if let Some(last) = last_hit {
-                // xtask-allow(contract_zero_alloc): inbox push reuses capacity recycled by take_inbox_into/clear_inbox; steady-state growth is zero (bench-gated)
                 inboxes[last.index()].push(Delivery {
                     from: env.src,
                     addressed: env.dst.is_addressed_to(last),
@@ -767,7 +769,6 @@ impl<P: Clone> Network<P> {
     /// inboxes through the same buffer circulates capacity between
     /// the buffer and the inboxes instead of `mem::take`-ing fresh
     /// allocations every round.
-    // xtask-contract(zero_alloc)
     pub fn take_inbox_into(&mut self, id: NodeId, buf: &mut Vec<Delivery<P>>) {
         self.sched.unwake(id);
         buf.clear();
@@ -776,7 +777,6 @@ impl<P: Clone> Network<P> {
 
     /// Discard the inbox of `id` in place, keeping its capacity for
     /// the next round (for dead or non-participating nodes).
-    // xtask-contract(zero_alloc)
     pub fn clear_inbox(&mut self, id: NodeId) {
         self.sched.unwake(id);
         self.inboxes[id.index()].clear();

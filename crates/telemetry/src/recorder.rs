@@ -117,7 +117,8 @@ impl RingRecorder {
 }
 
 impl Recorder for RingRecorder {
-    // xtask-contract(alloc_cold): telemetry sink reached only behind `enabled()`; the ring fills once then overwrites in place, and the bench contract measures telemetry off
+    // Reached only behind `enabled()`; the ring grows until full, then
+    // overwrites in place.
     fn record(&mut self, ev: &Event) {
         self.total += 1;
         if self.buf.len() < self.capacity {
@@ -236,7 +237,6 @@ impl Telemetry {
     ///
     /// The parent is whatever span is innermost-open right now — the
     /// call structure of the instrumented code *is* the hierarchy.
-    // xtask-contract(alloc_cold): span bookkeeping reached only behind `enabled()`; the open-list is a handful of entries that reuse capacity, and the bench contract measures telemetry off
     pub fn open_span(&mut self, tick: u64, kind: SpanKind) -> u64 {
         if !self.enabled() {
             return 0;
@@ -259,7 +259,6 @@ impl Telemetry {
     /// or an unknown id. Closes may arrive out of LIFO order — a
     /// repair span opened at a kill closes from inside a later
     /// maintenance span — so the open-list is searched by id.
-    // xtask-contract(alloc_cold): span bookkeeping reached only behind `enabled()`; removal from the tiny open-list never allocates, and the bench contract measures telemetry off
     pub fn close_span(&mut self, tick: u64, id: u64) {
         if id == 0 {
             return;

@@ -242,7 +242,8 @@ impl MetricsRegistry {
     /// model every hop is exactly 1 tick — the histogram is an
     /// invariant check today and the measurement substrate for the
     /// event-driven core (ROADMAP item 2), where messages can queue.
-    // xtask-contract(alloc_cold): latency sink reached only when a registry is attached; the histogram allocates once on first touch then updates in place, and the bench contract measures telemetry off
+    // `deliver` calls this only when a registry is attached; the
+    // histogram allocates on first touch, then updates in place.
     pub fn observe_hop_latency(&mut self, ticks: u64) {
         self.observe_hist(HOP_LATENCY_HIST, LOG2_TICKS_BUCKETS, ticks);
     }
@@ -310,7 +311,8 @@ impl MetricsRegistry {
 }
 
 impl Recorder for MetricsRegistry {
-    // xtask-contract(alloc_cold): metrics sink reached only behind `enabled()`; BTreeMap counter nodes allocate on first touch, and the bench contract measures telemetry off
+    // Reached only behind `enabled()`; a counter or histogram
+    // allocates on first touch, then updates in place.
     fn record(&mut self, ev: &Event) {
         match *ev {
             Event::MsgSent { bytes, .. } => {

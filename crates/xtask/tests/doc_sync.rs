@@ -1,11 +1,9 @@
-//! Doc-sync: the lint reference table in DESIGN.md §15 must match
-//! `cargo xtask analyze --list-lints` exactly, and every rule of the
-//! DESIGN.md §10 policy table must be switched on where it says it
-//! is, so the docs cannot drift from the tools that hold them.
+//! Doc-sync: every rule of the DESIGN.md §10 policy table must be
+//! switched on where it says it is, so the docs cannot drift from the
+//! clippy configuration that holds them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -88,31 +86,6 @@ fn disallowed(clippy_toml: &str, list: &str) -> BTreeSet<String> {
     out
 }
 
-#[test]
-fn design_lint_table_matches_list_lints_output() {
-    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .args(["analyze", "--list-lints"])
-        .output()
-        .expect("xtask binary runs");
-    assert!(out.status.success(), "--list-lints must exit 0");
-    let listed: Vec<Vec<String>> = String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(|line| line.splitn(2, " | ").map(str::to_string).collect())
-        .collect();
-    let documented = table_rows(&design_section(&read("DESIGN.md"), 15));
-
-    assert_eq!(
-        listed.len(),
-        xtask::LINTS.len(),
-        "--list-lints must print every lint"
-    );
-    assert_eq!(
-        documented, listed,
-        "DESIGN.md §15 lint table and `analyze --list-lints` disagree \
-         (left: docs, right: analyzer) — update whichever is stale"
-    );
-}
-
 /// Tier-1 guard on the clippy policy: CI's clippy step is what rejects
 /// a panic or a nondeterminism source now, so a rule switched off in
 /// `Cargo.toml` or `clippy.toml`, or a crate that stops opting in to
@@ -162,25 +135,6 @@ fn design_policy_table_matches_the_clippy_configuration() {
                 .map(String::as_str),
             Some("true"),
             "crates/{krate}/Cargo.toml must opt in with [lints] workspace = true"
-        );
-    }
-}
-
-#[test]
-fn design_documents_the_contract_workflow() {
-    let design = read("DESIGN.md");
-    // The §15 prose must cover the annotation grammar and the audit
-    // knobs a contributor needs to interact with the analyzer.
-    for needle in [
-        "xtask-contract(zero_alloc)",
-        "alloc_cold",
-        "--allow-audit",
-        "--sarif",
-        "[allow-budget]",
-    ] {
-        assert!(
-            design.contains(needle),
-            "DESIGN.md must document `{needle}`"
         );
     }
 }
