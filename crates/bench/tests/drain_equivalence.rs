@@ -7,12 +7,13 @@
 //! telemetry.
 //!
 //! The library-level test sweeps randomized workloads (seeds × fault
-//! plans, with lossy links, mobility, timers, maintenance, rotation);
+//! plans, with lossy links, mobility, timers, maintenance, rotation,
+//! a TAG query);
 //! the binary-level test crosses the two drain modes with `--jobs 1`
 //! vs `--jobs 4` through the full experiment pipeline.
 
 use snapshot_bench::RandomWalkSetup;
-use snapshot_core::SensorNetwork;
+use snapshot_core::{Aggregate, QueryMode, SensorNetwork, SnapshotQuery, SpatialPredicate};
 use snapshot_netsim::rng::{derive_seed, DetRng, RngExt};
 use snapshot_netsim::{
     DrainMode, FaultEvent, FaultKind, FaultPlan, FaultTarget, NodeId, RandomWaypoint,
@@ -61,23 +62,39 @@ fn run_workload(mode: DrainMode, seed: u64) -> (String, String) {
     let base = sn.net().round();
     sn.net_mut().set_fault_plan(random_plan(seed, base));
     sn.enable_telemetry(1 << 15);
+    // Every protocol operation drains each inbox its rounds filled. A
+    // phase that skipped its drain would leave stale messages that both
+    // drain modes read alike, which the trace comparison cannot see.
+    let assert_drained = |sn: &SensorNetwork, op: &str| {
+        let woken = sn.net().scheduler().woken_len();
+        assert_eq!(woken, 0, "{op} left nodes woken ({mode:?}, seed {seed})");
+    };
 
     sn.elect();
+    assert_drained(&sn, "elect");
     let mut mob = RandomWaypoint::new(N, 0.01, derive_seed(seed, 0x0B11));
     for t in 0..12u64 {
         let round = sn.net().round();
         sn.net_mut()
             .schedule_wake(round + 1 + (t % 3), 0, NodeId((t % N as u64) as u32));
         sn.snoop_step(None, 0.5);
+        assert_drained(&sn, "snoop_step");
         mob.step(sn.net_mut());
         if t % 4 == 0 {
             sn.maintain();
+            assert_drained(&sn, "maintain");
         }
         if t % 5 == 0 {
             sn.reconcile();
+            assert_drained(&sn, "reconcile");
         }
     }
     sn.rotate(0.5);
+    assert_drained(&sn, "rotate");
+    let avg = SnapshotQuery::aggregate(SpatialPredicate::All, Aggregate::Avg, QueryMode::Regular);
+    sn.query_tag(&avg, NodeId(0))
+        .expect("an aggregate runs as TAG");
+    assert_drained(&sn, "query_tag");
 
     let trace = sn.export_trace_jsonl();
     let state = format!(

@@ -13,6 +13,10 @@
 //!   ranked by candidate-list length *plus* the number of nodes the
 //!   candidate already represents.
 //!
+//! Each phase is one method of the private `Election` state (see the
+//! phase table in the `election` module docs); `settle` then tallies
+//! the outcome.
+//!
 //! Everything is exchanged as real messages over the lossy broadcast;
 //! a lost `Recall` leaves a *spurious representative* behind (counted
 //! by Figure 13), a lost `RepresentAck` parks the waiting node in
@@ -24,7 +28,7 @@ use crate::sensor::{Mode, Offer, SensorNode};
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::rng::DetRng;
 use snapshot_netsim::rng::RngExt;
-use snapshot_netsim::{Event, Network, NodeId, Phase, SpanKind};
+use snapshot_netsim::{Delivery, Event, Network, NodeId, Phase, SpanKind};
 use std::sync::Arc;
 
 /// Summary of one election run.
@@ -43,37 +47,21 @@ pub struct ElectionOutcome {
     pub forced_active: usize,
 }
 
-#[derive(Clone, Copy)]
-enum Scope<'a> {
-    Full,
-    Partial(&'a [NodeId]),
-}
-
-impl Scope<'_> {
-    /// A maintenance election: standing representation is kept, so
-    /// offers count the members a candidate already represents.
-    fn is_maintenance(&self) -> bool {
-        matches!(self, Scope::Partial(_))
-    }
-
-    /// Per-node "is electing" flags for a deployment of `n` nodes,
-    /// built once per election so every membership test is O(1). The
-    /// initiator slice may be in any order and hold duplicates; ids
-    /// outside the deployment elect nobody.
-    fn electing_flags(&self, n: usize) -> Vec<bool> {
-        match self {
-            Scope::Full => vec![true; n],
-            Scope::Partial(set) => {
-                let mut flags = vec![false; n];
-                for id in set.iter() {
-                    if let Some(flag) = flags.get_mut(id.index()) {
-                        *flag = true;
-                    }
-                }
-                flags
-            }
+/// Per-node "is electing" flags for a deployment of `n` nodes, built
+/// once per election so every membership test is O(1): everyone in a
+/// full election (`None`), else the initiators. The slice may be in any
+/// order and hold duplicates; ids outside the deployment elect nobody.
+fn electing_flags(initiators: Option<&[NodeId]>, n: usize) -> Vec<bool> {
+    let Some(set) = initiators else {
+        return vec![true; n];
+    };
+    let mut flags = vec![false; n];
+    for id in set {
+        if let Some(flag) = flags.get_mut(id.index()) {
+            *flag = true;
         }
     }
+    flags
 }
 
 /// Run the initial, network-wide election (Section 5, Figure 2).
@@ -85,7 +73,7 @@ pub fn run_full_election(
     epoch: Epoch,
     rng: &mut DetRng,
 ) -> ElectionOutcome {
-    run_election(net, nodes, values, cfg, epoch, rng, Scope::Full)
+    run_election(net, nodes, values, cfg, epoch, rng, None)
 }
 
 /// Run a maintenance re-election for the given initiators
@@ -100,17 +88,10 @@ pub fn run_maintenance_election(
     rng: &mut DetRng,
     initiators: &[NodeId],
 ) -> ElectionOutcome {
-    run_election(
-        net,
-        nodes,
-        values,
-        cfg,
-        epoch,
-        rng,
-        Scope::Partial(initiators),
-    )
+    run_election(net, nodes, values, cfg, epoch, rng, Some(initiators))
 }
 
+/// An election among `initiators`, or a full one when `None`.
 fn run_election(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],
@@ -118,127 +99,160 @@ fn run_election(
     cfg: &SnapshotConfig,
     epoch: Epoch,
     rng: &mut DetRng,
-    scope: Scope<'_>,
+    initiators: Option<&[NodeId]>,
 ) -> ElectionOutcome {
     debug_assert_eq!(nodes.len(), values.len());
     let election_span = net.open_span(SpanKind::Election);
-    let ids: Vec<NodeId> = net.node_ids().collect();
+    let n = nodes.len();
+    let mut election = Election {
+        net,
+        nodes,
+        values,
+        cfg,
+        rng,
+        epoch,
+        maintenance: initiators.is_some(),
+        electing: electing_flags(initiators, n),
+        old_rep: vec![None; n],
+        drain_ids: Vec::with_capacity(n),
+        inbox: Vec::new(),
+    };
+    election.reset(initiators);
+    election.invite();
+    election.candidates();
+    election.accept();
+    let rounds = election.refine();
+    let outcome = election.settle(rounds);
+    election.net.close_span(election_span);
+    outcome
+}
 
-    // ---- Reset state -------------------------------------------------
-    // Remember the representative each initiator is abandoning so it
-    // can be recalled after a new choice is made.
-    let mut old_rep: Vec<Option<NodeId>> = vec![None; nodes.len()];
-    let electing = scope.electing_flags(nodes.len());
-    match scope {
-        Scope::Full => {
-            for &i in &ids {
-                if net.is_alive(i) {
-                    nodes[i.index()].reset_for_full_election();
+/// The state one election's phases share.
+struct Election<'a> {
+    net: &'a mut Network<ProtocolMsg>,
+    nodes: &'a mut [SensorNode],
+    values: &'a [f64],
+    cfg: &'a SnapshotConfig,
+    rng: &'a mut DetRng,
+    epoch: Epoch,
+    /// Offers also count the members a candidate already represents.
+    maintenance: bool,
+    electing: Vec<bool>,
+    /// The representative each initiator abandons, recalled on a change.
+    old_rep: Vec<Option<NodeId>>,
+    /// Drain buffers every round reuses: `take_inbox_into` swaps
+    /// capacity with the inboxes, so steady-state rounds never allocate.
+    drain_ids: Vec<NodeId>,
+    inbox: Vec<Delivery<ProtocolMsg>>,
+}
+
+impl Election<'_> {
+    /// Clear every alive node's election scratch. A full election also
+    /// drops all representation; a maintenance election unsettles only
+    /// its initiators, remembering the representative each abandons.
+    fn reset(&mut self, initiators: Option<&[NodeId]>) {
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if self.net.is_alive(NodeId::from_index(i)) {
+                match initiators {
+                    None => node.reset_for_full_election(),
+                    Some(_) => node.reset_scratch(),
                 }
             }
         }
-        Scope::Partial(initiators) => {
-            for &i in &ids {
-                if net.is_alive(i) {
-                    nodes[i.index()].reset_scratch();
-                }
+        for &i in initiators.unwrap_or_default() {
+            if !self.net.is_alive(i) {
+                continue;
             }
-            for &i in initiators {
-                if !net.is_alive(i) {
-                    continue;
-                }
-                let node = &mut nodes[i.index()];
-                old_rep[i.index()] = node.representative();
-                node.mode = Mode::Undefined;
-                node.rep_of = None;
-            }
+            let node = &mut self.nodes[i.index()];
+            self.old_rep[i.index()] = node.representative();
+            node.mode = Mode::Undefined;
+            node.rep_of = None;
         }
     }
 
-    // ---- Phase 1: invitation ------------------------------------------
-    let invite_span = net.open_span(SpanKind::ElectionInvite);
-    let tick = net.round();
-    net.emit(Event::ElectionPhase {
-        tick,
-        epoch: epoch.0,
-        phase: Phase::Invitation,
-    });
-    for &j in &ids {
-        if net.is_alive(j) && electing[j.index()] {
-            net.broadcast(
-                j,
-                ProtocolMsg::Invite {
-                    value: values[j.index()],
-                    epoch,
-                },
-                ProtocolMsg::Invite { value: 0.0, epoch }.wire_bytes(),
-                Phase::Invitation,
-            );
-        }
+    /// Open `kind`'s span and record that `phase` starts at this tick.
+    fn open_phase(&mut self, kind: SpanKind, phase: Phase) -> u64 {
+        let span = self.net.open_span(kind);
+        self.net.emit(Event::ElectionPhase {
+            tick: self.net.round(),
+            epoch: self.epoch.0,
+            phase,
+        });
+        span
     }
-    net.deliver();
-    net.close_span(invite_span);
 
-    // ---- Phase 2: model evaluation + candidate lists -------------------
-    let cand_span = net.open_span(SpanKind::ElectionCandidates);
-    let tick = net.round();
-    net.emit(Event::ElectionPhase {
-        tick,
-        epoch: epoch.0,
-        phase: Phase::Candidates,
-    });
-    // Outgoing queue: (sender, Some(unicast target) | None for broadcast, message).
-    let mut to_send: Vec<(NodeId, Option<NodeId>, ProtocolMsg)> = Vec::new();
-    // One reusable delivery buffer serves every drain in this election;
-    // `take_inbox_into` swaps capacity with the node's inbox, so the
-    // steady-state message loops never touch the heap.
-    let mut inbox = Vec::new();
-    for &i in &ids {
-        if !net.is_alive(i) {
-            net.clear_inbox(i);
-            continue;
+    /// Phase 1, invitation: every alive initiator broadcasts its
+    /// current measurement.
+    fn invite(&mut self) {
+        let span = self.open_phase(SpanKind::ElectionInvite, Phase::Invitation);
+        let epoch = self.epoch;
+        for j in (0..self.nodes.len()).map(NodeId::from_index) {
+            if self.net.is_alive(j) && self.electing[j.index()] {
+                let value = self.values[j.index()];
+                let msg = ProtocolMsg::Invite { value, epoch };
+                let bytes = msg.wire_bytes();
+                self.net.broadcast(j, msg, bytes, Phase::Invitation);
+            }
         }
-        net.take_inbox_into(i, &mut inbox);
-        // Nodes shedding load — or too drained to take on the role —
-        // do not offer candidacy ("a representative node that finds
-        // its energy capacity fall below a threshold value ... simply
-        // ignores these invitations", Section 5.1).
-        let drained = cfg.energy_handoff_fraction > 0.0
-            && net.battery(i).fraction() < cfg.energy_handoff_fraction;
-        let node = &mut nodes[i.index()];
-        if node.refusing_invites || drained {
-            continue;
-        }
-        let own = values[i.index()];
-        let learn = scope.is_maintenance();
-        for d in inbox.drain(..) {
-            if let ProtocolMsg::Invite { value, .. } = d.payload {
-                if d.from == i {
-                    continue;
-                }
-                if let Some(est) = node.cache.estimate(d.from, own) {
-                    if cfg.metric.within(value, est, cfg.threshold) {
-                        node.cand_list.push(d.from);
+        self.net.deliver();
+        self.net.close_span(span);
+    }
+
+    /// Phase 2, model evaluation: each hearer lists the inviters its
+    /// cache predicts within the threshold and, if it can afford the
+    /// role, broadcasts that candidate list.
+    fn candidates(&mut self) {
+        let span = self.open_phase(SpanKind::ElectionCandidates, Phase::Candidates);
+        let (net, cfg) = (&mut *self.net, self.cfg);
+        net.drain_candidates_into(&mut self.drain_ids);
+        // Keep the hearers that offer candidacy; they broadcast once
+        // every hearer has built its list.
+        self.drain_ids.retain(|&i| {
+            net.take_inbox_into(i, &mut self.inbox);
+            // Nodes shedding load — or too drained to take on the role —
+            // do not offer candidacy ("a representative node that finds
+            // its energy capacity fall below a threshold value ... simply
+            // ignores these invitations", Section 5.1).
+            let drained = cfg.energy_handoff_fraction > 0.0
+                && net.battery(i).fraction() < cfg.energy_handoff_fraction;
+            let node = &mut self.nodes[i.index()];
+            if node.refusing_invites || drained {
+                return false;
+            }
+            let own = self.values[i.index()];
+            for d in self.inbox.drain(..) {
+                if let ProtocolMsg::Invite { value, .. } = d.payload {
+                    if d.from == i {
+                        continue;
+                    }
+                    if let Some(est) = node.cache.estimate(d.from, own) {
+                        if cfg.metric.within(value, est, cfg.threshold) {
+                            node.cand_list.push(d.from);
+                        }
+                    }
+                    // Maintenance invitations carry the inviter's fresh
+                    // measurement; hearers cache it (after evaluating
+                    // their pre-invite model, which is what the candidacy
+                    // test must use). Invitations are rare, explicit
+                    // announcements — unlike ambient data traffic they are
+                    // always worth offering to the cache manager, whose
+                    // model-aware admission policy decides whether the
+                    // pair earns its keep. This keeps models of drifting
+                    // nodes from going permanently stale between
+                    // elections.
+                    if self.maintenance
+                        && cfg.invite_learn_prob > 0.0
+                        && self.rng.random_bool(cfg.invite_learn_prob)
+                    {
+                        let decision = node.cache.observe(d.from, own, value);
+                        net.charge_cache_update(i);
+                        crate::trace::record_cache_decision(net, i, d.from, &decision, &node.cache);
                     }
                 }
-                // Maintenance invitations carry the inviter's fresh
-                // measurement; hearers cache it (after evaluating
-                // their pre-invite model, which is what the candidacy
-                // test must use). Invitations are rare, explicit
-                // announcements — unlike ambient data traffic they are
-                // always worth offering to the cache manager, whose
-                // model-aware admission policy decides whether the
-                // pair earns its keep. This keeps models of drifting
-                // nodes from going permanently stale between
-                // elections.
-                if learn && cfg.invite_learn_prob > 0.0 && rng.random_bool(cfg.invite_learn_prob) {
-                    let decision = node.cache.observe(d.from, own, value);
-                    net.charge_cache_update(i);
-                    crate::trace::record_cache_decision(net, i, d.from, &decision, &node.cache);
-                }
             }
-        }
-        if !node.cand_list.is_empty() {
+            if node.cand_list.is_empty() {
+                return false;
+            }
             // Energy viability (only when the handoff mechanism is in
             // force): taking on `cand_list.len()` members means paying
             // roughly three messages per member for the election plus
@@ -253,143 +267,171 @@ fn run_election(
                     + 0.05 * battery.capacity();
                 battery.remaining() >= need
             };
-            if viable {
-                let msg = ProtocolMsg::Candidates {
-                    cand: Arc::from(node.cand_list.as_slice()),
-                    already: node.member_count(),
-                };
-                to_send.push((i, None, msg));
-            } else {
+            if !viable {
                 node.cand_list.clear();
             }
+            viable
+        });
+        for &i in &self.drain_ids {
+            let node = &self.nodes[i.index()];
+            let msg = ProtocolMsg::Candidates {
+                cand: Arc::from(node.cand_list.as_slice()),
+                already: node.member_count(),
+            };
+            let bytes = msg.wire_bytes();
+            net.broadcast(i, msg, bytes, Phase::Candidates);
         }
+        net.deliver();
+        net.close_span(span);
     }
-    for (i, _, msg) in to_send.drain(..) {
-        let bytes = msg.wire_bytes();
-        net.broadcast(i, msg, bytes, Phase::Candidates);
-    }
-    net.deliver();
-    net.close_span(cand_span);
 
-    // ---- Phase 3: initial selection ------------------------------------
-    let accept_span = net.open_span(SpanKind::ElectionAccept);
-    let tick = net.round();
-    net.emit(Event::ElectionPhase {
-        tick,
-        epoch: epoch.0,
-        phase: Phase::Accept,
-    });
-    for &j in &ids {
-        if !net.is_alive(j) {
-            net.clear_inbox(j);
-            continue;
-        }
-        net.take_inbox_into(j, &mut inbox);
-        let node = &mut nodes[j.index()];
-        for d in inbox.drain(..) {
-            if let ProtocolMsg::Candidates { cand, already } = d.payload {
-                node.hear_cand_len(d.from, cand.len());
-                if electing[j.index()] && cand.contains(&j) {
-                    node.offers.push(Offer {
-                        from: d.from,
-                        cand_len: cand.len(),
-                        already,
-                    });
+    /// Phase 3, initial selection: every hearer notes each list's
+    /// length (Rule 0 compares them), each initiator accepts the best
+    /// list naming it and recalls the representative it abandons, and
+    /// representatives record the acceptances that arrive.
+    fn accept(&mut self) {
+        let span = self.open_phase(SpanKind::ElectionAccept, Phase::Accept);
+        let epoch = self.epoch;
+        self.net.drain_candidates_into(&mut self.drain_ids);
+        for &j in &self.drain_ids {
+            self.net.take_inbox_into(j, &mut self.inbox);
+            let node = &mut self.nodes[j.index()];
+            for d in self.inbox.drain(..) {
+                if let ProtocolMsg::Candidates { cand, already } = d.payload {
+                    node.hear_cand_len(d.from, cand.len());
+                    if self.electing[j.index()] && cand.contains(&j) {
+                        node.offers.push(Offer {
+                            from: d.from,
+                            cand_len: cand.len(),
+                            already,
+                        });
+                    }
                 }
             }
         }
-        if electing[j.index()] {
-            if let Some(best) = node.best_offer(scope.is_maintenance()) {
-                node.rep_of = Some((best.from, epoch));
-                to_send.push((j, Some(best.from), ProtocolMsg::Accept { epoch }));
-                if net.telemetry_enabled() {
-                    let tick = net.round();
-                    net.emit(Event::InviteAccepted {
-                        tick,
-                        member: j.0,
-                        rep: best.from.0,
-                        epoch: epoch.0,
-                    });
-                }
-                // A maintenance initiator abandoning a different
-                // representative recalls it (best effort; a lost
-                // recall leaves a spurious representative behind).
-                if let Some(old) = old_rep[j.index()] {
-                    if old != best.from {
-                        net.unicast(
-                            j,
-                            old,
-                            ProtocolMsg::Recall,
-                            ProtocolMsg::Recall.wire_bytes(),
-                            Phase::Refinement,
-                        );
-                    }
-                }
+        // Every alive initiator chooses, heard lists or not: one that
+        // was down when the election reset still holds the offers of
+        // its last election. (member, chosen representative) pairs are
+        // unicast once every initiator has chosen.
+        let mut accepts: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.drain_ids.len());
+        for j in (0..self.nodes.len()).map(NodeId::from_index) {
+            if !self.electing[j.index()] || !self.net.is_alive(j) {
+                continue;
             }
             // No offers: rep_of stays None; Rule 1 will set ACTIVE.
-        }
-    }
-    for (j, dst, msg) in to_send.drain(..) {
-        // Acceptances are only queued with a chosen representative; a
-        // destination-less entry is dropped rather than panicking.
-        let Some(rep) = dst else { continue };
-        let bytes = msg.wire_bytes();
-        net.unicast(j, rep, msg, bytes, Phase::Accept);
-    }
-    net.deliver();
-
-    // Acceptances arrive.
-    for &i in &ids {
-        if !net.is_alive(i) {
-            net.clear_inbox(i);
-            continue;
-        }
-        net.take_inbox_into(i, &mut inbox);
-        let node = &mut nodes[i.index()];
-        for d in inbox.drain(..) {
-            if !d.addressed {
+            let Some(best) = self.nodes[j.index()].best_offer(self.maintenance) else {
                 continue;
+            };
+            self.nodes[j.index()].rep_of = Some((best.from, epoch));
+            accepts.push((j, best.from));
+            if self.net.telemetry_enabled() {
+                self.net.emit(Event::InviteAccepted {
+                    tick: self.net.round(),
+                    member: j.0,
+                    rep: best.from.0,
+                    epoch: epoch.0,
+                });
             }
-            match d.payload {
-                ProtocolMsg::Accept { epoch: e } => {
-                    node.represents.insert(d.from, e);
-                    // In a maintenance election an already-settled node
-                    // (possibly PASSIVE) gaining a member must serve it.
-                    if scope.is_maintenance() && node.mode == Mode::Passive {
-                        node.mode = Mode::Active;
+            // A maintenance initiator abandoning a different
+            // representative recalls it (best effort; a lost recall
+            // leaves a spurious representative behind).
+            if let Some(old) = self.old_rep[j.index()].filter(|&old| old != best.from) {
+                let msg = ProtocolMsg::Recall;
+                let bytes = msg.wire_bytes();
+                self.net.unicast(j, old, msg, bytes, Phase::Refinement);
+            }
+        }
+        for (j, rep) in accepts {
+            let msg = ProtocolMsg::Accept { epoch };
+            let bytes = msg.wire_bytes();
+            self.net.unicast(j, rep, msg, bytes, Phase::Accept);
+        }
+        self.net.deliver();
+
+        // Acceptances arrive.
+        self.net.drain_candidates_into(&mut self.drain_ids);
+        for &i in &self.drain_ids {
+            self.net.take_inbox_into(i, &mut self.inbox);
+            let node = &mut self.nodes[i.index()];
+            for d in self.inbox.drain(..) {
+                if !d.addressed {
+                    continue;
+                }
+                match d.payload {
+                    ProtocolMsg::Accept { epoch: e } => {
+                        node.represents.insert(d.from, e);
+                        // In a maintenance election an already-settled node
+                        // (possibly PASSIVE) gaining a member must serve it.
+                        if self.maintenance && node.mode == Mode::Passive {
+                            node.mode = Mode::Active;
+                        }
                     }
+                    ProtocolMsg::Recall => {
+                        node.represents.remove(&d.from);
+                    }
+                    _ => {}
                 }
-                ProtocolMsg::Recall => {
-                    node.represents.remove(&d.from);
-                }
-                _ => {}
             }
         }
+        self.net.close_span(span);
     }
 
-    net.close_span(accept_span);
+    /// Phase 4, refinement: rounds of Rules 0–4 and their messages
+    /// until no alive node is UNDEFINED and nothing is in flight, or
+    /// until the hard cap. Returns the rounds run.
+    fn refine(&mut self) -> u32 {
+        let span = self.open_phase(SpanKind::ElectionRefine, Phase::Refinement);
+        let hard_cap = self.cfg.max_wait + 16;
+        // Staging buffer for acknowledgment member lists, reused by every
+        // representative so that each broadcast allocates only its list.
+        let mut members = Vec::new();
+        let mut rounds = 0u32;
+        for round in 0..hard_cap {
+            rounds = round + 1;
+            self.apply_rules();
+            // Representatives acknowledge the members that asked them to
+            // stay active: one broadcast listing everyone they represent
+            // (the paper's footnote-optimized acknowledgment). The
+            // broadcast fires only when a StayActive arrived this round,
+            // and waiting members remember *any* overheard member list, so
+            // under perfect links every representative broadcasts at most
+            // once; repeats happen only when loss forces notify retries.
+            for i in (0..self.nodes.len()).map(NodeId::from_index) {
+                let node = &mut self.nodes[i.index()];
+                if !self.net.is_alive(i) || node.pending_ack_members.is_empty() {
+                    continue;
+                }
+                node.pending_ack_members.clear();
+                let msg = ProtocolMsg::represent_ack(node.members(), &mut members);
+                let bytes = msg.wire_bytes();
+                self.net.broadcast(i, msg, bytes, Phase::Refinement);
+            }
+            let delivered = self.net.deliver();
+            self.hear_refinement();
+            // Converged? No undefined node and no traffic in flight.
+            let net = &*self.net;
+            let unsettled = self.nodes.iter().enumerate().any(|(i, node)| {
+                net.is_alive(NodeId::from_index(i))
+                    && (node.mode == Mode::Undefined || !node.pending_ack_members.is_empty())
+            });
+            if !unsettled && delivered == 0 && net.pending() == 0 {
+                break;
+            }
+        }
+        self.net.close_span(span);
+        rounds
+    }
 
-    // ---- Phase 4: refinement (Rules 0-4) --------------------------------
-    let refine_span = net.open_span(SpanKind::ElectionRefine);
-    let tick = net.round();
-    net.emit(Event::ElectionPhase {
-        tick,
-        epoch: epoch.0,
-        phase: Phase::Refinement,
-    });
-    let hard_cap = cfg.max_wait + 16;
-    // Staging buffer for acknowledgment member lists, reused by every
-    // representative so that each broadcast allocates only its list.
-    let mut members = Vec::new();
-    let mut rounds = 0u32;
-    for round in 0..hard_cap {
-        rounds = round + 1;
-        // Rules pass.
-        for &i in &ids {
-            if !net.is_alive(i) {
+    /// One pass of Rules 0–4 over the alive nodes. Rules 2 and 3 unicast
+    /// to the representative as they fire, which keeps the outbox and
+    /// the trace in node order only while the pass emits nothing else
+    /// and a send charges only its sender.
+    fn apply_rules(&mut self) {
+        for i in (0..self.nodes.len()).map(NodeId::from_index) {
+            if !self.net.is_alive(i) {
                 continue;
             }
-            let node = &mut nodes[i.index()];
+            let node = &mut self.nodes[i.index()];
 
             // Rule 0: mutual representation — the stronger candidate
             // (longer list, then larger id) goes ACTIVE.
@@ -419,7 +461,9 @@ fn run_election(
                     if j != i {
                         node.sent_recall = true;
                         node.rep_of = None;
-                        to_send.push((i, Some(j), ProtocolMsg::Recall));
+                        let msg = ProtocolMsg::Recall;
+                        let bytes = msg.wire_bytes();
+                        self.net.unicast(i, j, msg, bytes, Phase::Refinement);
                     }
                 }
             }
@@ -442,7 +486,9 @@ fn run_election(
                     } else if node.notify_cooldown == 0 {
                         node.waiting_ack_from = Some(j);
                         node.notify_cooldown = 1;
-                        to_send.push((i, Some(j), ProtocolMsg::StayActive));
+                        let msg = ProtocolMsg::StayActive;
+                        let bytes = msg.wire_bytes();
+                        self.net.unicast(i, j, msg, bytes, Phase::Refinement);
                     } else {
                         node.notify_cooldown -= 1;
                     }
@@ -454,55 +500,25 @@ fn run_election(
             // a synchronized stampede.
             if node.mode == Mode::Undefined {
                 node.rounds_undefined += 1;
-                if node.rounds_undefined > cfg.max_wait && rng.random_bool(cfg.p_wait) {
+                if node.rounds_undefined > self.cfg.max_wait
+                    && self.rng.random_bool(self.cfg.p_wait)
+                {
                     node.mode = Mode::Active;
                     node.waiting_ack_from = None;
                     node.forced_active = true;
                 }
             }
         }
+    }
 
-        // Send rule messages (Recall / StayActive are unicasts to the
-        // representative recorded when the rule fired).
-        for (i, dst, msg) in to_send.drain(..) {
-            let bytes = msg.wire_bytes();
-            match dst {
-                Some(t) => net.unicast(i, t, msg, bytes, Phase::Refinement),
-                None => net.broadcast(i, msg, bytes, Phase::Refinement),
-            }
-        }
-
-        // Representatives acknowledge the members that asked them to
-        // stay active: one broadcast listing everyone they represent
-        // (the paper's footnote-optimized acknowledgment). The
-        // broadcast fires only when a StayActive arrived this round,
-        // and waiting members remember *any* overheard member list, so
-        // under perfect links every representative broadcasts at most
-        // once; repeats happen only when loss forces notify retries.
-        for &i in &ids {
-            if !net.is_alive(i) {
-                continue;
-            }
-            let node = &mut nodes[i.index()];
-            if !node.pending_ack_members.is_empty() {
-                node.pending_ack_members.clear();
-                let msg = ProtocolMsg::represent_ack(node.members(), &mut members);
-                let bytes = msg.wire_bytes();
-                net.broadcast(i, msg, bytes, Phase::Refinement);
-            }
-        }
-
-        let delivered = net.deliver();
-
-        // Process refinement traffic.
-        for &i in &ids {
-            if !net.is_alive(i) {
-                net.clear_inbox(i);
-                continue;
-            }
-            net.take_inbox_into(i, &mut inbox);
-            let node = &mut nodes[i.index()];
-            for d in inbox.drain(..) {
+    /// Drain one refinement round: recalls, stay-active requests and
+    /// member-list acknowledgments.
+    fn hear_refinement(&mut self) {
+        self.net.drain_candidates_into(&mut self.drain_ids);
+        for &i in &self.drain_ids {
+            self.net.take_inbox_into(i, &mut self.inbox);
+            let node = &mut self.nodes[i.index()];
+            for d in self.inbox.drain(..) {
                 match d.payload {
                     ProtocolMsg::Recall if d.addressed => {
                         node.represents.remove(&d.from);
@@ -516,7 +532,7 @@ fn run_election(
                         }
                         // A StayActive implies "you represent me" — it
                         // recovers acceptances lost on the way.
-                        node.represents.entry(d.from).or_insert(epoch);
+                        node.represents.entry(d.from).or_insert(self.epoch);
                         node.mode = Mode::Active;
                         node.waiting_ack_from = None;
                         node.pending_ack_members.push(d.from);
@@ -540,76 +556,49 @@ fn run_election(
                 }
             }
         }
-
-        // Converged? No undefined node and no traffic in flight.
-        let any_undefined = ids
-            .iter()
-            .any(|&i| net.is_alive(i) && nodes[i.index()].mode == Mode::Undefined);
-        let any_pending_ack = ids
-            .iter()
-            .any(|&i| net.is_alive(i) && !nodes[i.index()].pending_ack_members.is_empty());
-        if !any_undefined && !any_pending_ack && delivered == 0 && net.pending() == 0 {
-            break;
-        }
-    }
-    net.close_span(refine_span);
-
-    // Safety valve: anything still undefined after the hard cap goes
-    // ACTIVE (the conservative choice — it can only improve accuracy).
-    for &i in &ids {
-        if net.is_alive(i) && nodes[i.index()].mode == Mode::Undefined {
-            nodes[i.index()].mode = Mode::Active;
-            nodes[i.index()].waiting_ack_from = None;
-            nodes[i.index()].forced_active = true;
-        }
     }
 
-    let mut active = 0;
-    let mut passive = 0;
-    let mut forced = 0;
-    for &i in &ids {
-        if !net.is_alive(i) {
-            continue;
-        }
-        match nodes[i.index()].mode {
-            Mode::Active => active += 1,
-            Mode::Passive => {
-                passive += 1;
-                // Record the standing representation link.
-                if net.telemetry_enabled() {
-                    if let Some((rep, _)) = nodes[i.index()].rep_of {
-                        let tick = net.round();
-                        net.emit(Event::Represented {
-                            tick,
-                            member: i.0,
-                            rep: rep.0,
-                            epoch: epoch.0,
-                        });
-                    }
+    /// Settle the election: the safety valve forces every alive node
+    /// still UNDEFINED after the hard cap ACTIVE (the conservative
+    /// choice — it can only improve accuracy), and the outcome counts
+    /// the alive nodes by mode, recording each standing
+    /// representation link.
+    fn settle(&mut self, refinement_rounds: u32) -> ElectionOutcome {
+        let (mut active, mut passive, mut forced) = (0, 0, 0);
+        for i in (0..self.nodes.len()).map(NodeId::from_index) {
+            if !self.net.is_alive(i) {
+                continue;
+            }
+            let node = &mut self.nodes[i.index()];
+            if node.mode == Mode::Undefined {
+                node.mode = Mode::Active;
+                node.waiting_ack_from = None;
+                node.forced_active = true;
+            }
+            forced += usize::from(node.forced_active);
+            if node.mode == Mode::Active {
+                active += 1;
+                continue;
+            }
+            passive += 1;
+            if let Some((rep, _)) = node.rep_of {
+                if self.net.telemetry_enabled() {
+                    self.net.emit(Event::Represented {
+                        tick: self.net.round(),
+                        member: i.0,
+                        rep: rep.0,
+                        epoch: self.epoch.0,
+                    });
                 }
             }
-            // The safety valve above forces every live node out of
-            // Undefined; should that invariant ever break, degrade to
-            // ACTIVE (the paper's Rule 1 default) instead of aborting
-            // the simulation.
-            Mode::Undefined => {
-                nodes[i.index()].mode = Mode::Active;
-                active += 1;
-            }
         }
-        if nodes[i.index()].forced_active {
-            forced += 1;
+        ElectionOutcome {
+            epoch: self.epoch,
+            refinement_rounds,
+            snapshot_size: active,
+            passive,
+            forced_active: forced,
         }
-    }
-
-    net.close_span(election_span);
-
-    ElectionOutcome {
-        epoch,
-        refinement_rounds: rounds,
-        snapshot_size: active,
-        passive,
-        forced_active: forced,
     }
 }
 
@@ -624,10 +613,10 @@ mod tests {
     fn scope_membership() {
         let ids = [NodeId(1), NodeId(3)];
         assert_eq!(
-            Scope::Partial(&ids).electing_flags(5),
+            electing_flags(Some(&ids), 5),
             [false, true, false, true, false]
         );
-        assert_eq!(Scope::Full.electing_flags(3), [true; 3]);
+        assert_eq!(electing_flags(None, 3), [true; 3]);
 
         // Any order, duplicates and out-of-range ids: a node elects
         // exactly when the slice contains it.
@@ -639,7 +628,7 @@ mod tests {
             NodeId(0),
             NodeId(2),
         ];
-        let flags = Scope::Partial(&ids).electing_flags(10);
+        let flags = electing_flags(Some(&ids), 10);
         for (i, &flag) in flags.iter().enumerate() {
             assert_eq!(flag, ids.contains(&NodeId::from_index(i)), "node {i}");
         }

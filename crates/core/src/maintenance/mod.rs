@@ -64,7 +64,7 @@ use crate::sensor::{Mode, SensorNode};
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::rng::DetRng;
 use snapshot_netsim::rng::RngExt;
-use snapshot_netsim::{Event, Network, NodeId, Phase};
+use snapshot_netsim::{Delivery, Event, Network, NodeId, Phase};
 use std::collections::BTreeSet;
 
 /// What one maintenance cycle did.
@@ -125,7 +125,6 @@ pub fn run_handoff_check(
     run_cycle(net, nodes, values, cfg, epoch, rng, false)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_cycle(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],
@@ -141,9 +140,8 @@ fn run_cycle(
     // the inboxes, keeping the maintenance loops allocation-free.
     let mut inbox = Vec::new();
     // Wake-list drain candidates (DESIGN.md §16): each post-deliver
-    // drain visits only the nodes the round actually reached, in
-    // ascending id order — identical RNG/telemetry order to the old
-    // all-nodes scan, since undelivered nodes were no-ops there.
+    // drain visits only the alive nodes the round actually reached, in
+    // ascending id order.
     let mut drained: Vec<NodeId> = Vec::new();
     let mut reelect: BTreeSet<NodeId> = BTreeSet::new();
     let mut report = MaintenanceReport {
@@ -157,60 +155,19 @@ fn run_cycle(
 
     // ---- Energy handoff announcements --------------------------------
     if cfg.energy_handoff_fraction > 0.0 {
-        for i in (0..n).map(NodeId::from_index) {
-            if !net.is_alive(i) {
-                continue;
-            }
-            let battery = net.battery(i);
-            // A representative steps down when its battery falls below
-            // the configured fraction — or below what one full round
-            // of heartbeat replies *plus* a comparable window of query
-            // answering would cost, whichever is larger: it must never
-            // die mid-burst (or right after one) while still holding
-            // its members, because orphans go dark until the next
-            // heartbeat cycle notices the silence.
-            let burst_floor =
-                (2 * nodes[i.index()].member_count() + 10) as f64 * net.energy_model().tx_cost;
-            let battery_fraction = battery.fraction();
-            let low =
-                battery_fraction < cfg.energy_handoff_fraction || battery.remaining() < burst_floor;
-            let node = &mut nodes[i.index()];
-            if low && node.mode() == Mode::Active && node.member_count() > 0 {
-                node.refusing_invites = true;
-                report.handoffs += 1;
-                if net.telemetry_enabled() {
-                    let tick = net.round();
-                    net.emit(Event::HandoffTriggered {
-                        tick,
-                        node: i.0,
-                        battery_fraction,
-                    });
-                }
-                net.broadcast(
-                    i,
-                    ProtocolMsg::EnergyHandoff,
-                    ProtocolMsg::EnergyHandoff.wire_bytes(),
-                    Phase::Handoff,
-                );
-            }
-        }
-        net.deliver();
-        net.drain_candidates_into(&mut drained);
-        for &i in &drained {
-            if !net.is_alive(i) {
-                net.clear_inbox(i);
-                continue;
-            }
-            net.take_inbox_into(i, &mut inbox);
-            let node = &nodes[i.index()];
-            for d in inbox.drain(..) {
-                if matches!(d.payload, ProtocolMsg::EnergyHandoff)
-                    && node.representative() == Some(d.from)
-                {
-                    reelect.insert(i);
-                }
-            }
-        }
+        // A representative steps down when its battery falls below the
+        // configured fraction — or below what one full round of
+        // heartbeat replies *plus* a comparable window of query
+        // answering would cost, whichever is larger: it must never die
+        // mid-burst (or right after one) while still holding its
+        // members, because orphans go dark until the next heartbeat
+        // cycle notices the silence.
+        let low = |net: &Network<ProtocolMsg>, node: &SensorNode| {
+            let battery = net.battery(node.id());
+            let burst_floor = (2 * node.member_count() + 10) as f64 * net.energy_model().tx_cost;
+            battery.fraction() < cfg.energy_handoff_fraction || battery.remaining() < burst_floor
+        };
+        report.handoffs = step_down(net, nodes, low, &mut drained, &mut inbox, &mut reelect);
     }
 
     // ---- Heartbeats ----------------------------------------------------
@@ -242,10 +199,6 @@ fn run_cycle(
     let mut replies: Vec<(NodeId, NodeId, f64)> = Vec::new();
     net.drain_candidates_into(&mut drained);
     for &i in &drained {
-        if !net.is_alive(i) {
-            net.clear_inbox(i);
-            continue;
-        }
         net.take_inbox_into(i, &mut inbox);
         let own = values[i.index()];
         for d in inbox.drain(..) {
@@ -294,10 +247,6 @@ fn run_cycle(
     let mut estimates: Vec<Option<f64>> = vec![None; nodes.len()];
     net.drain_candidates_into(&mut drained);
     for &j in &drained {
-        if !net.is_alive(j) {
-            net.clear_inbox(j);
-            continue;
-        }
         net.take_inbox_into(j, &mut inbox);
         for d in inbox.drain(..) {
             if let ProtocolMsg::Estimate { value } = d.payload {
@@ -352,6 +301,59 @@ fn run_cycle(
     }
 
     report
+}
+
+/// The step-down phase of the energy handoff and of rotation: each
+/// alive ACTIVE representative with members that `trigger` picks (it is
+/// asked about those only, in ascending id order) refuses invitations
+/// for the cycle and broadcasts an `EnergyHandoff`; each member that
+/// hears its own representative's joins `reelect`. Returns how many
+/// stepped down.
+fn step_down(
+    net: &mut Network<ProtocolMsg>,
+    nodes: &mut [SensorNode],
+    mut trigger: impl FnMut(&Network<ProtocolMsg>, &SensorNode) -> bool,
+    drained: &mut Vec<NodeId>,
+    inbox: &mut Vec<Delivery<ProtocolMsg>>,
+    reelect: &mut BTreeSet<NodeId>,
+) -> usize {
+    let mut stepped = 0;
+    for node in nodes.iter_mut() {
+        let i = node.id();
+        if !net.is_alive(i)
+            || node.mode() != Mode::Active
+            || node.member_count() == 0
+            || !trigger(net, node)
+        {
+            continue;
+        }
+        node.refusing_invites = true;
+        stepped += 1;
+        if net.telemetry_enabled() {
+            net.emit(Event::HandoffTriggered {
+                tick: net.round(),
+                node: i.0,
+                battery_fraction: net.battery(i).fraction(),
+            });
+        }
+        let msg = ProtocolMsg::EnergyHandoff;
+        let bytes = msg.wire_bytes();
+        net.broadcast(i, msg, bytes, Phase::Handoff);
+    }
+    net.deliver();
+    net.drain_candidates_into(drained);
+    for &i in drained.iter() {
+        net.take_inbox_into(i, inbox);
+        let node = &nodes[i.index()];
+        for d in inbox.drain(..) {
+            if matches!(d.payload, ProtocolMsg::EnergyHandoff)
+                && node.representative() == Some(d.from)
+            {
+                reelect.insert(i);
+            }
+        }
+    }
+    stepped
 }
 
 #[cfg(test)]

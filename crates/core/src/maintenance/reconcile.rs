@@ -64,10 +64,6 @@ pub fn reconcile(net: &mut Network<ProtocolMsg>, nodes: &mut [SensorNode]) -> Re
     let mut inbox = Vec::new();
     net.drain_candidates_into(&mut drained);
     for &i in &drained {
-        if !net.is_alive(i) {
-            net.clear_inbox(i);
-            continue;
-        }
         net.take_inbox_into(i, &mut inbox);
         let node = &nodes[i.index()];
         for d in inbox.drain(..) {
@@ -93,10 +89,6 @@ pub fn reconcile(net: &mut Network<ProtocolMsg>, nodes: &mut [SensorNode]) -> Re
     // Corrections.
     net.drain_candidates_into(&mut drained);
     for &i in &drained {
-        if !net.is_alive(i) {
-            net.clear_inbox(i);
-            continue;
-        }
         net.take_inbox_into(i, &mut inbox);
         let node = &mut nodes[i.index()];
         for d in inbox.drain(..) {

@@ -8,13 +8,14 @@
 //! `rotation_prob`; its members re-elect, and the retiring node
 //! refuses candidacy for that election so the role genuinely moves.
 
+use super::step_down;
 use crate::config::SnapshotConfig;
 use crate::election::{run_maintenance_election, ElectionOutcome, ProtocolMsg};
-use crate::sensor::{Mode, SensorNode};
+use crate::sensor::SensorNode;
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::rng::DetRng;
 use snapshot_netsim::rng::RngExt;
-use snapshot_netsim::{Event, Network, NodeId, Phase};
+use snapshot_netsim::{Network, NodeId};
 use std::collections::BTreeSet;
 
 /// Outcome of a rotation cycle.
@@ -30,7 +31,6 @@ pub struct RotationReport {
 
 /// Rotate representatives with the given per-representative
 /// probability. `values[i]` is `N_i`'s current measurement.
-#[allow(clippy::too_many_arguments)]
 pub fn rotate_representatives(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],
@@ -44,89 +44,32 @@ pub fn rotate_representatives(
         (0.0..=1.0).contains(&rotation_prob),
         "rotation_prob must be a probability, got {rotation_prob}"
     );
-    let n = nodes.len();
-    let mut report = RotationReport {
-        retired: 0,
-        reassigned: 0,
-        election: None,
-    };
-
-    // Retiring representatives announce a handoff.
-    for i in (0..n).map(NodeId::from_index) {
-        if !net.is_alive(i) {
-            continue;
-        }
-        let node = &mut nodes[i.index()];
-        if node.mode() == Mode::Active && node.member_count() > 0 && rng.random_bool(rotation_prob)
-        {
-            node.refusing_invites = true;
-            report.retired += 1;
-            if net.telemetry_enabled() {
-                let tick = net.round();
-                let battery_fraction = net.battery(i).fraction();
-                net.emit(Event::HandoffTriggered {
-                    tick,
-                    node: i.0,
-                    battery_fraction,
-                });
-            }
-            net.broadcast(
-                i,
-                ProtocolMsg::EnergyHandoff,
-                ProtocolMsg::EnergyHandoff.wire_bytes(),
-                Phase::Handoff,
-            );
-        }
-    }
-    net.deliver();
-
-    // Members of retiring representatives re-elect. Wake-list drain
-    // (DESIGN.md §16): only nodes the handoff broadcast reached are
-    // visited, in ascending id order.
+    // Retiring representatives announce a handoff; their members
+    // re-elect.
     let mut initiators: BTreeSet<NodeId> = BTreeSet::new();
-    let mut inbox = Vec::new();
-    let mut drained: Vec<NodeId> = Vec::new();
-    net.drain_candidates_into(&mut drained);
-    for &i in &drained {
-        if !net.is_alive(i) {
-            net.clear_inbox(i);
-            continue;
-        }
-        net.take_inbox_into(i, &mut inbox);
-        let node = &nodes[i.index()];
-        for d in inbox.drain(..) {
-            if matches!(d.payload, ProtocolMsg::EnergyHandoff)
-                && node.representative() == Some(d.from)
-            {
-                initiators.insert(i);
-            }
-        }
-    }
-    report.reassigned = initiators.len();
-
-    if !initiators.is_empty() {
+    let coin = |_: &Network<ProtocolMsg>, _: &SensorNode| rng.random_bool(rotation_prob);
+    let (mut drained, mut inbox) = (Vec::new(), Vec::new());
+    let retired = step_down(net, nodes, coin, &mut drained, &mut inbox, &mut initiators);
+    let reassigned = initiators.len();
+    let election = (!initiators.is_empty()).then(|| {
         let initiators: Vec<NodeId> = initiators.into_iter().collect();
-        report.election = Some(run_maintenance_election(
-            net,
-            nodes,
-            values,
-            cfg,
-            epoch,
-            rng,
-            &initiators,
-        ));
-    }
-
+        run_maintenance_election(net, nodes, values, cfg, epoch, rng, &initiators)
+    });
     for node in nodes.iter_mut() {
         node.refusing_invites = false;
     }
-    report
+    RotationReport {
+        retired,
+        reassigned,
+        election,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use crate::sensor::Mode;
     use snapshot_netsim::prelude::*;
 
     #[test]

@@ -435,10 +435,6 @@ impl SensorNetwork {
         self.net.drain_candidates_into(&mut drain_ids);
         let mut inbox = std::mem::take(&mut self.scratch_inbox);
         for &i in &drain_ids {
-            if !self.net.is_alive(i) {
-                self.net.clear_inbox(i);
-                continue;
-            }
             self.net.take_inbox_into(i, &mut inbox);
             let own = values[i.index()];
             for d in inbox.drain(..) {

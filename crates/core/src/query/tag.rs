@@ -19,7 +19,7 @@ use crate::election::ProtocolMsg;
 use crate::error::CoreError;
 use crate::query::Aggregate;
 use crate::sensor::SensorNode;
-use snapshot_netsim::flood::{flood, FloodToken};
+use snapshot_netsim::flood::flood;
 use snapshot_netsim::tree::AggregationTree;
 use snapshot_netsim::{Network, NodeId, Phase};
 
@@ -121,7 +121,6 @@ pub fn execute_tag(
         net.len(),
         Phase::Flood,
     );
-    let _ = FloodToken { hops: 0 }; // keep the import honest
     let tree = AggregationTree::from_flood(&outcome);
 
     // 2. Local contributions (same row logic as the idealized path).
@@ -145,12 +144,12 @@ pub fn execute_tag(
         .max()
         .unwrap_or(0);
     let mut inbox = Vec::new();
+    let mut drained = Vec::new();
     for depth in (1..=max_depth).rev() {
-        let senders: Vec<NodeId> = (0..n)
-            .map(NodeId::from_index)
-            .filter(|&id| tree.depth(id) == Some(depth) && net.is_alive(id))
-            .collect();
-        for &id in &senders {
+        for id in (0..n).map(NodeId::from_index) {
+            if tree.depth(id) != Some(depth) || !net.is_alive(id) {
+                continue;
+            }
             let p = partials[id.index()];
             // Nothing to report and nothing inherited: stay silent
             // (TAG's suppression of empty partials).
@@ -174,12 +173,8 @@ pub fn execute_tag(
         }
         net.deliver();
         // Parents (any node above this depth) fold in delivered partials.
-        let ids: Vec<NodeId> = net.node_ids().collect();
-        for id in ids {
-            if !net.is_alive(id) {
-                net.clear_inbox(id);
-                continue;
-            }
+        net.drain_candidates_into(&mut drained);
+        for &id in &drained {
             net.take_inbox_into(id, &mut inbox);
             for d in inbox.drain(..) {
                 if let ProtocolMsg::Partial {

@@ -157,25 +157,9 @@ impl SensorNode {
         self.represents.len()
     }
 
-    /// Epoch recorded for a member claim, if any.
-    pub fn member_epoch(&self, member: NodeId) -> Option<Epoch> {
-        self.represents.get(&member).copied()
-    }
-
     /// True when this node answers snapshot queries.
     pub fn is_active(&self) -> bool {
         self.mode == Mode::Active
-    }
-
-    /// True when this node was forced active by the Rule-4 timeout in
-    /// the last election.
-    pub fn was_forced_active(&self) -> bool {
-        self.forced_active
-    }
-
-    /// Candidate list built in the most recent election.
-    pub fn candidate_list(&self) -> &[NodeId] {
-        &self.cand_list
     }
 
     /// Reset all election state for a brand-new full election: mode

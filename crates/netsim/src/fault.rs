@@ -349,9 +349,10 @@ impl FaultSchedule {
     /// The earliest tick at which this schedule has work to do: the
     /// next unfired plan event or the soonest pending recovery,
     /// whichever comes first. `None` once the plan is exhausted and no
-    /// recoveries are pending. O(1) — lets [`crate::sim::Network::deliver`]
-    /// skip fault application entirely on quiescent ticks instead of
-    /// walking the schedule.
+    /// recoveries are pending. O(1) with no recovery pending, O(r) with
+    /// r pending (`recoveries` is keyed by node, so its minimum is a
+    /// walk); lets [`crate::sim::Network::deliver`] skip fault
+    /// application on ticks with nothing due.
     pub(crate) fn next_due_tick(&self) -> Option<u64> {
         let next_event = self.plan.events.get(self.next).map(|e| e.at);
         let next_recovery = self.recoveries.values().min().copied();

@@ -207,11 +207,6 @@ impl<P: Clone> Network<P> {
         &self.telemetry
     }
 
-    /// Mutable telemetry hub (attach/clear recorders).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
-    }
-
     /// Replace the telemetry hub, e.g.
     /// `net.set_telemetry(Telemetry::full(100_000))` to start tracing.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -527,13 +522,21 @@ impl<P: Clone> Network<P> {
         self.sched.set_drain_mode(mode);
     }
 
-    /// Fill `buf` (cleared first) with this tick's drain candidates in
-    /// ascending node-id order: the woken nodes under
+    /// Fill `buf` (cleared first) with this tick's alive drain
+    /// candidates in ascending node-id order: the woken nodes under
     /// [`DrainMode::WakeList`], every node under [`DrainMode::AllScan`].
+    /// A dead candidate's inbox is discarded and its mark cleared here.
     /// Callers drain each candidate with [`Network::take_inbox_into`]
     /// or [`Network::clear_inbox`], which unmark it.
     pub fn drain_candidates_into(&mut self, buf: &mut Vec<NodeId>) {
         self.sched.drain_candidates_into(buf);
+        buf.retain(|&id| {
+            let alive = self.is_alive(id);
+            if !alive {
+                self.clear_inbox(id);
+            }
+            alive
+        });
     }
 
     /// Charge `id` for one cache-manager update (the paper's 0.1-tx
@@ -629,8 +632,8 @@ impl<P: Clone> Network<P> {
         // Tick boundary: apply scheduled faults before any of this
         // round's traffic moves, so a node crashed at tick `t` misses
         // round-`t` receptions. `next_due_tick` makes the quiescent
-        // skip O(1): a plan with nothing due this round costs one
-        // comparison, not a schedule walk — and an actually-due
+        // skip cheap — a walk of the r pending outage recoveries, O(1)
+        // with none, not of the schedule — and an actually-due
         // application is behavior-identical to the old unconditional
         // call (a no-due `apply_due_faults` was already a pure no-op).
         if let Some(f) = &self.faults {
@@ -1439,6 +1442,15 @@ mod tests {
         net.clear_inbox(NodeId(2));
         net.drain_candidates_into(&mut woken);
         assert!(woken.is_empty(), "drained nodes sleep again");
+        // A receiver that dies before the drain is left out of it, its
+        // inbox discarded and its wake cleared.
+        net.broadcast(NodeId(1), 7, 4, Phase::Test);
+        net.deliver();
+        net.kill(NodeId(2));
+        net.drain_candidates_into(&mut woken);
+        assert_eq!(woken, vec![NodeId(0)]);
+        assert!(!net.scheduler().is_woken(NodeId(2)));
+        assert!(net.take_inbox(NodeId(2)).is_empty());
     }
 
     /// Timers wake their node at (or after) the scheduled tick.

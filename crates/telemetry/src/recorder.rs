@@ -200,11 +200,6 @@ impl Telemetry {
         self.ring.as_ref()
     }
 
-    /// Mutable ring buffer, when attached.
-    pub fn ring_mut(&mut self) -> Option<&mut RingRecorder> {
-        self.ring.as_mut()
-    }
-
     /// The metrics registry, when attached.
     pub fn registry(&self) -> Option<&MetricsRegistry> {
         self.registry.as_ref()

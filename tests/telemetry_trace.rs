@@ -5,11 +5,12 @@
 use snapshot_bench::experiments::trace::{
     record_election_trace, record_election_trace_with_plan, ELECTION_MSG_BUDGET,
 };
+use snapshot_bench::RandomWalkSetup;
 use snapshot_queries::core::{
     Aggregate, QueryMode, SensorNetwork, SnapshotConfig, SnapshotQuery, SpatialPredicate,
 };
 use snapshot_queries::datagen::{random_walk, RandomWalkConfig};
-use snapshot_queries::netsim::telemetry::{jsonl, Phase, TraceSummary};
+use snapshot_queries::netsim::telemetry::{jsonl, Event, Phase, TraceSummary};
 use snapshot_queries::netsim::{EnergyModel, FaultPlan, LinkModel, NodeId, Topology};
 use snapshot_queries::store::format::crc32;
 
@@ -23,15 +24,17 @@ fn recorded_traces_are_byte_identical_across_identical_seeds() {
 }
 
 /// The golden traces, pinned across commits by their CRC-32: the
-/// canonical run at seed 1, and the same run under `faults/demo.fault`
-/// (crashes, outages, a blackout, i.i.d. and burst loss). A change
-/// that alters a trace on purpose updates these constants and says why
-/// in CHANGES.md; any other change must leave them as they are.
+/// canonical run at seed 1, the same run under `faults/demo.fault`
+/// (crashes, outages, a blackout, i.i.d. and burst loss), and
+/// [`record_maintenance_paths_trace`]. A change that alters a trace on
+/// purpose updates these constants and says why in CHANGES.md; any
+/// other change must leave them as they are.
 #[test]
 fn golden_traces_keep_their_digests() {
     let plain = record_election_trace(1, 100);
     let plan = FaultPlan::parse(include_str!("../faults/demo.fault")).expect("demo parses");
     let faulted = record_election_trace_with_plan(1, 100, Some(&plan));
+    let (maintained, checked, rotated) = record_maintenance_paths_trace(1);
     let digest = |trace: &str| (crc32(trace.as_bytes()), trace.len());
     assert_eq!(digest(&plain), (0x2c6f_1296, 292_846), "seed 1 trace");
     assert_eq!(
@@ -39,6 +42,67 @@ fn golden_traces_keep_their_digests() {
         (0xdb8a_a0db, 335_058),
         "seed 1 trace under demo.fault"
     );
+    assert!(checked > 0, "the handoff check stepped nobody down");
+    assert!(rotated > 0, "the rotation stepped nobody down");
+    assert_eq!(
+        digest(&maintained),
+        (0xf63a_ea1a, 1_067_321),
+        "seed 1 maintenance-path trace"
+    );
+}
+
+/// Finite batteries, two representatives drained below the handoff
+/// fraction, then a handoff check, a rotation, a reconciliation pass
+/// and a TAG query under 10 % loss. Returns the trace and the
+/// `HandoffTriggered` events the check and the rotation recorded.
+fn record_maintenance_paths_trace(seed: u64) -> (String, usize, usize) {
+    let mut sn = RandomWalkSetup {
+        k: 10,
+        range: 0.7,
+        p_loss: 0.1,
+        ..RandomWalkSetup::default()
+    }
+    .build_with_batteries(seed, 200.0);
+    sn.set_energy_handoff_fraction(0.5);
+    sn.train(0, 10);
+    sn.set_time(99);
+    sn.enable_telemetry(1 << 20);
+    let _ = sn.elect();
+
+    let loaded: Vec<NodeId> = sn
+        .snapshot()
+        .representatives()
+        .into_iter()
+        .filter(|&r| sn.nodes()[r.index()].member_count() > 0)
+        .take(2)
+        .collect();
+    for rep in loaded {
+        sn.net_mut().charge(rep, 100.0, Phase::Test);
+    }
+    let check_from = sn.net().round();
+    let _ = sn.check_handoffs();
+    let rotate_from = sn.net().round();
+    let _ = sn.rotate(0.5);
+    let rotate_to = sn.net().round();
+    let _ = sn.reconcile();
+    let pred = SpatialPredicate::window(0.5, 0.5, 0.5);
+    sn.query_tag(
+        &SnapshotQuery::aggregate(pred, Aggregate::Avg, QueryMode::Regular),
+        NodeId(0),
+    )
+    .expect("an aggregate query runs as TAG");
+
+    let ring = sn.net().telemetry().ring().expect("ring attached");
+    assert_eq!(ring.dropped(), 0, "the ring wrapped; widen it");
+    let trace = sn.export_trace_jsonl();
+    let events = jsonl::parse(&trace).expect("self-recorded trace parses");
+    let handoffs = |ticks: std::ops::Range<u64>| {
+        let stepped =
+            |e: &&Event| matches!(e, Event::HandoffTriggered { tick, .. } if ticks.contains(tick));
+        events.iter().filter(stepped).count()
+    };
+    let checked = handoffs(check_from..rotate_from);
+    (trace, checked, handoffs(rotate_from..rotate_to))
 }
 
 #[test]
