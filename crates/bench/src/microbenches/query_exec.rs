@@ -1,7 +1,8 @@
 //! Macro-benchmark: query execution in both modes on an elected
 //! 100-node network — the per-query cost that snapshot mode trades
-//! against accuracy — and whole-field scans on a 5000-node one, alone
-//! and as one serving tick's batch.
+//! against accuracy — and scans on a 5000-node one: whole-field scans
+//! alone, one serving tick's batch, and one quadrant inside a warm
+//! batch.
 
 use crate::RandomWalkSetup;
 use snapshot_core::{Aggregate, QueryMode, SnapshotQuery, SpatialPredicate};
@@ -105,6 +106,16 @@ fn bench_scans_5k(c: &mut Criterion) {
             let results: Vec<_> = scans.iter().map(|q| batch.query(q)).collect();
             black_box(results)
         })
+    });
+
+    // One quadrant scanned again inside a warm batch: every reading
+    // hits the table, so what is left is what the scan itself costs —
+    // its targets, rows, participants and charges.
+    let quadrant = &scans[1];
+    let mut batch = sn.scan_batch(NodeId(0));
+    let _ = batch.query(quadrant);
+    c.bench_function("query_quadrant_in_batch_5k", |b| {
+        b.iter(|| black_box(batch.query(quadrant)))
     });
 }
 

@@ -147,16 +147,19 @@ struct Election<'a> {
 }
 
 impl Election<'_> {
-    /// Clear every alive node's election scratch. A full election also
-    /// drops all representation; a maintenance election unsettles only
-    /// its initiators, remembering the representative each abandons.
+    /// Clear every node's election scratch, down nodes included: one
+    /// that an outage revives mid-election must not carry its last
+    /// election's lists and offers into this one. A full election also
+    /// drops the representation of every alive node (a dead member
+    /// stays covered through the representative it keeps); a
+    /// maintenance election unsettles only its initiators, remembering
+    /// the representative each abandons.
     fn reset(&mut self, initiators: Option<&[NodeId]>) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            if self.net.is_alive(NodeId::from_index(i)) {
-                match initiators {
-                    None => node.reset_for_full_election(),
-                    Some(_) => node.reset_scratch(),
-                }
+            if initiators.is_none() && self.net.is_alive(NodeId::from_index(i)) {
+                node.reset_for_full_election();
+            } else {
+                node.reset_scratch();
             }
         }
         for &i in initiators.unwrap_or_default() {
@@ -309,10 +312,9 @@ impl Election<'_> {
                 }
             }
         }
-        // Every alive initiator chooses, heard lists or not: one that
-        // was down when the election reset still holds the offers of
-        // its last election. (member, chosen representative) pairs are
-        // unicast once every initiator has chosen.
+        // Every alive initiator chooses among the offers it heard.
+        // (member, chosen representative) pairs are unicast once every
+        // initiator has chosen.
         let mut accepts: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.drain_ids.len());
         for j in (0..self.nodes.len()).map(NodeId::from_index) {
             if !self.electing[j.index()] || !self.net.is_alive(j) {

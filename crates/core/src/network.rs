@@ -835,6 +835,34 @@ mod tests {
     }
 
     #[test]
+    fn a_node_revived_at_the_invitation_round_starts_with_clean_scratch() {
+        use snapshot_netsim::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
+        let mut sn = paper_setup(1, 42);
+        let _ = sn.elect();
+        let x = NodeId(7);
+        let listed = sn.node(x).cand_list.clone();
+        assert!(!listed.is_empty(), "{x} listed no inviter");
+        // Down from the next tick across the re-election's reset, and
+        // back up at the tick its invitations are delivered.
+        let down_at = sn.net().round() + 1;
+        sn.net_mut().set_fault_plan(FaultPlan::new(vec![FaultEvent {
+            at: down_at,
+            kind: FaultKind::Outage {
+                target: FaultTarget::Node(x.0),
+                down_for: 1,
+            },
+        }]));
+        sn.net_mut().deliver();
+        assert!(!sn.net().is_alive(x));
+        let _ = sn.elect();
+        assert!(sn.net().is_alive(x));
+        // Same time, same models, same inviters bar `x` itself: the
+        // list it broadcast is the one it built in the first election,
+        // not that list with this election's invitations appended.
+        assert_eq!(sn.node(x).cand_list, listed);
+    }
+
+    #[test]
     fn one_class_converges_to_a_tiny_snapshot() {
         // Figure 6, K = 1: "the network successfully picks a single
         // representative for all 100 nodes". Message loss is zero and

@@ -15,7 +15,7 @@ use super::{QueryMode, SnapshotQuery};
 use crate::election::ProtocolMsg;
 use crate::sensor::SensorNode;
 use snapshot_netsim::tree::AggregationTree;
-use snapshot_netsim::{Network, NodeId, Phase, Topology};
+use snapshot_netsim::{Network, NodeId, NodeSet, Phase, Topology};
 
 /// The outcome of one query execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,8 +179,8 @@ pub(crate) fn collect_rows(
     targets: &[NodeId],
     mut readings: Option<&mut Readings>,
 ) -> CollectedRows {
-    let mut rows: Vec<(NodeId, f64)> = Vec::new();
-    let mut answered_by: Vec<NodeId> = Vec::new();
+    let mut rows: Vec<(NodeId, f64)> = Vec::with_capacity(targets.len());
+    let mut answered_by: Vec<NodeId> = Vec::with_capacity(targets.len());
     let mut available = 0usize;
 
     // The value filter is evaluated on whatever value would be
@@ -217,23 +217,6 @@ pub(crate) fn collect_rows(
         answered_by,
         available,
     }
-}
-
-/// The distinct ids in `ids`, ascending: one pass marking a table of
-/// `n` flags, then one sweep of the flags.
-fn ascending_distinct(ids: &[NodeId], n: usize) -> Vec<NodeId> {
-    let mut marked = vec![false; n];
-    for id in ids {
-        if let Some(m) = marked.get_mut(id.index()) {
-            *m = true;
-        }
-    }
-    marked
-        .iter()
-        .enumerate()
-        .filter(|&(_, &m)| m)
-        .map(|(i, _)| NodeId::from_index(i))
-        .collect()
 }
 
 /// True when the query routes through representatives: its tree then
@@ -300,7 +283,10 @@ fn execute_on_tree(
     } = collect_rows(alive, nodes, values, query, tree, &targets, readings);
 
     let participants = tree.participants(&answered_by);
-    let responders = ascending_distinct(&answered_by, nodes.len());
+    let mut responders = NodeSet::new(nodes.len());
+    for &who in &answered_by {
+        responders.insert(who);
+    }
 
     let value = query
         .aggregate
@@ -322,7 +308,7 @@ fn execute_on_tree(
 
     let result = QueryResult {
         mode: query.mode,
-        responders,
+        responders: responders.to_vec(),
         participants: participants.len(),
         rows,
         value,

@@ -68,11 +68,27 @@ impl SpatialPredicate {
         }
     }
 
-    /// All nodes (alive or dead) whose position matches.
+    /// All nodes (alive or dead) whose position matches, in ascending
+    /// id order: the same ids as filtering every node with
+    /// [`SpatialPredicate::matches`]. A rectangle or circle tests only
+    /// the nodes of the grid cells overlapping its bounding box
+    /// ([`Topology::nodes_within`]), so a scan costs its targets, not
+    /// the deployment.
     pub fn targets(&self, topo: &Topology) -> Vec<NodeId> {
-        topo.node_ids()
-            .filter(|&id| self.matches(topo.position(id)))
-            .collect()
+        let bbox = match *self {
+            SpatialPredicate::All => return topo.node_ids().collect(),
+            SpatialPredicate::Rect { x0, y0, x1, y1 } => [x0, y0, x1, y1],
+            SpatialPredicate::Circle { x, y, r } => {
+                // `matches` compares a rounded distance with `r`, so it
+                // can admit a node a few ulps of |x| + |y| + r outside
+                // the exact disk: more than the grid's one-cell margin
+                // once the coordinates dwarf a cell
+                // (`CIRCLE(1e20, 0.5, 1e20)` matches a node at x = -2).
+                let reach = r + 8.0 * f64::EPSILON * (x.abs() + y.abs() + r.abs());
+                [x - reach, y - reach, x + reach, y + reach]
+            }
+        };
+        topo.nodes_within(bbox, |p| self.matches(p))
     }
 }
 
@@ -117,5 +133,16 @@ mod tests {
         };
         assert_eq!(left.targets(&topo).len(), 8);
         assert_eq!(SpatialPredicate::All.targets(&topo).len(), 16);
+    }
+
+    #[test]
+    fn unbounded_rectangles_target_every_node() {
+        let topo = Topology::random_uniform(500, 0.05, 3).expect("valid deployment");
+        let all: Vec<NodeId> = topo.node_ids().collect();
+        let (inf, big) = (f64::INFINITY, 1e20);
+        for (x0, y0, x1, y1) in [(-inf, -inf, inf, inf), (-big, -big, big, big)] {
+            let rect = SpatialPredicate::Rect { x0, y0, x1, y1 };
+            assert_eq!(rect.targets(&topo), all, "{rect:?}");
+        }
     }
 }

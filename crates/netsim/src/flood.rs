@@ -59,6 +59,9 @@ impl FloodOutcome {
 ///
 /// The flood runs for at most `max_rounds` delivery rounds (the
 /// network diameter bounds the useful number; `n` is always safe).
+/// Each round drains only the alive nodes its delivery woke
+/// ([`Network::drain_candidates_into`]), so a round costs what the
+/// flood reached, not the deployment.
 pub fn flood<P: Clone>(
     net: &mut Network<P>,
     sink: NodeId,
@@ -78,14 +81,16 @@ pub fn flood<P: Clone>(
     }
 
     let mut inbox: Vec<Delivery<P>> = Vec::new();
+    let mut woken: Vec<NodeId> = Vec::new();
     for _ in 0..max_rounds {
         let delivered = net.deliver();
         if delivered == 0 && net.pending() == 0 {
             break;
         }
         let mut joiners: Vec<(NodeId, u32)> = Vec::new();
-        for id in 0..n {
-            let id = NodeId::from_index(id);
+        // Only the alive nodes this round woke can have heard the flood.
+        net.drain_candidates_into(&mut woken);
+        for &id in &woken {
             net.take_inbox_into(id, &mut inbox);
             if parent[id.index()].is_some() {
                 continue; // already in the tree
@@ -118,8 +123,9 @@ pub fn flood<P: Clone>(
     }
     // Drain any leftover flood traffic so later protocol phases start clean.
     net.deliver();
-    for id in 0..n {
-        net.clear_inbox(NodeId::from_index(id));
+    net.drain_candidates_into(&mut woken);
+    for &id in &woken {
+        net.clear_inbox(id);
     }
 
     FloodOutcome { sink, parent, hops }

@@ -67,13 +67,16 @@ impl GridIndex {
     /// The cell containing `p`.
     #[inline]
     pub fn cell_of(&self, p: &Position) -> Cell {
-        // `as i64` saturates on overflow, which keeps even absurd
-        // coordinates (or a pathological NaN) total rather than UB;
-        // such nodes simply share a far-away bucket.
-        (
-            (p.x / self.cell_size).floor() as i64,
-            (p.y / self.cell_size).floor() as i64,
-        )
+        (self.coord(p.x), self.coord(p.y))
+    }
+
+    /// The cell coordinate of `v` along either axis. Monotone in `v`:
+    /// `as i64` saturates on overflow, which keeps even absurd
+    /// coordinates total rather than UB (such nodes simply share a
+    /// far-away bucket), and maps a pathological NaN to 0.
+    #[inline]
+    fn coord(&self, v: f64) -> i64 {
+        (v / self.cell_size).floor() as i64
     }
 
     /// Insert `id` into the bucket of `p`'s cell.
@@ -120,6 +123,44 @@ impl GridIndex {
                     // once warm this extend allocates nothing.
                     out.extend_from_slice(bucket);
                 }
+            }
+        }
+    }
+
+    /// Call `visit` on every node bucketed in a cell that overlaps the
+    /// box `[x0, x1] × [y0, y1]` widened by one cell on every side, in
+    /// no particular order: a superset of the nodes inside the box, to
+    /// which callers apply their exact predicate. The widening keeps a
+    /// node that rounding puts just past a computed edge; a caller
+    /// whose bound can round by more than a cell widens the box itself.
+    /// A NaN bound leaves its side open.
+    ///
+    /// One ordered range scan over the occupied cells of the box's
+    /// columns: O(occupied cells + candidates), never a loop over the
+    /// box's numeric cell span. A box of ±1e20 saturates its cells to
+    /// `i64::MIN`/`MAX` and still visits only occupied cells.
+    pub fn candidates_in_box(&self, [x0, y0, x1, y1]: [f64; 4], mut visit: impl FnMut(NodeId)) {
+        let lo = |v: f64| {
+            if v.is_nan() {
+                i64::MIN
+            } else {
+                self.coord(v).saturating_sub(1)
+            }
+        };
+        let hi = |v: f64| {
+            if v.is_nan() {
+                i64::MAX
+            } else {
+                self.coord(v).saturating_add(1)
+            }
+        };
+        let (cx0, cy0, cx1, cy1) = (lo(x0), lo(y0), hi(x1), hi(y1));
+        if cx0 > cx1 || cy0 > cy1 {
+            return;
+        }
+        for (&(_, cy), bucket) in self.cells.range((cx0, i64::MIN)..=(cx1, i64::MAX)) {
+            if (cy0..=cy1).contains(&cy) {
+                bucket.iter().copied().for_each(&mut visit);
             }
         }
     }
@@ -241,6 +282,51 @@ mod tests {
         let mut cand = Vec::new();
         grid.candidates_around(&positions[1], &mut cand);
         assert_eq!(cand, vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn box_candidates_cover_the_box_and_saturate_safely() {
+        let positions: Vec<Position> = (0..50)
+            .map(|i| pos(f64::from(i) * 0.02, f64::from(i % 7) * 0.13))
+            .collect();
+        let grid = GridIndex::build(&positions, 0.1);
+        let ids = |bbox: [f64; 4]| {
+            let mut seen = Vec::new();
+            grid.candidates_in_box(bbox, |id| seen.push(id));
+            seen.sort_unstable();
+            seen
+        };
+        let all: Vec<NodeId> = (0..50).map(NodeId).collect();
+        // Bounds past `i64` saturate, NaN bounds open their side: every
+        // node is a candidate, each once.
+        assert_eq!(ids([-1e20, -1e20, 1e20, 1e20]), all);
+        let upper: Vec<NodeId> = all
+            .iter()
+            .copied()
+            .filter(|id| grid.cell_of(&positions[id.index()]).1 >= 3)
+            .collect();
+        assert_eq!(
+            ids([f64::NEG_INFINITY, 0.5, f64::INFINITY, f64::NAN]),
+            upper
+        );
+        assert_eq!(ids([f64::NAN; 4]), all);
+        // An inverted box is empty; a small box yields every node
+        // inside it and only nodes of nearby cells.
+        assert!(ids([0.9, 0.0, 0.1, 1.0]).is_empty());
+        let (x0, y0, x1, y1) = (0.3, 0.2, 0.5, 0.5);
+        let got = ids([x0, y0, x1, y1]);
+        for (i, p) in positions.iter().enumerate() {
+            let id = NodeId::from_index(i);
+            if p.in_rect(x0, y0, x1, y1) {
+                assert!(got.contains(&id), "{id} inside the box");
+            }
+            if got.contains(&id) {
+                assert!(
+                    p.in_rect(x0 - 0.2, y0 - 0.2, x1 + 0.2, y1 + 0.2),
+                    "{id} far away"
+                );
+            }
+        }
     }
 
     #[test]

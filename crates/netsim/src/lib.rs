@@ -76,7 +76,7 @@ pub use grid::GridIndex;
 pub use link::{GilbertElliott, LinkModel};
 pub use message::{Delivery, Destination, Envelope};
 pub use mobility::RandomWaypoint;
-pub use node::NodeId;
+pub use node::{NodeId, NodeSet};
 pub use rng::{DetRng, RngCore, RngExt};
 pub use scheduler::{set_default_drain_mode, DrainMode, EventKey, Scheduler, WakeReason};
 pub use sim::Network;

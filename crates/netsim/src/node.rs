@@ -41,6 +41,65 @@ impl From<u32> for NodeId {
     }
 }
 
+/// A set of the ids `0..n` of one deployment: one bit per node, 64
+/// nodes to a `u64` word. An insert costs O(1), and
+/// [`NodeSet::to_vec`] sweeps the words in ascending id order for
+/// O(n / 64 + len), one `trailing_zeros` per member.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    /// The empty set over ids `0..n`.
+    pub fn new(n: usize) -> Self {
+        NodeSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Add `id`. Returns `true` when it was absent; an id outside
+    /// `0..n` is never added.
+    #[inline]
+    pub fn insert(&mut self, id: NodeId) -> bool {
+        let bit = 1u64 << (id.index() % 64);
+        match self.words.get_mut(id.index() / 64) {
+            Some(word) if *word & bit == 0 => {
+                *word |= bit;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Number of ids in the set.
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The ids in ascending order.
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    NodeId::from_index(i * 64 + bit)
+                })
+            })
+        })
+    }
+
+    /// The ids in ascending order, in a vector allocated once at
+    /// exactly their count.
+    pub fn to_vec(&self) -> Vec<NodeId> {
+        let mut ids = Vec::with_capacity(self.len());
+        ids.extend(self.iter());
+        ids
+    }
+}
+
 /// Liveness of a node.
 ///
 /// A node dies when its battery is depleted (or when failure is
@@ -88,6 +147,28 @@ mod tests {
     #[test]
     fn node_id_displays_with_paper_notation() {
         assert_eq!(NodeId(4).to_string(), "N4");
+    }
+
+    #[test]
+    fn node_set_sweeps_members_in_ascending_order() {
+        let mut set = NodeSet::new(130);
+        assert_eq!(set.len(), 0);
+        for raw in [129u32, 3, 64, 63, 0, 3, 200] {
+            set.insert(NodeId(raw));
+        }
+        let want: Vec<NodeId> = [0, 3, 63, 64, 129].into_iter().map(NodeId).collect();
+        assert_eq!(
+            set.to_vec(),
+            want,
+            "a repeat adds nothing; 200 is out of range"
+        );
+        assert_eq!(set.to_vec().capacity(), want.len());
+        assert_eq!(set.len(), 5);
+        assert!(!set.insert(NodeId(64)), "already present");
+        assert!(set.insert(NodeId(65)));
+        assert!(!set.insert(NodeId(200)), "out of range");
+        assert_eq!(set.len(), 6);
+        assert!(NodeSet::new(0).to_vec().is_empty());
     }
 
     #[test]

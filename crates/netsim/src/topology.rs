@@ -9,7 +9,7 @@
 
 use crate::error::NetsimError;
 use crate::grid::GridIndex;
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeSet};
 use crate::rng::derive_seed;
 use crate::rng::DetRng;
 use crate::rng::RngExt;
@@ -302,11 +302,22 @@ impl Topology {
         count == n
     }
 
-    /// Nodes whose position falls in `[x0,x1] x [y0,y1]`.
-    pub fn nodes_in_rect(&self, x0: f64, y0: f64, x1: f64, y1: f64) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&id| self.position(id).in_rect(x0, y0, x1, y1))
-            .collect()
+    /// The nodes whose position passes `keep`, in ascending id order,
+    /// for a `keep` that holds only inside the box `[x0, x1] × [y0,
+    /// y1]` (a NaN bound leaves its side open).
+    ///
+    /// Only the nodes the grid index buckets in cells overlapping the
+    /// box are tested ([`GridIndex::candidates_in_box`]), and a bitset
+    /// sweep puts them in id order, so the cost is O(occupied cells +
+    /// candidates + N / 64), not a test of every node.
+    pub fn nodes_within(&self, bbox: [f64; 4], keep: impl Fn(Position) -> bool) -> Vec<NodeId> {
+        let mut found = NodeSet::new(self.len());
+        self.grid.candidates_in_box(bbox, |id| {
+            if keep(self.positions[id.index()]) {
+                found.insert(id);
+            }
+        });
+        found.to_vec()
     }
 
     /// Move a node to a new position, incrementally updating the
@@ -514,10 +525,22 @@ mod tests {
 
     #[test]
     fn nodes_in_rect_filters_by_position() {
-        let topo = Topology::grid(4, 0.5);
-        let left_half = topo.nodes_in_rect(0.0, 0.0, 0.5, 1.0);
-        assert_eq!(left_half.len(), 8);
-        let all = topo.nodes_in_rect(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(all.len(), 16);
+        let mut topo = Topology::grid(4, 0.3);
+        let in_rect = |b: [f64; 4]| move |p: Position| p.in_rect(b[0], b[1], b[2], b[3]);
+        let left_half = [0.0, 0.0, 0.5, 1.0];
+        let left: Vec<NodeId> = [0, 1, 4, 5, 8, 9, 12, 13].into_iter().map(NodeId).collect();
+        assert_eq!(topo.nodes_within(left_half, in_rect(left_half)), left);
+        let field = [0.0, 0.0, 1.0, 1.0];
+        assert_eq!(topo.nodes_within(field, in_rect(field)).len(), 16);
+        // A node moved across cells is found at its new position only.
+        topo.set_position(NodeId(15), Position::new(0.1, 0.1));
+        let mut moved = left;
+        moved.push(NodeId(15));
+        assert_eq!(topo.nodes_within(left_half, in_rect(left_half)), moved);
+        let corner = [0.6, 0.6, 1.0, 1.0];
+        assert_eq!(
+            topo.nodes_within(corner, in_rect(corner)),
+            vec![NodeId(10), NodeId(11), NodeId(14)]
+        );
     }
 }

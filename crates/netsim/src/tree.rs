@@ -9,7 +9,7 @@
 //! computes exactly that set.
 
 use crate::flood::FloodOutcome;
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeSet};
 use std::collections::BTreeSet;
 
 /// A routing tree rooted at a sink node.
@@ -170,24 +170,21 @@ impl AggregationTree {
     /// ascending id order.
     ///
     /// One pass: each responder walks toward the sink, marking the
-    /// nodes it passes, and stops at the first node already marked —
-    /// a shared path segment is walked once, so the cost is
-    /// O(|responders| + |participants|) plus one sweep of the marks.
+    /// nodes it passes in a [`NodeSet`], and stops at the first node
+    /// already marked — a shared path segment is walked once, so the
+    /// cost is O(|responders| + |participants|) plus one sweep of
+    /// N / 64 words.
     ///
     /// This is the quantity averaged in the paper's Table 3
     /// (`N_regular` and `N_snapshot`).
     pub fn participants(&self, responders: &[NodeId]) -> Vec<NodeId> {
-        let mut marked = vec![false; self.parent.len()];
+        let mut marked = NodeSet::new(self.parent.len());
         for &r in responders {
             if !self.contains(r) {
                 continue;
             }
             let mut cur = r;
-            while let Some(seen) = marked.get_mut(cur.index()) {
-                if *seen {
-                    break;
-                }
-                *seen = true;
+            while marked.insert(cur) {
                 if cur == self.sink {
                     break;
                 }
@@ -197,12 +194,7 @@ impl AggregationTree {
                 }
             }
         }
-        marked
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m)
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
+        marked.to_vec()
     }
 
     /// Participants that only route (are not themselves responders),

@@ -1004,6 +1004,39 @@ mod tests {
     }
 
     #[test]
+    fn a_tenant_rectangle_past_i64_counts_every_node() {
+        // 500 nodes on a grid of 0.1-wide cells. The corners saturate
+        // every cell coordinate to ±i64::MAX, and the scan must still
+        // visit only the occupied cells.
+        let data = random_walk(&RandomWalkConfig {
+            n_nodes: 500,
+            steps: 40,
+            ..RandomWalkConfig::paper_defaults(4, 5)
+        })
+        .unwrap();
+        let topo = Topology::random_uniform(500, 0.1, 5).expect("valid deployment");
+        assert!(topo.is_connected());
+        let mut sn = SensorNetwork::new(
+            topo,
+            LinkModel::Perfect,
+            EnergyModel::default(),
+            SnapshotConfig::paper(1.0, 2048, 5),
+            data.trace,
+        );
+        sn.set_time(20);
+        let mut svc = service();
+        let huge = "99999999999999999999";
+        let text = format!(
+            "SELECT COUNT(value) FROM sensors WHERE loc IN RECT(-{huge}, -{huge}, {huge}, {huge})"
+        );
+        svc.submit(&sn, 0, &text).unwrap();
+        let done = drain(&mut svc, &mut sn);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].error, None);
+        assert_eq!(done[0].value, Some(500.0));
+    }
+
+    #[test]
     fn fair_share_spreads_admission_across_ticks() {
         let mut sn = small_network(9);
         let mut svc = QueryService::new(

@@ -1,11 +1,13 @@
 //! Equivalence suite for the live query executor.
 //!
-//! `SensorNetwork::query` reuses the network's cached BFS aggregation
-//! tree, finds participants in one marking walk and reads each node's
-//! mode and representative straight from its protocol state. This
-//! suite holds it to a reference executor written the direct way: a
-//! fresh BFS tree per query, a reconciled [`Snapshot`], one
-//! [`AggregationTree::path_to_sink`] per responder and ordered sets.
+//! `SensorNetwork::query` enumerates its targets through the grid
+//! index, reuses the network's cached BFS aggregation tree, finds
+//! participants in one marking walk and reads each node's mode and
+//! representative straight from its protocol state. This suite holds
+//! it to a reference executor written the direct way: every node
+//! tested against the predicate, a fresh BFS tree per query, a
+//! reconciled [`Snapshot`], one [`AggregationTree::path_to_sink`] per
+//! responder and ordered sets.
 //!
 //! Random deployments (perfect and lossy links, some with finite
 //! batteries) answer a random mix of queries, and between queries the
@@ -37,9 +39,9 @@ use std::collections::BTreeSet;
 /// Queries per deployment.
 const QUERIES: usize = 240;
 
-/// The direct executor: a fresh BFS tree, a reconciled [`Snapshot`],
-/// one path per responder and ordered sets. Returns the answer and
-/// the nodes it charges.
+/// The direct executor: every node tested against the predicate, a
+/// fresh BFS tree, a reconciled [`Snapshot`], one path per responder
+/// and ordered sets. Returns the answer and the nodes it charges.
 fn reference(
     sn: &SensorNetwork,
     query: &SnapshotQuery,
@@ -57,7 +59,10 @@ fn reference(
         }
         _ => AggregationTree::bfs(topology, sink, alive),
     };
-    let targets = query.predicate.targets(topology);
+    let targets: Vec<NodeId> = topology
+        .node_ids()
+        .filter(|&id| query.predicate.matches(topology.position(id)))
+        .collect();
     let passes = |v: f64| query.value_filter.is_none_or(|f| f.matches(v));
 
     let mut responders = BTreeSet::new();
@@ -146,8 +151,8 @@ fn assert_bit_equal(live: &QueryResult, want: &QueryResult, ctx: &str) {
     );
 }
 
-/// A random query: either mode, the whole field, a quadrant or a
-/// window, drill-through or any aggregate, sometimes a value filter
+/// A random query: either mode, the whole field, a quadrant, a window
+/// or a circle, drill-through or any aggregate, sometimes a value filter
 /// (threshold drawn from the current readings) and sometimes
 /// representative routing.
 fn random_query(rng: &mut DetRng, values: &[f64]) -> SnapshotQuery {
@@ -156,8 +161,13 @@ fn random_query(rng: &mut DetRng, values: &[f64]) -> SnapshotQuery {
     } else {
         QueryMode::Regular
     };
-    let predicate = match rng.random_range(0..3u32) {
+    let predicate = match rng.random_range(0..4u32) {
         0 => SpatialPredicate::All,
+        3 => SpatialPredicate::Circle {
+            x: rng.random_f64(),
+            y: rng.random_f64(),
+            r: rng.random_range(0.05..0.5),
+        },
         1 => {
             let x0 = if rng.random_bool(0.5) { 0.0 } else { 0.5 };
             let y0 = if rng.random_bool(0.5) { 0.0 } else { 0.5 };

@@ -9,7 +9,7 @@
 use snapshot_queries::core::{
     Aggregate, CacheConfig, CachePolicy, ErrorMetric, LineKey, LinearModel, ModelCache, SuffStats,
 };
-use snapshot_queries::core::{Mode, SensorNetwork, SnapshotConfig};
+use snapshot_queries::core::{Mode, SensorNetwork, SnapshotConfig, SpatialPredicate};
 use snapshot_queries::datagen::Trace;
 use snapshot_queries::datagen::{random_walk, RandomWalkConfig};
 use snapshot_queries::netsim::rng::{derive_seed, DetRng, RngCore, RngExt};
@@ -592,6 +592,142 @@ fn incremental_moves_match_a_from_scratch_rebuild() {
             }
         }
     }
+}
+
+/// The reference for `SpatialPredicate::targets`: every node tested
+/// against the predicate, in id order.
+fn linear_targets(pred: &SpatialPredicate, topo: &Topo) -> Vec<NodeId> {
+    topo.node_ids()
+        .filter(|&id| pred.matches(topo.position(id)))
+        .collect()
+}
+
+/// A predicate drawn against `positions`: rectangles whose edges sit
+/// on node coordinates, circles whose rim passes through a node,
+/// zero-area rectangles and zero radii, boxes covering the whole field
+/// or lying outside it, and NaN, ±∞ and ±1e20 bounds.
+fn random_predicate(rng: &mut DetRng, positions: &[Position]) -> SpatialPredicate {
+    let node = |rng: &mut DetRng| positions[rng.random_range(0..positions.len())];
+    const ODD: [f64; 7] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e20,
+        -1e20,
+        1e300,
+        -1e300,
+    ];
+    match rng.random_range(0..6u32) {
+        0 => {
+            let (a, b) = (node(rng), node(rng));
+            SpatialPredicate::Rect {
+                x0: a.x.min(b.x),
+                y0: a.y.min(b.y),
+                x1: a.x.max(b.x),
+                y1: a.y.max(b.y),
+            }
+        }
+        1 => {
+            let (c, rim) = (node(rng), node(rng));
+            SpatialPredicate::Circle {
+                x: c.x,
+                y: c.y,
+                r: c.distance(&rim),
+            }
+        }
+        2 => {
+            let p = node(rng);
+            if rng.random_bool(0.5) {
+                SpatialPredicate::Rect {
+                    x0: p.x,
+                    y0: p.y,
+                    x1: p.x,
+                    y1: p.y,
+                }
+            } else {
+                SpatialPredicate::Circle {
+                    x: p.x,
+                    y: p.y,
+                    r: 0.0,
+                }
+            }
+        }
+        3 => {
+            let (lo, hi) = if rng.random_bool(0.5) {
+                (-5.0, 6.0) // the whole field, far-off nodes included
+            } else {
+                (7.0, 9.0) // outside it
+            };
+            SpatialPredicate::Rect {
+                x0: lo,
+                y0: lo,
+                x1: hi,
+                y1: hi,
+            }
+        }
+        4 => {
+            let bound = |rng: &mut DetRng, fallback: f64| {
+                if rng.random_bool(0.5) {
+                    ODD[rng.random_range(0..ODD.len())]
+                } else {
+                    fallback
+                }
+            };
+            if rng.random_bool(0.5) {
+                SpatialPredicate::Rect {
+                    x0: bound(rng, 0.2),
+                    y0: bound(rng, 0.3),
+                    x1: bound(rng, 0.7),
+                    y1: bound(rng, 0.8),
+                }
+            } else {
+                SpatialPredicate::Circle {
+                    x: bound(rng, 0.5),
+                    y: bound(rng, 0.5),
+                    r: bound(rng, 0.3),
+                }
+            }
+        }
+        _ => SpatialPredicate::window(
+            rng.random_range(-0.5..1.5),
+            rng.random_range(-0.5..1.5),
+            rng.random_range(0.0..1.0),
+        ),
+    }
+}
+
+#[test]
+fn grid_targets_match_the_linear_filter() {
+    let mut rng = DetRng::seed_from_u64(0x7A26E7);
+    let mut checked = 0;
+    for case in 0..CASES {
+        let (mut positions, range) = random_deployment(&mut rng);
+        let mut topo = Topo::new(positions.clone(), range).expect("valid deployment");
+        for step in 0..4 {
+            for _ in 0..10 {
+                let pred = random_predicate(&mut rng, &positions);
+                assert_eq!(
+                    pred.targets(&topo),
+                    linear_targets(&pred, &topo),
+                    "case {case}, step {step}: {pred:?} (range {range})"
+                );
+                checked += 1;
+            }
+            // Move nodes across cells, and now and then onto another
+            // node or far outside the square.
+            for _ in 0..3 {
+                let mover = rng.random_range(0..positions.len());
+                let to = match rng.random_range(0..4u32) {
+                    0 => positions[rng.random_range(0..positions.len())],
+                    1 => Position::new(rng.random_range(-4.0..5.0), rng.random_range(-4.0..5.0)),
+                    _ => Position::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)),
+                };
+                positions[mover] = to;
+                topo.set_position(NodeId::from_index(mover), to);
+            }
+        }
+    }
+    assert!(checked >= 10_000, "{checked} predicates");
 }
 
 #[test]
