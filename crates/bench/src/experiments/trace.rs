@@ -15,7 +15,7 @@ use crate::{ExperimentOutput, RunContext};
 use snapshot_core::{Aggregate, QueryMode, SensorNetwork, SnapshotQuery, SpatialPredicate};
 use snapshot_netsim::{FaultPlan, NodeId};
 use snapshot_query::{execute_plan, executor::plan_traced, parse, RegionCatalog};
-use snapshot_telemetry::{jsonl, TraceSummary, HOP_LATENCY_HIST};
+use snapshot_telemetry::{jsonl, TraceSummary};
 
 /// Ring capacity for recorded runs: large enough that the 100-node
 /// workload never wraps (a full election on 100 nodes emits a few
@@ -101,7 +101,8 @@ pub fn run(ctx: &RunContext) -> ExperimentOutput {
         .net()
         .telemetry()
         .registry()
-        .and_then(|r| r.histogram(HOP_LATENCY_HIST))
+        .map(|r| r.hop_latency())
+        .filter(|h| h.total() > 0)
     {
         rendered.push_str(&format!(
             "\nper-hop message latency (ticks): {} hops, p50 {} p90 {} p99 {} max {}\n",

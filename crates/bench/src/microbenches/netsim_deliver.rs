@@ -7,7 +7,9 @@
 //! run (`allocs_per_iter` must stay 0 in steady state).
 
 use snapshot_microbench::Criterion;
-use snapshot_netsim::{EnergyModel, LinkModel, Network, NodeId, Phase, SpanKind, Topology};
+use snapshot_netsim::{
+    EnergyModel, LinkModel, Network, NodeId, Phase, SpanKind, Telemetry, Topology,
+};
 use std::hint::black_box;
 
 const N: u32 = 100;
@@ -75,6 +77,26 @@ fn bench_deliver_spans_disabled(c: &mut Criterion) {
     });
 }
 
+/// The registry path: the `deliver_dense_broadcast_100` round with the
+/// hub the end-to-end benchmark's traced rounds install (a metrics
+/// registry and the wall clock). Every send folds an energy draw into
+/// the registry, every delivery a hop latency, and the round's span
+/// close a per-kind total; the 0-allocs/iter pin holds the registry's
+/// fixed storage to updating in place once warm.
+fn bench_deliver_registry(c: &mut Criterion) {
+    let mut net = dense_network(LinkModel::Perfect);
+    let mut telemetry = Telemetry::with_registry();
+    telemetry.set_wall_clock(crate::wall_clock_ns);
+    net.set_telemetry(telemetry);
+    let mut buf = Vec::new();
+    for _ in 0..WARM_ROUNDS {
+        round(&mut net, &mut buf);
+    }
+    c.bench_function("deliver_registry_100", |b| {
+        b.iter(|| black_box(round(&mut net, &mut buf)))
+    });
+}
+
 /// A quiescent tick at scale: nobody sends, the wake-list is empty,
 /// and a tick (deliver + wake-list drain) must cost O(active) = O(1),
 /// not O(N) (DESIGN.md §16). The 1k/100k pair pins the claim two
@@ -107,5 +129,6 @@ fn bench_deliver_quiescent(c: &mut Criterion) {
 pub fn benches(c: &mut Criterion) {
     bench_deliver(c);
     bench_deliver_spans_disabled(c);
+    bench_deliver_registry(c);
     bench_deliver_quiescent(c);
 }

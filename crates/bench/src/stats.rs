@@ -1,7 +1,6 @@
 //! Small statistics helpers for experiment aggregation.
 
 use snapshot_netsim::rng::DetRng;
-use snapshot_telemetry::MetricsRegistry;
 
 /// Arithmetic mean (0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -39,23 +38,6 @@ where
     })
 }
 
-/// Like [`run_reps`], but for repetitions that report a
-/// [`MetricsRegistry`]: each cell records into its own private
-/// registry (the telemetry bus is per-`Network`, so worker threads
-/// never share one), and the registries are folded in repetition
-/// order. The merged aggregate is therefore byte-identical for every
-/// `--jobs` setting.
-pub fn run_reps_merged<F>(reps: u64, base_seed: u64, f: F) -> MetricsRegistry
-where
-    F: Fn(u64) -> MetricsRegistry + Sync,
-{
-    let mut merged = MetricsRegistry::new();
-    for m in run_reps(reps, base_seed, f) {
-        merged.merge(&m);
-    }
-    merged
-}
-
 /// A deterministic RNG for experiment-level randomness.
 pub fn rng(seed: u64) -> DetRng {
     DetRng::seed_from_u64(snapshot_netsim::rng::derive_seed(seed, 0xE59))
@@ -90,42 +72,6 @@ mod tests {
         // The old `base_seed + r` scheme made (seed 5, rep 1) and
         // (seed 6, rep 0) identical runs; derived streams must not.
         assert_ne!(derive_seed(5, 1), derive_seed(6, 0));
-    }
-
-    #[test]
-    fn run_reps_merged_sums_registries_deterministically() {
-        use snapshot_telemetry::{Event, Phase, Recorder};
-        let run_once = || {
-            run_reps_merged(4, 7, |seed| {
-                let mut m = MetricsRegistry::new();
-                m.record(&Event::MsgSent {
-                    tick: 0,
-                    node: (seed % 3) as u32,
-                    phase: Phase::Data,
-                    bytes: 8,
-                });
-                // Non-integral draws, whose float sum can depend on the
-                // merge order: equal bits show the order is fixed.
-                m.record(&Event::EnergyDraw {
-                    tick: 0,
-                    node: (seed % 3) as u32,
-                    phase: Phase::Data,
-                    amount: (seed % 1000) as f64 / 7.0,
-                });
-                m
-            })
-        };
-        let a = run_once();
-        let b = run_once();
-        assert_eq!(a.counter("msg_sent"), 4);
-        assert_eq!(b.counter("msg_sent"), 4);
-        for n in 0..3 {
-            assert_eq!(
-                a.energy_in(n, Phase::Data).to_bits(),
-                b.energy_in(n, Phase::Data).to_bits()
-            );
-        }
-        assert_eq!(a.total_energy().to_bits(), b.total_energy().to_bits());
     }
 
     #[test]

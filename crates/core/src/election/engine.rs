@@ -313,11 +313,13 @@ impl Election<'_> {
             }
         }
         // Every alive initiator chooses among the offers it heard.
-        // (member, chosen representative) pairs are unicast once every
-        // initiator has chosen.
+        // Offers were cleared at reset and pushed only in the drain
+        // above, so only the drained ids (ascending, alive) can hold
+        // one. (member, chosen representative) pairs are unicast once
+        // every initiator has chosen.
         let mut accepts: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.drain_ids.len());
-        for j in (0..self.nodes.len()).map(NodeId::from_index) {
-            if !self.electing[j.index()] || !self.net.is_alive(j) {
+        for &j in &self.drain_ids {
+            if !self.electing[j.index()] {
                 continue;
             }
             // No offers: rep_of stays None; Rule 1 will set ACTIVE.

@@ -365,10 +365,8 @@ pub(crate) fn execute_with(
 
     // Charge each participant one transmission (partial aggregates
     // flowing up the tree) and account it under the "query" phase.
-    let tx = net.energy_model().tx_cost;
     for &p in &participants {
-        net.charge(p, tx, Phase::Query);
-        net.stats_mut().record_send(p, Phase::Query);
+        net.charge_send(p, Phase::Query);
     }
     result
 }

@@ -138,16 +138,23 @@ pub fn execute_tag(
 
     // 3. Leaf-to-root rounds: at each depth (deepest first), nodes
     //    unicast their accumulated partial to their parent; parents
-    //    fold in whatever survives the radio.
-    let max_depth = (0..n)
-        .filter_map(|i| tree.depth(NodeId::from_index(i)))
-        .max()
-        .unwrap_or(0);
+    //    fold in whatever survives the radio. One sweep buckets the
+    //    tree by depth, ascending id within a depth.
+    let mut levels: Vec<Vec<NodeId>> = Vec::new();
+    for id in (0..n).map(NodeId::from_index) {
+        if let Some(depth) = tree.depth(id) {
+            let depth = depth as usize;
+            if depth >= levels.len() {
+                levels.resize_with(depth + 1, Vec::new);
+            }
+            levels[depth].push(id);
+        }
+    }
     let mut inbox = Vec::new();
     let mut drained = Vec::new();
-    for depth in (1..=max_depth).rev() {
-        for id in (0..n).map(NodeId::from_index) {
-            if tree.depth(id) != Some(depth) || !net.is_alive(id) {
+    for level in levels.iter().skip(1).rev() {
+        for &id in level {
+            if !net.is_alive(id) {
                 continue;
             }
             let p = partials[id.index()];

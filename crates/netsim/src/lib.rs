@@ -80,7 +80,7 @@ pub use node::{NodeId, NodeSet};
 pub use rng::{DetRng, RngCore, RngExt};
 pub use scheduler::{set_default_drain_mode, DrainMode, EventKey, Scheduler, WakeReason};
 pub use sim::Network;
-pub use snapshot_telemetry::{self as telemetry, Event, Phase, Recorder, SpanKind, Telemetry};
+pub use snapshot_telemetry::{self as telemetry, Event, Phase, SpanKind, Telemetry};
 pub use stats::NetStats;
 pub use topology::{Position, Topology};
 pub use tree::AggregationTree;
@@ -102,5 +102,5 @@ pub mod prelude {
     pub use crate::stats::NetStats;
     pub use crate::topology::{Position, Topology};
     pub use crate::tree::AggregationTree;
-    pub use snapshot_telemetry::{Event, Phase, Recorder, SpanKind, Telemetry};
+    pub use snapshot_telemetry::{Event, Phase, SpanKind, Telemetry};
 }

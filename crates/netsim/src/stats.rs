@@ -16,21 +16,23 @@
 use crate::node::NodeId;
 use snapshot_telemetry::Phase;
 
-/// Per-node, per-phase message counters.
+/// Per-node, per-phase message counters: the one ledger of messages.
+/// Each send and each loss is counted once, in its node × phase cell;
+/// per-node and network-wide totals are sums over those rows.
 ///
 /// Construct with [`NetStats::new`] — the node count fixes the size of
 /// every counter vector. (There is deliberately no `Default`: a
-/// zero-node instance would panic on the first record.)
+/// zero-node instance would panic on the first record.) Only netsim
+/// writes the counters; callers read them, or [`NetStats::reset`] them
+/// between measured windows.
 #[derive(Debug, Clone)]
 pub struct NetStats {
     n: usize,
-    sent: Vec<u64>,
     received: Vec<u64>,
-    lost: Vec<u64>,
     /// per-node × per-phase sent counts
     phase_sent: Vec<[u64; Phase::COUNT]>,
-    /// per-node × per-phase lost-delivery counts (indexed by the
-    /// *receiver* that missed the message, like `lost`)
+    /// per-node × per-phase lost-delivery counts, indexed by the
+    /// *receiver* that missed the message
     phase_lost: Vec<[u64; Phase::COUNT]>,
     /// delivery ticks recorded via [`NetStats::record_tick`]
     ticks: u64,
@@ -44,9 +46,7 @@ impl NetStats {
     pub fn new(n: usize) -> Self {
         NetStats {
             n,
-            sent: vec![0; n],
             received: vec![0; n],
-            lost: vec![0; n],
             phase_sent: vec![[0; Phase::COUNT]; n],
             phase_lost: vec![[0; Phase::COUNT]; n],
             ticks: 0,
@@ -59,7 +59,7 @@ impl NetStats {
     /// move). Deterministic — a pure function of the simulation, not
     /// of wall-clock — so per-tick activity can appear in experiment
     /// artifacts without breaking byte-identity across machines.
-    pub fn record_tick(&mut self, woken: u64) {
+    pub(crate) fn record_tick(&mut self, woken: u64) {
         self.ticks += 1;
         self.woken += woken;
     }
@@ -87,26 +87,24 @@ impl NetStats {
     }
 
     /// Record one transmission by `src` in `phase`.
-    pub fn record_send(&mut self, src: NodeId, phase: Phase) {
-        self.sent[src.index()] += 1;
+    pub(crate) fn record_send(&mut self, src: NodeId, phase: Phase) {
         self.phase_sent[src.index()][phase.index()] += 1;
     }
 
     /// Record a successful delivery at `dst`.
-    pub fn record_receive(&mut self, dst: NodeId) {
+    pub(crate) fn record_receive(&mut self, dst: NodeId) {
         self.received[dst.index()] += 1;
     }
 
     /// Record a delivery attempt at `dst` destroyed by link loss,
     /// attributed to the phase of the lost message.
-    pub fn record_loss(&mut self, dst: NodeId, phase: Phase) {
-        self.lost[dst.index()] += 1;
+    pub(crate) fn record_loss(&mut self, dst: NodeId, phase: Phase) {
         self.phase_lost[dst.index()][phase.index()] += 1;
     }
 
     /// Messages sent by one node, all phases.
     pub fn sent_by(&self, id: NodeId) -> u64 {
-        self.sent[id.index()]
+        self.phase_sent[id.index()].iter().sum()
     }
 
     /// Messages received by one node.
@@ -116,7 +114,7 @@ impl NetStats {
 
     /// Total messages sent network-wide.
     pub fn total_sent(&self) -> u64 {
-        self.sent.iter().sum()
+        self.phase_sent.iter().flatten().sum()
     }
 
     /// Total successful deliveries network-wide.
@@ -126,7 +124,7 @@ impl NetStats {
 
     /// Total deliveries destroyed by loss.
     pub fn total_lost(&self) -> u64 {
-        self.lost.iter().sum()
+        self.phase_lost.iter().flatten().sum()
     }
 
     /// Mean messages sent per node, all phases.
@@ -171,7 +169,11 @@ impl NetStats {
 
     /// Maximum messages sent by any single node across all phases.
     pub fn max_sent_per_node(&self) -> u64 {
-        self.sent.iter().copied().max().unwrap_or(0)
+        self.phase_sent
+            .iter()
+            .map(|row| row.iter().sum())
+            .max()
+            .unwrap_or(0)
     }
 
     /// All phases with at least one sent or lost message, in charging
@@ -185,9 +187,7 @@ impl NetStats {
     /// Reset every counter to zero (e.g. between maintenance rounds),
     /// keeping the node count.
     pub fn reset(&mut self) {
-        self.sent.iter_mut().for_each(|c| *c = 0);
         self.received.iter_mut().for_each(|c| *c = 0);
-        self.lost.iter_mut().for_each(|c| *c = 0);
         self.phase_sent
             .iter_mut()
             .for_each(|row| *row = [0; Phase::COUNT]);

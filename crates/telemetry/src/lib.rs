@@ -1,8 +1,8 @@
 //! # snapshot-telemetry
 //!
 //! Deterministic observability for the snapshot-queries workspace:
-//! typed protocol events, pluggable recorders, aggregate metrics, and
-//! a hand-rolled JSONL trace format that replays bit-for-bit.
+//! typed protocol events, a ring-buffer recorder, aggregate metrics,
+//! and a hand-rolled JSONL trace format that replays bit-for-bit.
 //!
 //! The paper's evaluation (Kotidis, ICDE 2005) is built on counting
 //! things: messages per election phase (Table 2), energy per node over
@@ -18,15 +18,16 @@
 //!   every run.
 //! * [`Phase`] — interned protocol-phase labels (previously free-form
 //!   `String`s), so per-phase counters are fixed-size array lookups.
-//! * [`Recorder`] — the sink trait. [`NullRecorder`] discards,
-//!   [`RingRecorder`] keeps the last *N* events in a bounded buffer,
-//!   [`MetricsRegistry`] folds events into counters / gauges /
-//!   histograms / per-node × per-phase energy tables.
+//! * The sinks. [`RingRecorder`] keeps the last *N* events in a
+//!   bounded buffer; [`MetricsRegistry`] folds them into fixed, typed
+//!   storage: per-kind span totals, a per-hop latency histogram and a
+//!   per-node × per-phase energy table. Message counts are not kept
+//!   here: `NetStats` (netsim) owns them.
 //! * [`Telemetry`] — the hub the simulator embeds: optional ring +
 //!   optional registry behind one `#[inline]` `enabled()` branch, so
 //!   the disabled pipeline costs nothing measurable on hot paths.
 //! * [`jsonl`] — serde-free JSONL export/import of traces.
-//! * [`SpanKind`] / [`SpanGuard`] — hierarchical operation spans
+//! * [`SpanKind`] — hierarchical operation spans
 //!   (`span_open`/`span_close` event pairs with parent links and dual
 //!   sim-tick / optional wall-clock timestamps), the causality layer
 //!   over the point events.
@@ -56,9 +57,9 @@ pub mod span;
 pub use budget::{BudgetMetric, BudgetRule, BudgetViolation, PerfBudget};
 pub use event::{CacheOutcome, Event, FaultTag, QueryStatus};
 pub use phase::Phase;
-pub use recorder::{NullRecorder, Recorder, RingRecorder, Telemetry};
-pub use registry::{Histogram, MetricsRegistry, PerNodePhase, HOP_LATENCY_HIST};
+pub use recorder::{RingRecorder, Telemetry};
+pub use registry::{Histogram, MetricsRegistry, PerNodePhase, SpanTotals};
 pub use replay::{
     ElectionSegment, ElectionViolation, QuerySpan, Span, SpanKindStats, TraceSummary,
 };
-pub use span::{SpanGuard, SpanKind, LOG2_TICKS_BUCKETS};
+pub use span::{SpanKind, LOG2_TICKS_BUCKETS};

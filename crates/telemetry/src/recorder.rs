@@ -1,5 +1,5 @@
-//! Event sinks: the `Recorder` trait, a no-op recorder, a bounded
-//! ring-buffer recorder, and the `Telemetry` hub the simulator embeds.
+//! Event sinks: a bounded ring-buffer recorder and the `Telemetry`
+//! hub the simulator embeds.
 //!
 //! The hub is designed so a disabled pipeline costs one predictable
 //! branch on the hot path: `Telemetry::enabled` is `#[inline]` and
@@ -8,34 +8,7 @@
 use crate::event::Event;
 use crate::jsonl;
 use crate::registry::MetricsRegistry;
-use crate::span::{SpanGuard, SpanKind};
-
-/// Something that consumes protocol events.
-pub trait Recorder {
-    /// Consume one event.
-    fn record(&mut self, ev: &Event);
-
-    /// False when `record` is a guaranteed no-op; callers may skip
-    /// event construction entirely.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything. Useful as an explicit "telemetry off"
-/// recorder in generic code.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline]
-    fn record(&mut self, _ev: &Event) {}
-
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
+use crate::span::SpanKind;
 
 /// A bounded, allocation-free-after-warmup event buffer: the last
 /// `capacity` events are kept, oldest first dropped.
@@ -114,12 +87,11 @@ impl RingRecorder {
         self.next = 0;
         self.total = 0;
     }
-}
 
-impl Recorder for RingRecorder {
+    /// Keep one event, overwriting the oldest once full.
     // Reached only behind `enabled()`; the ring grows until full, then
     // overwrites in place.
-    fn record(&mut self, ev: &Event) {
+    pub fn record(&mut self, ev: &Event) {
         self.total += 1;
         if self.buf.len() < self.capacity {
             self.buf.push(*ev);
@@ -272,13 +244,6 @@ impl Telemetry {
         });
     }
 
-    /// Open a span and return an RAII guard that closes it on drop.
-    /// For callers that hold the hub exclusively; simulator code that
-    /// re-borrows the hub inside the span body uses the id-based API.
-    pub fn span(&mut self, tick: u64, kind: SpanKind) -> SpanGuard<'_> {
-        SpanGuard::open(self, tick, kind)
-    }
-
     /// Number of spans currently open (instrumentation depth).
     pub fn open_span_depth(&self) -> usize {
         self.open_spans.len()
@@ -295,22 +260,16 @@ impl Telemetry {
         self.open_spans.clear();
         self.next_span_id = 0;
     }
-}
 
-impl Recorder for Telemetry {
+    /// Feed one event to every attached sink.
     #[inline]
-    fn record(&mut self, ev: &Event) {
+    pub fn record(&mut self, ev: &Event) {
         if let Some(r) = self.ring.as_mut() {
             r.record(ev);
         }
         if let Some(m) = self.registry.as_mut() {
             m.record(ev);
         }
-    }
-
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        self.enabled()
     }
 }
 
@@ -320,11 +279,11 @@ mod tests {
     use crate::phase::Phase;
 
     fn ev(tick: u64) -> Event {
-        Event::MsgSent {
+        Event::EnergyDraw {
             tick,
             node: 0,
             phase: Phase::Test,
-            bytes: 4,
+            amount: 1.0,
         }
     }
 
@@ -383,13 +342,6 @@ mod tests {
     fn zero_capacity_is_clamped() {
         let r = RingRecorder::new(0);
         assert_eq!(r.capacity(), 1);
-    }
-
-    #[test]
-    fn null_recorder_reports_disabled() {
-        let mut n = NullRecorder;
-        assert!(!n.is_enabled());
-        n.record(&ev(0)); // no-op
     }
 
     #[test]
@@ -478,12 +430,12 @@ mod tests {
         t.record(&ev(2));
         assert_eq!(t.ring().map(RingRecorder::len), Some(2));
         assert_eq!(
-            t.registry().map(|m| m.counter("msg_sent")),
-            Some(2),
-            "registry saw the sends"
+            t.registry().map(|m| m.energy_in(0, Phase::Test)),
+            Some(2.0),
+            "registry saw the draws"
         );
         t.clear();
         assert_eq!(t.ring().map(RingRecorder::len), Some(0));
-        assert_eq!(t.registry().map(|m| m.counter("msg_sent")), Some(0));
+        assert_eq!(t.registry().map(|m| m.energy_in(0, Phase::Test)), Some(0.0));
     }
 }

@@ -1,24 +1,24 @@
-//! The metrics registry: named counters and gauges, fixed-bucket
-//! histograms, and the per-node × per-phase energy breakdown that the
-//! paper's Figures 8–10 are built from. Per-node message counts are
-//! `NetStats`'s (netsim); the registry keeps the network-wide
-//! `msg_sent` and `msg_dropped` counters.
+//! The metrics registry: fixed, typed storage for the three
+//! aggregates the workspace reads — closed spans per kind (count and
+//! wall time), the per-hop delivery-latency histogram, and the
+//! per-node × per-phase energy table that the paper's Figures 8–10
+//! are built from.
 //!
-//! The registry is itself a [`Recorder`]: it folds the typed event
-//! stream into aggregates, so one publish path (events) serves both
-//! the trace and the metrics. Protocol code may also bump counters
-//! directly through [`MetricsRegistry::inc`] for quantities that have
-//! no event of their own.
+//! Every other count has one owner elsewhere: messages are
+//! `NetStats`'s (netsim), plan-cache lookups are `ServeStats`'s
+//! (query), and events by kind are [`TraceSummary::kind_counts`]'s.
+//! The registry folds the typed event stream like any other sink
+//! ([`MetricsRegistry::record`]); every write is typed, and names
+//! appear only in the one export lookup, [`MetricsRegistry::counter`].
 //!
-//! Determinism: all maps are `BTreeMap` keyed by `&'static str`
-//! (stable iteration order); per-node state lives in flat vectors
-//! grown on demand.
+//! Determinism: the span and histogram cells are fixed arrays; the
+//! energy table is a flat vector of per-node rows grown on demand.
+//!
+//! [`TraceSummary::kind_counts`]: crate::TraceSummary::kind_counts
 
 use crate::event::Event;
 use crate::phase::Phase;
-use crate::recorder::Recorder;
-use crate::span::LOG2_TICKS_BUCKETS;
-use std::collections::BTreeMap;
+use crate::span::{SpanKind, LOG2_TICKS_BUCKETS};
 
 /// Per-node, per-phase accumulation table, grown on demand.
 #[derive(Debug, Clone, Default)]
@@ -53,14 +53,6 @@ impl<T: Copy + Default> PerNodePhase<T> {
         &mut self.rows[idx][phase.index()]
     }
 
-    /// One node's full phase row (zeros when never touched).
-    pub fn row(&self, node: u32) -> [T; Phase::COUNT] {
-        self.rows
-            .get(node as usize)
-            .copied()
-            .unwrap_or([T::default(); Phase::COUNT])
-    }
-
     /// Iterate `(node, row)` over allocated rows.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &[T; Phase::COUNT])> {
         self.rows.iter().enumerate().map(|(i, r)| (i as u32, r))
@@ -82,35 +74,22 @@ impl<T: Copy + Default + std::ops::AddAssign> PerNodePhase<T> {
     }
 }
 
-/// A histogram over fixed, caller-supplied bucket upper bounds
-/// (inclusive), with one implicit overflow bucket.
-#[derive(Debug, Clone)]
+/// A histogram over [`LOG2_TICKS_BUCKETS`], with one implicit
+/// overflow bucket.
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    bounds: &'static [u64],
-    counts: Vec<u64>,
+    counts: [u64; LOG2_TICKS_BUCKETS.len() + 1],
     total: u64,
     sum: u64,
 }
 
 impl Histogram {
-    /// A histogram with the given ascending inclusive upper bounds.
-    pub fn new(bounds: &'static [u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        Histogram {
-            bounds,
-            counts: vec![0; bounds.len() + 1],
-            total: 0,
-            sum: 0,
-        }
-    }
-
     /// Record one observation.
     pub fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
+        let idx = LOG2_TICKS_BUCKETS
             .iter()
             .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(LOG2_TICKS_BUCKETS.len());
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += value;
@@ -126,14 +105,8 @@ impl Histogram {
         self.sum
     }
 
-    /// Accumulate `other` into `self`. Both histograms must share the
-    /// same bucket bounds (they do when both were created by the same
-    /// `observe_hist` call site).
+    /// Accumulate `other` into `self`, bucket by bucket.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "histogram merge requires identical bucket bounds"
-        );
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
@@ -144,7 +117,7 @@ impl Histogram {
     /// `(upper_bound, count)` pairs; the final pair uses `u64::MAX` as
     /// the overflow bound.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bounds
+        LOG2_TICKS_BUCKETS
             .iter()
             .copied()
             .chain(std::iter::once(u64::MAX))
@@ -180,19 +153,25 @@ impl Histogram {
     }
 }
 
-/// Default byte-size buckets for message-size histograms.
-pub const BYTES_BUCKETS: &[u64] = &[4, 8, 16, 32, 64, 128, 256, 1024];
-
-/// Histogram name for per-hop delivery latency (send tick → delivery
-/// tick).
-pub const HOP_LATENCY_HIST: &str = "hop_latency_ticks";
+/// Closed spans of one kind: how many, and their summed wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanTotals {
+    /// Spans of this kind closed.
+    pub count: u64,
+    /// Their summed wall-clock nanoseconds (0 unless a wall clock was
+    /// injected with [`Telemetry::set_wall_clock`]).
+    ///
+    /// [`Telemetry::set_wall_clock`]: crate::Telemetry::set_wall_clock
+    pub wall_ns: u64,
+}
 
 /// The aggregate view of a run.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    /// Closed spans, indexed by [`SpanKind::index`].
+    spans: [SpanTotals; SpanKind::COUNT],
+    /// Per-hop delivery latency (send tick → delivery tick).
+    hop_latency: Histogram,
     /// Energy drawn (transmission equivalents), per node × phase.
     energy: PerNodePhase<f64>,
 }
@@ -203,54 +182,78 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Bump a named counter.
-    pub fn inc(&mut self, name: &'static str, by: u64) {
-        *self.counters.entry(name).or_insert(0) += by;
+    /// Fold one event. Only energy draws and span closes feed the
+    /// registry; the match has no wildcard arm, so a new `Event` fails
+    /// to compile here until it is placed on one side or the other.
+    // Reached only behind `enabled()`; the energy table grows on a
+    // node's first draw, then updates in place.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    pub fn record(&mut self, ev: &Event) {
+        match *ev {
+            Event::EnergyDraw {
+                node,
+                phase,
+                amount,
+                ..
+            } => *self.energy.cell_mut(node, phase) += amount,
+            Event::SpanClose { span, wall_ns, .. } => {
+                let totals = &mut self.spans[span.index()];
+                totals.count += 1;
+                totals.wall_ns += wall_ns;
+            }
+            Event::MsgSent { .. }
+            | Event::MsgDropped { .. }
+            | Event::NodeFailed { .. }
+            | Event::ElectionPhase { .. }
+            | Event::InviteAccepted { .. }
+            | Event::Represented { .. }
+            | Event::CacheAdmit { .. }
+            | Event::CacheEvict { .. }
+            | Event::ModelRefit { .. }
+            | Event::HandoffTriggered { .. }
+            | Event::QueryBegin { .. }
+            | Event::QueryEnd { .. }
+            | Event::FaultInjected { .. }
+            | Event::NodeRecovered { .. }
+            | Event::LinkStateFlipped { .. }
+            | Event::PlanCacheLookup { .. }
+            | Event::SpanOpen { .. } => {}
+        }
     }
 
-    /// Read a named counter (0 when never bumped).
+    /// Closed spans of `kind`: their count and summed wall time.
+    pub fn span_totals(&self, kind: SpanKind) -> SpanTotals {
+        self.spans[kind.index()]
+    }
+
+    /// A span total by its export name: `span_<kind>` counts closed
+    /// spans of a kind, `span_wall_ns_<kind>` sums their wall time.
+    /// Any other name reads 0.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        let totals = |label: &str| SpanKind::parse(label).map(|k| self.span_totals(k));
+        if let Some(label) = name.strip_prefix("span_wall_ns_") {
+            totals(label).map_or(0, |t| t.wall_ns)
+        } else if let Some(label) = name.strip_prefix("span_") {
+            totals(label).map_or(0, |t| t.count)
+        } else {
+            0
+        }
     }
 
-    /// Set a named gauge.
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Read a named gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Record into a named fixed-bucket histogram (created with
-    /// `bounds` on first touch).
-    pub fn observe_hist(&mut self, name: &'static str, bounds: &'static [u64], value: u64) {
-        self.histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
-    }
-
-    /// Read a named histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Record one per-hop delivery latency (in simulation ticks) into
-    /// the [`HOP_LATENCY_HIST`] histogram. In the current synchronous
-    /// model every hop is exactly 1 tick — the histogram is an
-    /// invariant check today and the measurement substrate for the
-    /// event-driven core (ROADMAP item 2), where messages can queue.
-    // `deliver` calls this only when a registry is attached; the
-    // histogram allocates on first touch, then updates in place.
+    /// Record one per-hop delivery latency (in simulation ticks). In
+    /// the synchronous delivery model every hop is exactly 1 tick, so
+    /// the histogram is an invariant check the `trace` experiment
+    /// prints.
     pub fn observe_hop_latency(&mut self, ticks: u64) {
-        self.observe_hist(HOP_LATENCY_HIST, LOG2_TICKS_BUCKETS, ticks);
+        self.hop_latency.observe(ticks);
     }
 
-    /// Iterate `(name, value)` over counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+    /// The per-hop delivery-latency histogram.
+    pub fn hop_latency(&self) -> &Histogram {
+        &self.hop_latency
     }
 
     /// Energy `node` drew in `phase`, in transmission equivalents.
@@ -258,132 +261,30 @@ impl MetricsRegistry {
         self.energy.get(node, phase)
     }
 
-    /// Total energy `node` drew across phases.
-    pub fn node_energy(&self, node: u32) -> f64 {
-        self.energy.row(node).iter().sum()
-    }
-
     /// Network-wide energy drawn in one phase.
     pub fn phase_energy(&self, phase: Phase) -> f64 {
         self.energy.iter().map(|(_, row)| row[phase.index()]).sum()
     }
 
-    /// Network-wide energy drawn, all nodes and phases.
-    pub fn total_energy(&self) -> f64 {
-        self.energy
-            .iter()
-            .map(|(_, row)| row.iter().sum::<f64>())
-            .sum()
-    }
-
-    /// The per-node × per-phase energy table.
-    pub fn energy_table(&self) -> &PerNodePhase<f64> {
-        &self.energy
-    }
-
-    /// Fold `other` into `self`: counters, histograms, and the
-    /// per-node × per-phase energy table accumulate; gauges take `other`'s
-    /// value (a gauge is a level, not a flow — summing two runs'
-    /// "cache_bytes_used" would be meaningless, so last merge wins and
-    /// callers that need per-run gauges must read them before merging).
+    /// Fold `other` into `self`: span totals, the histogram and the
+    /// energy table all accumulate cell by cell.
     ///
-    /// Merging is deterministic: parallel experiment cells each own a
-    /// private registry, and the harness folds them in canonical
-    /// repetition order, so the merged aggregate is byte-identical no
-    /// matter which worker thread finished first.
+    /// Merging is deterministic: each traced network owns a private
+    /// registry, and callers fold them in a fixed order, so the merged
+    /// aggregate does not depend on which worker thread finished first.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
+        for (mine, theirs) in self.spans.iter_mut().zip(&other.spans) {
+            mine.count += theirs.count;
+            mine.wall_ns += theirs.wall_ns;
         }
-        for (name, v) in &other.gauges {
-            self.gauges.insert(name, *v);
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.entry(name) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(h.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(h),
-            }
-        }
+        self.hop_latency.merge(&other.hop_latency);
         self.energy.merge(&other.energy);
-    }
-}
-
-impl Recorder for MetricsRegistry {
-    // Reached only behind `enabled()`; a counter or histogram
-    // allocates on first touch, then updates in place.
-    fn record(&mut self, ev: &Event) {
-        match *ev {
-            Event::MsgSent { bytes, .. } => {
-                self.inc("msg_sent", 1);
-                self.observe_hist("msg_bytes", BYTES_BUCKETS, u64::from(bytes));
-            }
-            Event::MsgDropped { .. } => self.inc("msg_dropped", 1),
-            Event::EnergyDraw {
-                node,
-                phase,
-                amount,
-                ..
-            } => {
-                *self.energy.cell_mut(node, phase) += amount;
-            }
-            Event::NodeFailed { .. } => self.inc("node_failed", 1),
-            Event::ElectionPhase { .. } => self.inc("election_phase", 1),
-            Event::InviteAccepted { .. } => self.inc("invite_accepted", 1),
-            Event::Represented { .. } => self.inc("represented", 1),
-            Event::CacheAdmit { outcome, .. } => {
-                if outcome.admitted() {
-                    self.inc("cache_admit", 1);
-                } else {
-                    self.inc("cache_reject", 1);
-                }
-            }
-            Event::CacheEvict { .. } => self.inc("cache_evict", 1),
-            Event::ModelRefit { .. } => self.inc("model_refit", 1),
-            Event::HandoffTriggered { .. } => self.inc("handoff", 1),
-            Event::QueryBegin { .. } => self.inc("query_begin", 1),
-            Event::QueryEnd { participants, .. } => {
-                self.inc("query_end", 1);
-                self.inc("query_participants", u64::from(participants));
-            }
-            Event::FaultInjected { .. } => self.inc("fault_injected", 1),
-            Event::NodeRecovered { .. } => self.inc("node_recovered", 1),
-            Event::LinkStateFlipped { .. } => self.inc("link_state_flip", 1),
-            Event::PlanCacheLookup { hit, .. } => {
-                if hit {
-                    self.inc("plan_cache_hit", 1);
-                } else {
-                    self.inc("plan_cache_miss", 1);
-                }
-            }
-            Event::SpanOpen { .. } => self.inc("span_open", 1),
-            Event::SpanClose {
-                tick,
-                span,
-                open_tick,
-                wall_ns,
-                ..
-            } => {
-                self.inc("span_close", 1);
-                self.inc(span.counter_label(), 1);
-                self.observe_hist(
-                    span.ticks_hist_label(),
-                    LOG2_TICKS_BUCKETS,
-                    tick.saturating_sub(open_tick),
-                );
-                if wall_ns > 0 {
-                    self.inc(span.wall_counter_label(), wall_ns);
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CacheOutcome;
 
     #[test]
     fn per_node_phase_grows_on_demand() {
@@ -397,25 +298,19 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_inclusive_with_overflow() {
-        let mut h = Histogram::new(&[4, 8]);
-        h.observe(4);
-        h.observe(5);
-        h.observe(9000);
-        let buckets: Vec<(u64, u64)> = h.buckets().collect();
-        assert_eq!(buckets, vec![(4, 1), (8, 1), (u64::MAX, 1)]);
+        let mut h = Histogram::default();
+        h.observe(2);
+        h.observe(3);
+        h.observe(90_000);
+        let buckets: Vec<(u64, u64)> = h.buckets().filter(|&(_, c)| c > 0).collect();
+        assert_eq!(buckets, vec![(2, 1), (4, 1), (u64::MAX, 1)]);
         assert_eq!(h.total(), 3);
-        assert_eq!(h.sum(), 9009);
+        assert_eq!(h.sum(), 90_005);
     }
 
     #[test]
     fn registry_folds_events_into_aggregates() {
         let mut m = MetricsRegistry::new();
-        m.record(&Event::MsgSent {
-            tick: 1,
-            node: 2,
-            phase: Phase::Invitation,
-            bytes: 12,
-        });
         m.record(&Event::EnergyDraw {
             tick: 1,
             node: 2,
@@ -428,60 +323,35 @@ mod tests {
             phase: Phase::Cache,
             amount: 0.1,
         });
-        m.record(&Event::MsgDropped {
-            tick: 2,
-            src: 2,
-            dst: 3,
-            phase: Phase::Invitation,
-        });
-        m.record(&Event::CacheAdmit {
-            tick: 2,
-            node: 2,
-            neighbor: 3,
-            outcome: CacheOutcome::Rejected,
-            used_bytes: 16,
-            budget_bytes: 64,
-        });
-
-        assert_eq!(m.counter("msg_sent"), 1);
-        assert_eq!(m.counter("msg_dropped"), 1);
-        assert_eq!(m.counter("cache_reject"), 1);
         assert!((m.energy_in(2, Phase::Invitation) - 1.0).abs() < 1e-12);
-        assert!((m.node_energy(2) - 1.1).abs() < 1e-12);
+        assert!((m.energy_in(2, Phase::Cache) - 0.1).abs() < 1e-12);
         assert!((m.phase_energy(Phase::Cache) - 0.1).abs() < 1e-12);
-        assert!((m.total_energy() - 1.1).abs() < 1e-12);
-        assert_eq!(m.histogram("msg_bytes").map(Histogram::total), Some(1));
+        assert_eq!(m.energy_in(3, Phase::Cache), 0.0);
     }
 
     #[test]
     fn merge_accumulates_counters_histograms_and_tables() {
         let mut a = MetricsRegistry::new();
         let mut b = MetricsRegistry::new();
-        a.inc("msg_sent", 2);
-        b.inc("msg_sent", 3);
-        b.inc("cache_admit", 1);
-        a.set_gauge("cache_bytes_used", 10.0);
-        b.set_gauge("cache_bytes_used", 32.0);
-        a.observe_hist("msg_bytes", BYTES_BUCKETS, 4);
-        b.observe_hist("msg_bytes", BYTES_BUCKETS, 4);
-        b.observe_hist("msg_bytes", BYTES_BUCKETS, 9000);
-        b.observe_hist("latency", &[1, 2], 1);
+        a.spans[SpanKind::Deliver.index()].count = 2;
+        b.spans[SpanKind::Deliver.index()].count = 3;
+        b.spans[SpanKind::Query.index()].wall_ns = 40;
+        a.observe_hop_latency(1);
+        b.observe_hop_latency(1);
+        b.observe_hop_latency(90_000);
         *a.energy.cell_mut(1, Phase::Data) += 5.0;
         *b.energy.cell_mut(1, Phase::Data) += 7.0;
         *b.energy.cell_mut(9, Phase::Query) += 1.5;
 
         a.merge(&b);
-        assert_eq!(a.counter("msg_sent"), 5);
-        assert_eq!(a.counter("cache_admit"), 1);
-        // Gauges are levels: the merged-in registry's value wins.
-        assert_eq!(a.gauge("cache_bytes_used"), Some(32.0));
-        assert_eq!(a.histogram("msg_bytes").map(Histogram::total), Some(3));
-        assert_eq!(a.histogram("msg_bytes").map(Histogram::sum), Some(9008));
-        assert_eq!(a.histogram("latency").map(Histogram::total), Some(1));
+        assert_eq!(a.span_totals(SpanKind::Deliver).count, 5);
+        assert_eq!(a.span_totals(SpanKind::Query).wall_ns, 40);
+        assert_eq!(a.hop_latency().total(), 3);
+        assert_eq!(a.hop_latency().sum(), 90_002);
         assert_eq!(a.energy_in(1, Phase::Data), 12.0);
         assert!((a.energy_in(9, Phase::Query) - 1.5).abs() < 1e-12);
         // Table grew to cover b's widest row.
-        assert_eq!(a.energy_table().nodes(), 10);
+        assert_eq!(a.energy.nodes(), 10);
     }
 
     #[test]
@@ -489,7 +359,7 @@ mod tests {
         let regs: Vec<MetricsRegistry> = (0..4)
             .map(|i| {
                 let mut m = MetricsRegistry::new();
-                m.inc("msg_sent", i + 1);
+                m.spans[SpanKind::Deliver.index()].count = i + 1;
                 // Integral energy sums are exact in f64, so any merge
                 // order must agree bit for bit.
                 *m.energy.cell_mut(i as u32, Phase::Data) += (i + 1) as f64;
@@ -507,7 +377,10 @@ mod tests {
         second.merge(&regs[3]);
         pairwise.merge(&first);
         pairwise.merge(&second);
-        assert_eq!(left.counter("msg_sent"), pairwise.counter("msg_sent"));
+        assert_eq!(
+            left.span_totals(SpanKind::Deliver),
+            pairwise.span_totals(SpanKind::Deliver)
+        );
         for n in 0..4 {
             assert_eq!(
                 left.energy_in(n, Phase::Data).to_bits(),
@@ -517,17 +390,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "identical bucket bounds")]
-    fn histogram_merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::new(&[1, 2]);
-        let b = Histogram::new(&[1, 2, 3]);
-        a.merge(&b);
-    }
-
-    #[test]
     fn quantiles_walk_cumulative_buckets() {
-        let mut h = Histogram::new(&[1, 2, 4, 8]);
-        for v in [1, 1, 1, 1, 1, 2, 2, 4, 8, 9000] {
+        let mut h = Histogram::default();
+        for v in [1, 1, 1, 1, 1, 2, 2, 4, 8, 90_000] {
             h.observe(v);
         }
         assert_eq!(h.quantile(0.5), Some(1));
@@ -536,7 +401,7 @@ mod tests {
         assert_eq!(h.quantile(0.99), Some(u64::MAX));
         assert_eq!(h.quantile(1.0), Some(u64::MAX));
         assert_eq!(h.max_bound(), Some(u64::MAX));
-        assert_eq!(Histogram::new(&[1]).quantile(0.5), None);
+        assert_eq!(Histogram::default().quantile(0.5), None);
     }
 
     #[test]
@@ -545,7 +410,7 @@ mod tests {
         m.observe_hop_latency(1);
         m.observe_hop_latency(1);
         m.observe_hop_latency(3);
-        let h = m.histogram(HOP_LATENCY_HIST).expect("histogram exists");
+        let h = m.hop_latency();
         assert_eq!(h.total(), 3);
         assert_eq!(h.sum(), 5);
         assert_eq!(h.quantile(0.5), Some(1));
@@ -553,7 +418,6 @@ mod tests {
 
     #[test]
     fn span_close_folds_per_kind_latency() {
-        use crate::span::SpanKind;
         let mut m = MetricsRegistry::new();
         m.record(&Event::SpanOpen {
             tick: 10,
@@ -568,23 +432,36 @@ mod tests {
             open_tick: 10,
             wall_ns: 2_500,
         });
-        assert_eq!(m.counter("span_open"), 1);
-        assert_eq!(m.counter("span_close"), 1);
-        assert_eq!(m.counter(SpanKind::Election.counter_label()), 1);
-        assert_eq!(m.counter(SpanKind::Election.wall_counter_label()), 2_500);
-        let h = m
-            .histogram(SpanKind::Election.ticks_hist_label())
-            .expect("latency histogram exists");
-        assert_eq!(h.total(), 1);
-        assert_eq!(h.sum(), 4);
+        assert_eq!(
+            m.span_totals(SpanKind::Election),
+            SpanTotals {
+                count: 1,
+                wall_ns: 2_500
+            }
+        );
+        assert_eq!(m.span_totals(SpanKind::Deliver), SpanTotals::default());
     }
 
     #[test]
-    fn counters_iterate_in_name_order() {
+    fn counter_resolves_the_span_export_names() {
         let mut m = MetricsRegistry::new();
-        m.inc("zeta", 1);
-        m.inc("alpha", 2);
-        let names: Vec<&str> = m.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
+        m.record(&Event::SpanClose {
+            tick: 3,
+            id: 1,
+            span: SpanKind::ElectionAccept,
+            open_tick: 2,
+            wall_ns: 700,
+        });
+        assert_eq!(m.counter("span_election_accept"), 1);
+        assert_eq!(m.counter("span_wall_ns_election_accept"), 700);
+        assert_eq!(m.counter("span_election"), 0);
+        for unknown in [
+            "span_siesta",
+            "span_wall_ns_",
+            "msg_sent",
+            "election_accept",
+        ] {
+            assert_eq!(m.counter(unknown), 0, "{unknown}");
+        }
     }
 }

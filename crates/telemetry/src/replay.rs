@@ -151,7 +151,8 @@ pub struct TraceSummary {
     pub kind_counts: Vec<(&'static str, u64)>,
     /// Messages sent per node × phase.
     pub sent: PerNodePhase<u64>,
-    /// Deliveries lost per (sender) node × phase.
+    /// Deliveries lost per node × phase, charged to the receiver that
+    /// missed them (as `NetStats` does).
     pub lost: PerNodePhase<u64>,
     /// Energy drawn per node × phase.
     pub energy: PerNodePhase<f64>,
@@ -212,8 +213,8 @@ impl TraceSummary {
                         }
                     }
                 }
-                Event::MsgDropped { src, phase, .. } => {
-                    *s.lost.cell_mut(src, phase) += 1;
+                Event::MsgDropped { dst, phase, .. } => {
+                    *s.lost.cell_mut(dst, phase) += 1;
                 }
                 Event::EnergyDraw {
                     node,

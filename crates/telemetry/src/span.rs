@@ -23,13 +23,12 @@
 //!
 //! [`Telemetry::set_wall_clock`]: crate::Telemetry::set_wall_clock
 
-use crate::recorder::Telemetry;
-
 /// What operation a span covers. Closed set, like [`Phase`]: per-kind
-/// aggregation is a static-string key, not an allocation.
+/// aggregation is an array index, not an allocation.
 ///
 /// [`Phase`]: crate::Phase
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum SpanKind {
     /// One full election (discovery or maintenance).
     Election,
@@ -79,8 +78,11 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
+    /// Number of kinds (the size of per-kind arrays).
+    pub const COUNT: usize = 20;
+
     /// Every kind, in canonical (report) order.
-    pub const ALL: [SpanKind; 20] = [
+    pub const ALL: [SpanKind; SpanKind::COUNT] = [
         SpanKind::Election,
         SpanKind::ElectionInvite,
         SpanKind::ElectionCandidates,
@@ -102,6 +104,12 @@ impl SpanKind {
         SpanKind::StoreWrite,
         SpanKind::StoreRebuild,
     ];
+
+    /// Array index of this kind.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// Canonical trace label.
     pub fn as_str(self) -> &'static str {
@@ -133,152 +141,29 @@ impl SpanKind {
     pub fn parse(s: &str) -> Option<SpanKind> {
         SpanKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
-
-    /// Registry counter name for closed spans of this kind.
-    pub fn counter_label(self) -> &'static str {
-        match self {
-            SpanKind::Election => "span_election",
-            SpanKind::ElectionInvite => "span_election_invite",
-            SpanKind::ElectionCandidates => "span_election_candidates",
-            SpanKind::ElectionAccept => "span_election_accept",
-            SpanKind::ElectionRefine => "span_election_refine",
-            SpanKind::Maintenance => "span_maintenance",
-            SpanKind::HandoffCheck => "span_handoff_check",
-            SpanKind::Reconcile => "span_reconcile",
-            SpanKind::Rotation => "span_rotation",
-            SpanKind::Repair => "span_repair",
-            SpanKind::Deliver => "span_deliver",
-            SpanKind::Scheduler => "span_scheduler",
-            SpanKind::Query => "span_query",
-            SpanKind::QueryPlan => "span_query_plan",
-            SpanKind::QueryExec => "span_query_exec",
-            SpanKind::ServeAdmit => "span_serve_admit",
-            SpanKind::ServeBatch => "span_serve_batch",
-            SpanKind::ServeTick => "span_serve_tick",
-            SpanKind::StoreWrite => "span_store_write",
-            SpanKind::StoreRebuild => "span_store_rebuild",
-        }
-    }
-
-    /// Registry histogram name for this kind's sim-tick latency.
-    pub fn ticks_hist_label(self) -> &'static str {
-        match self {
-            SpanKind::Election => "span_ticks_election",
-            SpanKind::ElectionInvite => "span_ticks_election_invite",
-            SpanKind::ElectionCandidates => "span_ticks_election_candidates",
-            SpanKind::ElectionAccept => "span_ticks_election_accept",
-            SpanKind::ElectionRefine => "span_ticks_election_refine",
-            SpanKind::Maintenance => "span_ticks_maintenance",
-            SpanKind::HandoffCheck => "span_ticks_handoff_check",
-            SpanKind::Reconcile => "span_ticks_reconcile",
-            SpanKind::Rotation => "span_ticks_rotation",
-            SpanKind::Repair => "span_ticks_repair",
-            SpanKind::Deliver => "span_ticks_deliver",
-            SpanKind::Scheduler => "span_ticks_scheduler",
-            SpanKind::Query => "span_ticks_query",
-            SpanKind::QueryPlan => "span_ticks_query_plan",
-            SpanKind::QueryExec => "span_ticks_query_exec",
-            SpanKind::ServeAdmit => "span_ticks_serve_admit",
-            SpanKind::ServeBatch => "span_ticks_serve_batch",
-            SpanKind::ServeTick => "span_ticks_serve_tick",
-            SpanKind::StoreWrite => "span_ticks_store_write",
-            SpanKind::StoreRebuild => "span_ticks_store_rebuild",
-        }
-    }
-
-    /// Registry counter name accumulating this kind's wall-clock
-    /// nanoseconds (only bumped when a wall clock was injected).
-    pub fn wall_counter_label(self) -> &'static str {
-        match self {
-            SpanKind::Election => "span_wall_ns_election",
-            SpanKind::ElectionInvite => "span_wall_ns_election_invite",
-            SpanKind::ElectionCandidates => "span_wall_ns_election_candidates",
-            SpanKind::ElectionAccept => "span_wall_ns_election_accept",
-            SpanKind::ElectionRefine => "span_wall_ns_election_refine",
-            SpanKind::Maintenance => "span_wall_ns_maintenance",
-            SpanKind::HandoffCheck => "span_wall_ns_handoff_check",
-            SpanKind::Reconcile => "span_wall_ns_reconcile",
-            SpanKind::Rotation => "span_wall_ns_rotation",
-            SpanKind::Repair => "span_wall_ns_repair",
-            SpanKind::Deliver => "span_wall_ns_deliver",
-            SpanKind::Scheduler => "span_wall_ns_scheduler",
-            SpanKind::Query => "span_wall_ns_query",
-            SpanKind::QueryPlan => "span_wall_ns_query_plan",
-            SpanKind::QueryExec => "span_wall_ns_query_exec",
-            SpanKind::ServeAdmit => "span_wall_ns_serve_admit",
-            SpanKind::ServeBatch => "span_wall_ns_serve_batch",
-            SpanKind::ServeTick => "span_wall_ns_serve_tick",
-            SpanKind::StoreWrite => "span_wall_ns_store_write",
-            SpanKind::StoreRebuild => "span_wall_ns_store_rebuild",
-        }
-    }
 }
 
-/// Log2 bucket bounds for tick-valued latency histograms (span
-/// durations, per-hop delivery latency). Inclusive upper bounds; one
-/// implicit overflow bucket above.
+/// Log2 bucket bounds for the per-hop delivery-latency histogram, in
+/// ticks. Inclusive upper bounds; one implicit overflow bucket above.
 pub const LOG2_TICKS_BUCKETS: &[u64] = &[
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
 ];
 
-/// RAII wrapper over [`Telemetry::open_span`] /
-/// [`Telemetry::close_span`] for contexts that hold the hub
-/// exclusively (query planning, tests). Simulator code that threads
-/// `&mut Network` through the span's body uses the id-based API
-/// instead — a guard's borrow would block it.
-///
-/// The guard closes at the tick it was opened with unless
-/// [`SpanGuard::advance_to`] raised it.
-///
-/// [`Telemetry::open_span`]: crate::Telemetry::open_span
-/// [`Telemetry::close_span`]: crate::Telemetry::close_span
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    telemetry: &'a mut Telemetry,
-    id: u64,
-    close_tick: u64,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Open a span of `kind` at `tick` on `telemetry`.
-    pub fn open(telemetry: &'a mut Telemetry, tick: u64, kind: SpanKind) -> Self {
-        let id = telemetry.open_span(tick, kind);
-        SpanGuard {
-            telemetry,
-            id,
-            close_tick: tick,
-        }
-    }
-
-    /// The wrapped span's id (0 when telemetry is disabled).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Move the close timestamp forward (never backward).
-    pub fn advance_to(&mut self, tick: u64) {
-        self.close_tick = self.close_tick.max(tick);
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.telemetry.close_span(self.close_tick, self.id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+
+    #[test]
+    fn all_covers_every_kind_once() {
+        for (i, k) in SpanKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i, "{} out of order", k.as_str());
+        }
+    }
 
     #[test]
     fn labels_round_trip() {
         for k in SpanKind::ALL {
             assert_eq!(SpanKind::parse(k.as_str()), Some(k));
-            assert!(k.counter_label().starts_with("span_"));
-            assert!(k.ticks_hist_label().starts_with("span_ticks_"));
-            assert!(k.wall_counter_label().starts_with("span_wall_ns_"));
         }
         assert_eq!(SpanKind::parse("siesta"), None);
     }
@@ -286,45 +171,5 @@ mod tests {
     #[test]
     fn log2_buckets_are_strictly_ascending_powers() {
         assert!(LOG2_TICKS_BUCKETS.windows(2).all(|w| w[1] == w[0] * 2));
-    }
-
-    #[test]
-    fn guard_opens_and_closes_one_span() {
-        let mut t = Telemetry::with_ring(16);
-        {
-            let mut g = SpanGuard::open(&mut t, 5, SpanKind::QueryPlan);
-            assert!(g.id() > 0);
-            g.advance_to(7);
-            g.advance_to(6); // never moves backward
-        }
-        let events = t.ring().expect("ring").events();
-        assert!(matches!(
-            events[0],
-            Event::SpanOpen {
-                tick: 5,
-                parent: 0,
-                span: SpanKind::QueryPlan,
-                ..
-            }
-        ));
-        assert!(matches!(
-            events[1],
-            Event::SpanClose {
-                tick: 7,
-                open_tick: 5,
-                wall_ns: 0,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn guard_on_disabled_hub_is_a_noop() {
-        let mut t = Telemetry::off();
-        {
-            let g = SpanGuard::open(&mut t, 1, SpanKind::Query);
-            assert_eq!(g.id(), 0);
-        }
-        assert!(!t.enabled());
     }
 }

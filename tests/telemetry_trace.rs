@@ -144,16 +144,14 @@ fn jsonl_round_trips_through_parse_and_rewrite() {
     );
 }
 
-/// Per-node × per-phase message counts are kept twice: by `NetStats`,
-/// the ledger, and by `TraceSummary` replaying the recorded events, the
-/// one reader that has no `NetStats`. The metrics registry keeps only
-/// network-wide `msg_sent` and `msg_dropped` counters. Over one whole
-/// run — training, election, maintenance under loss with a crashed
-/// representative, and live queries — all of them must agree.
-///
-/// Losses are compared per phase, not per node: the replay charges a
-/// lost delivery to its sender, `NetStats` to the receiver that missed
-/// it.
+/// Per-node × per-phase message counts live in one ledger,
+/// `NetStats`; `TraceSummary` replays the recorded events into the
+/// same table for readers that have only the trace. Energy per node ×
+/// phase is folded twice from the same events: by the live metrics
+/// registry and by the replay. Over one whole run — training,
+/// election, maintenance under loss with a crashed representative, and
+/// live queries — each pair must agree exactly, losses included (both
+/// charge a lost delivery to the receiver that missed it).
 #[test]
 fn net_stats_registry_and_replayed_trace_keep_the_same_ledger() {
     let (seed, n) = (7, 100);
@@ -203,32 +201,32 @@ fn net_stats_registry_and_replayed_trace_keep_the_same_ledger() {
     let replayed = TraceSummary::from_events(&ring.events());
     let registry = telemetry.registry().expect("registry attached");
     let stats = sn.stats();
-    let (mut sent_total, mut lost_total) = (0, 0);
     for phase in Phase::ALL {
-        // Query charges are counted by `NetStats::record_send` alone:
-        // the executor emits no `MsgSent` for them, so the registry
-        // and the replay read 0 there.
-        if phase == Phase::Query {
-            continue;
-        }
         for node in 0..n as u32 {
             assert_eq!(
+                registry.energy_in(node, phase).to_bits(),
+                replayed.energy.get(node, phase).to_bits(),
+                "registry energy, node {node}, {phase}"
+            );
+            // Query charges are counted by `Network::charge_send`
+            // alone: the executor emits no `MsgSent` for them, so the
+            // replay reads 0 there.
+            if phase == Phase::Query {
+                continue;
+            }
+            let id = NodeId(node);
+            assert_eq!(
                 replayed.sent.get(node, phase),
-                stats.sent_in_phase(NodeId(node), phase),
-                "replay, node {node}, {phase}"
+                stats.sent_in_phase(id, phase),
+                "replayed sends, node {node}, {phase}"
+            );
+            assert_eq!(
+                replayed.lost.get(node, phase),
+                stats.lost_in_phase(id, phase),
+                "replayed losses, node {node}, {phase}"
             );
         }
-        let lost = stats.phase_lost_total(phase);
-        assert_eq!(replayed.phase_lost(phase), lost, "replayed losses, {phase}");
-        sent_total += stats.phase_total(phase);
-        lost_total += lost;
     }
-    assert_eq!(registry.counter("msg_sent"), sent_total, "registry sends");
-    assert_eq!(
-        registry.counter("msg_dropped"),
-        lost_total,
-        "registry losses"
-    );
     // The run sent in training, election and maintenance, lost
     // deliveries, and charged queries.
     for phase in [Phase::Data, Phase::Invitation, Phase::Heartbeat] {
@@ -236,4 +234,5 @@ fn net_stats_registry_and_replayed_trace_keep_the_same_ledger() {
     }
     assert!(stats.total_lost() > 0, "no losses to compare");
     assert!(stats.phase_total(Phase::Query) > 0, "no query charges");
+    assert!(registry.phase_energy(Phase::Query) > 0.0, "no query energy");
 }
