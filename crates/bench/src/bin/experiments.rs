@@ -103,32 +103,28 @@ fn main() {
         i += 1;
     }
 
-    if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = experiments::ALL.iter().map(|s| (*s).to_owned()).collect();
-    }
-
-    // Validate every id up front so a typo late in the list does not
-    // waste the work already done for the ids before it.
-    for id in &ids {
-        if !experiments::ALL.contains(&id.as_str()) {
-            eprintln!(
-                "unknown experiment `{id}`; known: {}",
-                experiments::ALL.join(" ")
-            );
-            std::process::exit(2);
-        }
-    }
+    // Look every id up front so a typo late in the list does not waste
+    // the work already done for the ids before it.
+    let selected: Vec<_> = if ids.is_empty() || ids.iter().any(|i| i == "all") {
+        experiments::ALL.to_vec()
+    } else {
+        ids.iter()
+            .map(|id| {
+                let found = experiments::ALL.iter().find(|&&(known, _)| known == id);
+                *found.unwrap_or_else(|| die(&format!("unknown experiment `{id}`")))
+            })
+            .collect()
+    };
 
     runner::set_jobs(jobs);
     let overall = Instant::now();
     // Fan the experiments across the worker pool; each experiment's
     // repetitions fan out through the same pool. Results come back in
     // input order no matter which cell finished first.
-    let results = runner::parallel_map(ids.len(), |k| {
+    let results = runner::parallel_map(selected.len(), |k| {
         let started = Instant::now();
-        let out =
-            experiments::run(&ids[k], &ctx).expect("experiment ids are validated before dispatch");
-        (out, started.elapsed())
+        let (_, run) = selected[k];
+        (run(&ctx), started.elapsed())
     });
 
     for (out, took) in &results {
@@ -142,11 +138,12 @@ fn main() {
 }
 
 fn usage() -> String {
+    let ids: Vec<&str> = experiments::ALL.iter().map(|&(id, _)| id).collect();
     format!(
         "usage: experiments [ids...] [--reps N] [--seed S] [--out DIR] [--quick] [--jobs N] \
          [--fault-plan FILE] [--drain-mode wake-list|all-scan]\n\
          known ids: {} (or `all`)\n",
-        experiments::ALL.join(" ")
+        ids.join(" ")
     )
 }
 

@@ -13,6 +13,7 @@ use crate::setup::WeatherSetup;
 use crate::stats::{mean, rng};
 use crate::table::{fmt, Table};
 use crate::{ExperimentOutput, RunContext};
+use snapshot_core::maintenance::SNOOP_PROB;
 use snapshot_core::SpatialPredicate;
 use snapshot_netsim::rng::RngExt;
 
@@ -53,7 +54,7 @@ pub fn simulate(ctx: &RunContext, range: f64) -> MaintenanceSeries {
             let y: f64 = r.random_f64();
             let pred = SpatialPredicate::window(x, y, 0.316);
             let participants = pred.targets(sn.net().topology());
-            sn.snoop_step(Some(&participants), sn.config().snoop_prob);
+            sn.snoop_step(Some(&participants), SNOOP_PROB);
         }
         t += update_every;
         sn.set_time(t);

@@ -44,64 +44,42 @@ pub mod trace;
 
 use crate::{ExperimentOutput, RunContext};
 
-/// All experiment ids, in paper order, followed by the ablations of
-/// the extensions the paper sketches but does not evaluate.
-pub const ALL: &[&str] = &[
-    "fig1",
-    "table2",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "table3",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "abl_routing",
-    "abl_multiq",
-    "abl_metric",
-    "abl_mobility",
-    "abl_periodic",
-    "abl_proximity",
-    "heal",
-    "burst-loss",
-    "trace",
-    "scale",
-    "serve",
-    "history",
+/// The function that runs one experiment.
+pub type ExperimentFn = fn(&RunContext) -> ExperimentOutput;
+
+/// Every experiment as its id and the function that runs it, in paper
+/// order, followed by the ablations of the extensions the paper
+/// sketches but does not evaluate.
+pub const ALL: &[(&str, ExperimentFn)] = &[
+    ("fig1", fig1::run),
+    ("table2", table2::run),
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("table3", table3::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("fig13", fig13::run),
+    ("fig14", maintenance_over_time::run_fig14),
+    ("fig15", maintenance_over_time::run_fig15),
+    ("abl_routing", ablations::run_routing),
+    ("abl_multiq", ablations::run_multiq),
+    ("abl_metric", ablations::run_metric),
+    ("abl_mobility", ablations::run_mobility),
+    ("abl_periodic", ablations::run_periodic),
+    ("abl_proximity", ablations::run_proximity),
+    ("heal", heal::run),
+    ("burst-loss", burst_loss::run),
+    ("trace", trace::run),
+    ("scale", scale::run),
+    ("serve", serve::run),
+    ("history", history::run),
 ];
 
 /// Run one experiment by id.
 pub fn run(id: &str, ctx: &RunContext) -> Option<ExperimentOutput> {
-    Some(match id {
-        "fig1" => fig1::run(ctx),
-        "table2" => table2::run(ctx),
-        "fig6" => fig6::run(ctx),
-        "fig7" => fig7::run(ctx),
-        "fig8" => fig8::run(ctx),
-        "fig9" => fig9::run(ctx),
-        "table3" => table3::run(ctx),
-        "fig10" => fig10::run(ctx),
-        "fig11" => fig11::run(ctx),
-        "fig12" => fig12::run(ctx),
-        "fig13" => fig13::run(ctx),
-        "fig14" => maintenance_over_time::run_fig14(ctx),
-        "fig15" => maintenance_over_time::run_fig15(ctx),
-        "abl_routing" => ablations::run_routing(ctx),
-        "abl_multiq" => ablations::run_multiq(ctx),
-        "abl_metric" => ablations::run_metric(ctx),
-        "abl_mobility" => ablations::run_mobility(ctx),
-        "abl_periodic" => ablations::run_periodic(ctx),
-        "abl_proximity" => ablations::run_proximity(ctx),
-        "heal" => heal::run(ctx),
-        "burst-loss" => burst_loss::run(ctx),
-        "trace" => trace::run(ctx),
-        "scale" => scale::run(ctx),
-        "serve" => serve::run(ctx),
-        "history" => history::run(ctx),
-        _ => return None,
-    })
+    let &(_, run) = ALL.iter().find(|&&(known, _)| known == id)?;
+    Some(run(ctx))
 }

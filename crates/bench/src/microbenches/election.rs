@@ -17,7 +17,7 @@ fn bench_election(c: &mut Criterion) {
     c.bench_function("full_election_100_nodes", |b| {
         b.iter_batched(
             || trained.clone(),
-            |mut sn| black_box(sn.elect()),
+            |mut sn| black_box((sn.elect(), sn)),
             BatchSize::LargeInput,
         )
     });
@@ -27,7 +27,7 @@ fn bench_election(c: &mut Criterion) {
     c.bench_function("maintenance_cycle_100_nodes", |b| {
         b.iter_batched(
             || elected.clone(),
-            |mut sn| black_box(sn.maintain()),
+            |mut sn| black_box((sn.maintain(), sn)),
             BatchSize::LargeInput,
         )
     });
@@ -64,7 +64,7 @@ fn bench_lossy_maintenance(c: &mut Criterion) {
     c.bench_function("maintenance_cycle_1k_lossy", |b| {
         b.iter_batched(
             || sn.clone(),
-            |mut sn| black_box(sn.maintain()),
+            |mut sn| black_box((sn.maintain(), sn)),
             BatchSize::LargeInput,
         )
     });
@@ -84,7 +84,7 @@ fn bench_training(c: &mut Criterion) {
             |mut sn| {
                 sn.set_time(0);
                 sn.train(0, 1);
-                black_box(sn.now())
+                black_box(sn)
             },
             BatchSize::LargeInput,
         )
@@ -107,7 +107,7 @@ fn bench_full_cache_training(c: &mut Criterion) {
             |mut sn| {
                 sn.set_time(9);
                 sn.train(9, 10);
-                black_box(sn.now())
+                black_box(sn)
             },
             BatchSize::LargeInput,
         )

@@ -27,7 +27,7 @@ fn bench_maintenance_paths(c: &mut Criterion) {
                 sn.set_energy_handoff_fraction(0.1);
                 sn
             },
-            |mut sn| black_box(sn.check_handoffs()),
+            |mut sn| black_box((sn.check_handoffs(), sn)),
             BatchSize::LargeInput,
         )
     });
@@ -35,7 +35,7 @@ fn bench_maintenance_paths(c: &mut Criterion) {
     c.bench_function("reconcile_pass_100_nodes", |b| {
         b.iter_batched(
             || base.clone(),
-            |mut sn| black_box(sn.reconcile()),
+            |mut sn| black_box((sn.reconcile(), sn)),
             BatchSize::LargeInput,
         )
     });
@@ -43,7 +43,7 @@ fn bench_maintenance_paths(c: &mut Criterion) {
     c.bench_function("rotation_cycle_100_nodes", |b| {
         b.iter_batched(
             || base.clone(),
-            |mut sn| black_box(sn.rotate(0.5)),
+            |mut sn| black_box((sn.rotate(0.5), sn)),
             BatchSize::LargeInput,
         )
     });
@@ -53,7 +53,7 @@ fn bench_maintenance_paths(c: &mut Criterion) {
             || base.clone(),
             |mut sn| {
                 sn.snoop_step(None, 0.05);
-                black_box(sn.now())
+                black_box(sn)
             },
             BatchSize::LargeInput,
         )

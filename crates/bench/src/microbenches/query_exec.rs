@@ -41,7 +41,7 @@ fn bench_queries(c: &mut Criterion) {
         c.bench_function(&format!("query_{name}_area0.1"), |b| {
             b.iter_batched(
                 || sn.clone(),
-                |mut sn| black_box(sn.query(&q, NodeId(3))),
+                |mut sn| black_box((sn.query(&q, NodeId(3)), sn)),
                 BatchSize::LargeInput,
             )
         });
@@ -51,7 +51,7 @@ fn bench_queries(c: &mut Criterion) {
     c.bench_function("query_drill_through_all", |b| {
         b.iter_batched(
             || sn.clone(),
-            |mut sn| black_box(sn.query(&drill, NodeId(3))),
+            |mut sn| black_box((sn.query(&drill, NodeId(3)), sn)),
             BatchSize::LargeInput,
         )
     });

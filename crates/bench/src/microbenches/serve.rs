@@ -50,7 +50,7 @@ fn bench_serve(c: &mut Criterion) {
             || (warm.clone(), sn.clone()),
             |(mut svc, mut sn)| {
                 svc.tick(&mut sn);
-                black_box(svc.take_completions())
+                black_box((svc.take_completions(), svc, sn))
             },
             BatchSize::LargeInput,
         )
@@ -67,7 +67,7 @@ fn bench_serve(c: &mut Criterion) {
             || (cold.clone(), sn.clone()),
             |(mut svc, mut sn)| {
                 svc.tick(&mut sn);
-                black_box(svc.take_completions())
+                black_box((svc.take_completions(), svc, sn))
             },
             BatchSize::LargeInput,
         )

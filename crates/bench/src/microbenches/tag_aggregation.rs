@@ -20,7 +20,7 @@ fn bench_tag(c: &mut Criterion) {
     c.bench_function("query_idealized_snapshot_avg", |b| {
         b.iter_batched(
             || sn.clone(),
-            |mut sn| black_box(sn.query(&q, NodeId(3))),
+            |mut sn| black_box((sn.query(&q, NodeId(3)), sn)),
             BatchSize::LargeInput,
         )
     });
@@ -28,7 +28,7 @@ fn bench_tag(c: &mut Criterion) {
     c.bench_function("query_tag_snapshot_avg", |b| {
         b.iter_batched(
             || sn.clone(),
-            |mut sn| black_box(sn.query_tag(&q, NodeId(3))),
+            |mut sn| black_box((sn.query_tag(&q, NodeId(3)), sn)),
             BatchSize::LargeInput,
         )
     });
@@ -38,7 +38,7 @@ fn bench_tag(c: &mut Criterion) {
     c.bench_function("query_tag_regular_avg", |b| {
         b.iter_batched(
             || sn.clone(),
-            |mut sn| black_box(sn.query_tag(&regular, NodeId(3))),
+            |mut sn| black_box((sn.query_tag(&regular, NodeId(3)), sn)),
             BatchSize::LargeInput,
         )
     });

@@ -552,8 +552,7 @@ impl FrozenCheckpoint {
     /// Pure and side-effect free: no simulator, no energy accounting,
     /// no clock. Byte-identical to querying the live deployment the
     /// checkpoint was taken from (or a same-seed replay of it),
-    /// because both funnel into
-    /// [`execute_frozen`](crate::query::execute_frozen) with identical
+    /// because both funnel into [`execute_frozen`] with identical
     /// inputs.
     ///
     /// Mirrors `try_query`'s availability contract: a dead (or absent)

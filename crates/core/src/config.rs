@@ -14,16 +14,6 @@ pub struct SnapshotConfig {
     pub metric: ErrorMetric,
     /// Cache sizing and replacement policy.
     pub cache: CacheConfig,
-    /// Maximum refinement rounds a node waits with an undefined mode
-    /// before Rule-4 forces a decision (the paper's `MAX_WAIT`).
-    pub max_wait: u32,
-    /// Probability of switching to ACTIVE per round once `MAX_WAIT`
-    /// is exceeded (the paper's `P_wait` randomization that avoids
-    /// synchronized switches).
-    pub p_wait: f64,
-    /// Probability that a node snoops (and caches) a neighbor's
-    /// broadcast outside dedicated training (Section 6.3 uses 5%).
-    pub snoop_prob: f64,
     /// Probability that a node hearing a *maintenance invitation*
     /// caches the inviter's fresh value after evaluating its model.
     /// Invitations are rare, explicit announcements, so the default is
@@ -46,9 +36,6 @@ impl Default for SnapshotConfig {
             threshold: 1.0,
             metric: ErrorMetric::Sse,
             cache: CacheConfig::default(),
-            max_wait: 10,
-            p_wait: 0.5,
-            snoop_prob: 0.05,
             invite_learn_prob: 1.0,
             energy_handoff_fraction: 0.0,
             seed: 0,
@@ -76,15 +63,6 @@ impl SnapshotConfig {
         if self.threshold.is_nan() || self.threshold < 0.0 {
             return Err(format!("threshold must be >= 0, got {}", self.threshold));
         }
-        if !(0.0..=1.0).contains(&self.p_wait) {
-            return Err(format!("p_wait must be a probability, got {}", self.p_wait));
-        }
-        if !(0.0..=1.0).contains(&self.snoop_prob) {
-            return Err(format!(
-                "snoop_prob must be a probability, got {}",
-                self.snoop_prob
-            ));
-        }
         if !(0.0..=1.0).contains(&self.invite_learn_prob) {
             return Err(format!(
                 "invite_learn_prob must be a probability, got {}",
@@ -96,9 +74,6 @@ impl SnapshotConfig {
                 "energy_handoff_fraction must be a probability, got {}",
                 self.energy_handoff_fraction
             ));
-        }
-        if self.max_wait == 0 {
-            return Err("max_wait must be at least 1".into());
         }
         Ok(())
     }
@@ -115,7 +90,6 @@ mod tests {
         assert_eq!(c.metric, ErrorMetric::Sse);
         assert_eq!(c.cache.budget_bytes, 2048);
         assert_eq!(c.cache.pair_bytes, 8);
-        assert!((c.snoop_prob - 0.05).abs() < 1e-12);
         assert!(c.validate().is_ok());
     }
 
@@ -139,19 +113,7 @@ mod tests {
                 ..SnapshotConfig::default()
             },
             SnapshotConfig {
-                p_wait: 1.5,
-                ..SnapshotConfig::default()
-            },
-            SnapshotConfig {
-                snoop_prob: -0.1,
-                ..SnapshotConfig::default()
-            },
-            SnapshotConfig {
                 invite_learn_prob: 7.0,
-                ..SnapshotConfig::default()
-            },
-            SnapshotConfig {
-                max_wait: 0,
                 ..SnapshotConfig::default()
             },
             SnapshotConfig {

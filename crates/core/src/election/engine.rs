@@ -31,6 +31,13 @@ use snapshot_netsim::rng::RngExt;
 use snapshot_netsim::{Delivery, Event, Network, NodeId, Phase, SpanKind};
 use std::sync::Arc;
 
+/// Rule 4's timeout (the paper's `MAX_WAIT`): refinement rounds a node
+/// may wait UNDEFINED before the rule can force it ACTIVE.
+const MAX_WAIT: u32 = 10;
+/// Rule 4's per-round switch probability past [`MAX_WAIT`] (the
+/// paper's `P_wait`), which avoids synchronized switches.
+const P_WAIT: f64 = 0.5;
+
 /// Summary of one election run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElectionOutcome {
@@ -385,7 +392,7 @@ impl Election<'_> {
     /// until the hard cap. Returns the rounds run.
     fn refine(&mut self) -> u32 {
         let span = self.open_phase(SpanKind::ElectionRefine, Phase::Refinement);
-        let hard_cap = self.cfg.max_wait + 16;
+        let hard_cap = MAX_WAIT + 16;
         // Staging buffer for acknowledgment member lists, reused by every
         // representative so that each broadcast allocates only its list.
         let mut members = Vec::new();
@@ -504,9 +511,7 @@ impl Election<'_> {
             // a synchronized stampede.
             if node.mode == Mode::Undefined {
                 node.rounds_undefined += 1;
-                if node.rounds_undefined > self.cfg.max_wait
-                    && self.rng.random_bool(self.cfg.p_wait)
-                {
+                if node.rounds_undefined > MAX_WAIT && self.rng.random_bool(P_WAIT) {
                     node.mode = Mode::Active;
                     node.waiting_ack_from = None;
                     node.forced_active = true;

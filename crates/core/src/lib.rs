@@ -60,7 +60,7 @@ pub use config::SnapshotConfig;
 pub use coverage::CoverageTracker;
 pub use election::{ElectionOutcome, ProtocolMsg};
 pub use error::CoreError;
-pub use maintenance::{MaintenanceReport, RepairRecord, RepairTracker};
+pub use maintenance::{MaintenanceReport, RepairRecord, RepairTracker, StepDownReport};
 pub use metrics::ErrorMetric;
 pub use model::{LinearModel, SuffStats};
 pub use multi::{SnapshotAction, ThresholdLadder};
@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::coverage::CoverageTracker;
     pub use crate::election::{ElectionOutcome, ProtocolMsg};
     pub use crate::error::CoreError;
-    pub use crate::maintenance::{MaintenanceReport, RepairRecord, RepairTracker};
+    pub use crate::maintenance::{MaintenanceReport, RepairRecord, RepairTracker, StepDownReport};
     pub use crate::metrics::ErrorMetric;
     pub use crate::model::{LinearModel, SuffStats};
     pub use crate::multi::{SnapshotAction, ThresholdLadder};

@@ -8,29 +8,18 @@
 //! `rotation_prob`; its members re-elect, and the retiring node
 //! refuses candidacy for that election so the role genuinely moves.
 
-use super::step_down;
+use super::{Cycle, StepDownReport};
 use crate::config::SnapshotConfig;
-use crate::election::{run_maintenance_election, ElectionOutcome, ProtocolMsg};
+use crate::election::ProtocolMsg;
 use crate::sensor::SensorNode;
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::rng::DetRng;
 use snapshot_netsim::rng::RngExt;
-use snapshot_netsim::{Network, NodeId};
-use std::collections::BTreeSet;
-
-/// Outcome of a rotation cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RotationReport {
-    /// Representatives that stepped down.
-    pub retired: usize,
-    /// Members that re-elected.
-    pub reassigned: usize,
-    /// The election outcome, when any member re-elected.
-    pub election: Option<ElectionOutcome>,
-}
+use snapshot_netsim::Network;
 
 /// Rotate representatives with the given per-representative
-/// probability. `values[i]` is `N_i`'s current measurement.
+/// probability: step-down on a coin flip, then settle. `values[i]` is
+/// `N_i`'s current measurement.
 pub fn rotate_representatives(
     net: &mut Network<ProtocolMsg>,
     nodes: &mut [SensorNode],
@@ -39,30 +28,14 @@ pub fn rotate_representatives(
     epoch: Epoch,
     rng: &mut DetRng,
     rotation_prob: f64,
-) -> RotationReport {
+) -> StepDownReport {
     assert!(
         (0.0..=1.0).contains(&rotation_prob),
         "rotation_prob must be a probability, got {rotation_prob}"
     );
-    // Retiring representatives announce a handoff; their members
-    // re-elect.
-    let mut initiators: BTreeSet<NodeId> = BTreeSet::new();
-    let coin = |_: &Network<ProtocolMsg>, _: &SensorNode| rng.random_bool(rotation_prob);
-    let (mut drained, mut inbox) = (Vec::new(), Vec::new());
-    let retired = step_down(net, nodes, coin, &mut drained, &mut inbox, &mut initiators);
-    let reassigned = initiators.len();
-    let election = (!initiators.is_empty()).then(|| {
-        let initiators: Vec<NodeId> = initiators.into_iter().collect();
-        run_maintenance_election(net, nodes, values, cfg, epoch, rng, &initiators)
-    });
-    for node in nodes.iter_mut() {
-        node.refusing_invites = false;
-    }
-    RotationReport {
-        retired,
-        reassigned,
-        election,
-    }
+    let mut cycle = Cycle::new(net, nodes, values, cfg, epoch, rng);
+    let stepped_down = cycle.step_down(|_, _, rng| rng.random_bool(rotation_prob));
+    cycle.settle_step_down(stepped_down)
 }
 
 #[cfg(test)]
@@ -92,7 +65,7 @@ mod tests {
         let mut rng = snapshot_netsim::rng::DetRng::seed_from_u64(3);
         let r =
             rotate_representatives(&mut net, &mut nodes, &values, &cfg, Epoch(2), &mut rng, 1.0);
-        assert_eq!(r.retired, 1);
+        assert_eq!(r.stepped_down, 1);
         assert_eq!(r.reassigned, 1);
         assert_eq!(nodes[1].representative(), Some(NodeId(2)));
     }
@@ -113,7 +86,7 @@ mod tests {
         let mut rng = snapshot_netsim::rng::DetRng::seed_from_u64(3);
         let r =
             rotate_representatives(&mut net, &mut nodes, &values, &cfg, Epoch(2), &mut rng, 0.0);
-        assert_eq!(r.retired, 0);
+        assert_eq!(r.stepped_down, 0);
         assert_eq!(nodes[1].representative(), Some(NodeId(0)));
     }
 

@@ -8,14 +8,15 @@
 //! maintenance cycles, snooping windows, and query execution in both
 //! modes.
 
+use crate::checkpoint::CheckpointState;
 use crate::config::SnapshotConfig;
 use crate::election::{run_full_election, ElectionOutcome, ProtocolMsg};
 use crate::error::CoreError;
 use crate::maintenance::reconcile::ReconcileReport;
 use crate::maintenance::repair::RepairTracker;
-use crate::maintenance::rotation::RotationReport;
 use crate::maintenance::{
     reconcile, rotate_representatives, run_handoff_check, run_maintenance, MaintenanceReport,
+    StepDownReport,
 };
 use crate::query::tag::{execute_tag, TagResult};
 use crate::query::{execute_with, QueryMode, QueryResult, Readings, SnapshotQuery};
@@ -377,13 +378,18 @@ impl SensorNetwork {
 
     /// `N_i`'s current measurement.
     pub fn value(&self, id: NodeId) -> f64 {
-        self.trace.value(id, self.now.min(self.trace.steps() - 1))
+        self.trace.value(id, self.trace_step())
     }
 
     /// Every node's current measurement.
     pub fn values(&self) -> Vec<f64> {
-        let t = self.now.min(self.trace.steps() - 1);
-        self.trace.snapshot_at(t).to_vec()
+        self.trace.snapshot_at(self.trace_step()).to_vec()
+    }
+
+    /// The trace step read at the current time: reads past the end hold
+    /// the last step.
+    fn trace_step(&self) -> usize {
+        self.now.min(self.trace.steps() - 1)
     }
 
     // ---- Model building --------------------------------------------------
@@ -416,8 +422,7 @@ impl SensorNetwork {
     /// (nodes the delivery round actually reached) through two
     /// recycled scratch buffers.
     fn broadcast_and_snoop(&mut self, participants: Option<&[NodeId]>, snoop_prob: f64) {
-        let t = self.now.min(self.trace.steps() - 1);
-        let values = self.trace.snapshot_at(t);
+        let values = self.trace.snapshot_at(self.trace_step());
         match participants {
             Some(p) => {
                 for &j in p {
@@ -463,11 +468,11 @@ impl SensorNetwork {
     /// Run a full network-wide election at the current time.
     pub fn elect(&mut self) -> ElectionOutcome {
         self.epoch = self.epoch.next();
-        let values = self.values();
+        let values = self.trace.snapshot_at(self.trace_step());
         let outcome = run_full_election(
             &mut self.net,
             &mut self.nodes,
-            &values,
+            values,
             &self.cfg,
             self.epoch,
             &mut self.rng,
@@ -483,11 +488,11 @@ impl SensorNetwork {
     pub fn maintain(&mut self) -> MaintenanceReport {
         self.epoch = self.epoch.next();
         let span = self.net.open_span(SpanKind::Maintenance);
-        let values = self.values();
+        let values = self.trace.snapshot_at(self.trace_step());
         let report = run_maintenance(
             &mut self.net,
             &mut self.nodes,
-            &values,
+            values,
             &self.cfg,
             self.epoch,
             &mut self.rng,
@@ -499,15 +504,16 @@ impl SensorNetwork {
 
     /// Run only the energy-handoff check: exhausted representatives
     /// (battery below the configured fraction) hand their members off
-    /// to fresh nodes. Cheap enough to run every few queries.
-    pub fn check_handoffs(&mut self) -> MaintenanceReport {
+    /// to fresh nodes. Cheap enough to run every few queries: a check
+    /// that steps nobody down sends and delivers nothing.
+    pub fn check_handoffs(&mut self) -> StepDownReport {
         self.epoch = self.epoch.next();
         let span = self.net.open_span(SpanKind::HandoffCheck);
-        let values = self.values();
+        let values = self.trace.snapshot_at(self.trace_step());
         let report = run_handoff_check(
             &mut self.net,
             &mut self.nodes,
-            &values,
+            values,
             &self.cfg,
             self.epoch,
             &mut self.rng,
@@ -518,14 +524,14 @@ impl SensorNetwork {
 
     /// LEACH-style rotation: each representative steps down with the
     /// given probability and its members re-elect.
-    pub fn rotate(&mut self, rotation_prob: f64) -> RotationReport {
+    pub fn rotate(&mut self, rotation_prob: f64) -> StepDownReport {
         self.epoch = self.epoch.next();
         let span = self.net.open_span(SpanKind::Rotation);
-        let values = self.values();
+        let values = self.trace.snapshot_at(self.trace_step());
         let report = rotate_representatives(
             &mut self.net,
             &mut self.nodes,
-            &values,
+            values,
             &self.cfg,
             self.epoch,
             &mut self.rng,
@@ -620,7 +626,7 @@ impl SensorNetwork {
 
     /// A batch at `sink`, reading through `readings` when given.
     fn batch(&mut self, sink: NodeId, readings: Option<Readings>) -> ScanBatch<'_> {
-        let t = self.now.min(self.trace.steps() - 1);
+        let t = self.trace_step();
         ScanBatch {
             net: &mut self.net,
             nodes: &self.nodes,
@@ -667,10 +673,10 @@ impl SensorNetwork {
         query: &SnapshotQuery,
         sink: NodeId,
     ) -> Result<TagResult, CoreError> {
-        let values = self.values();
+        let values = self.trace.snapshot_at(self.trace_step());
         let qspan = self.net.open_span(SpanKind::Query);
         let span = begin_query_span(&mut self.net, &mut self.query_seq, sink, query);
-        let result = execute_tag(&mut self.net, &self.nodes, &values, query, sink);
+        let result = execute_tag(&mut self.net, &self.nodes, values, query, sink);
         let (status, participants) = match &result {
             Ok(tag) => (QueryStatus::Ok, tag.tree_size as u32),
             Err(CoreError::MissingAggregate) => (QueryStatus::MissingAggregate, 0),
@@ -726,7 +732,7 @@ impl SensorNetwork {
     /// for the nodes they represent, at the current time (Figure 12's
     /// metric). `None` when nobody is represented.
     pub fn mean_estimate_sse(&self) -> Option<f64> {
-        let values = self.values();
+        let values = self.trace.snapshot_at(self.trace_step());
         let mut sum = 0.0;
         let mut n = 0usize;
         for node in &self.nodes {
@@ -757,7 +763,7 @@ impl SensorNetwork {
     /// verbatim), aliveness, current measurements, and every node's
     /// protocol and cache state with bit-exact statistics. A pure
     /// read — extracting twice yields equal states.
-    pub fn checkpoint(&self) -> crate::checkpoint::CheckpointState {
+    pub fn checkpoint(&self) -> CheckpointState {
         crate::checkpoint::extract(
             &self.net,
             &self.nodes,
@@ -780,10 +786,7 @@ impl SensorNetwork {
     /// the fault-injection API: reviving a battery-depleted corpse is
     /// impossible, so restoring onto a deployment whose batteries have
     /// already drained past the checkpoint is unsupported.
-    pub fn restore_checkpoint(
-        &mut self,
-        cp: &crate::checkpoint::CheckpointState,
-    ) -> Result<(), CoreError> {
+    pub fn restore_checkpoint(&mut self, cp: &CheckpointState) -> Result<(), CoreError> {
         cp.validate()?;
         if cp.nodes.len() != self.nodes.len() {
             return Err(CoreError::InvalidCheckpoint {
@@ -993,6 +996,35 @@ mod tests {
                 "{id} points at dead representative {r}"
             );
         }
+    }
+
+    #[test]
+    fn a_handoff_check_that_steps_nobody_down_runs_no_round() {
+        let mut sn = paper_setup(1, 17);
+        let _ = sn.elect();
+        sn.set_energy_handoff_fraction(0.1);
+        sn.enable_telemetry(1024);
+        let (round, ticks) = (sn.net().round(), sn.stats().ticks());
+        let report = sn.check_handoffs();
+        assert_eq!((report.stepped_down, report.election), (0, None));
+        assert_eq!((sn.net().round(), sn.stats().ticks()), (round, ticks));
+        let events = sn.net().telemetry().ring().expect("ring attached").events();
+        let opened = |kind: SpanKind| {
+            events
+                .iter()
+                .any(|e| matches!(e, Event::SpanOpen { span, .. } if *span == kind))
+        };
+        assert!(opened(SpanKind::HandoffCheck));
+        assert!(!opened(SpanKind::Deliver), "the check ran a delivery round");
+    }
+
+    #[test]
+    fn a_rotation_that_steps_nobody_down_runs_no_round() {
+        let mut sn = paper_setup(1, 17);
+        let _ = sn.elect();
+        let round = sn.net().round();
+        assert_eq!(sn.rotate(0.0).stepped_down, 0);
+        assert_eq!(sn.net().round(), round);
     }
 
     #[test]

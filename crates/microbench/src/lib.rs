@@ -211,7 +211,8 @@ impl Bencher {
     }
 
     /// Time `routine` on fresh input from `setup`, excluding setup
-    /// time (and setup allocations) from the measurement.
+    /// time (and setup allocations) from the measurement. As in
+    /// Criterion, the output is dropped after the clock stops.
     #[allow(clippy::disallowed_methods)] // the bench harness is the one sanctioned wall-clock user
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
@@ -226,10 +227,11 @@ impl Bencher {
             let input = setup();
             let a0 = counting_alloc::allocations();
             let t0 = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             let elapsed = t0.elapsed();
             allocs += counting_alloc::allocations() - a0;
             self.samples.push(elapsed);
+            drop(output);
         }
         self.allocs_per_iter = allocs as f64 / (self.sample_size.max(1)) as f64;
     }
@@ -525,6 +527,24 @@ mod tests {
             BatchSize::LargeInput,
         );
         assert_eq!(setups, 4);
+    }
+
+    #[test]
+    fn iter_batched_drops_the_output_after_the_clock_stops() {
+        /// Takes far longer to drop than the routine takes to run.
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        }
+        let mut b = Bencher::new(2);
+        b.iter_batched(|| SlowDrop, |input| input, BatchSize::LargeInput);
+        assert!(
+            b.samples.iter().all(|&t| t < Duration::from_millis(200)),
+            "a sample timed the output's drop: {:?}",
+            b.samples
+        );
     }
 
     #[test]

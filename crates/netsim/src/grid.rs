@@ -36,8 +36,8 @@ pub type Cell = (i64, i64);
 const SLACK: f64 = 1e-9;
 
 /// Sparse uniform grid: node ids bucketed by the cell containing their
-/// position, with cell side equal to the transmission range (plus
-/// [`SLACK`]).
+/// position, with cell side equal to the transmission range (plus a
+/// relative slack of 1e-9 against rounding).
 ///
 /// The index never answers range queries itself — it only narrows the
 /// candidate set; callers re-check the exact Euclidean predicate, so

@@ -59,7 +59,7 @@ pub trait RngExt: RngCore {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw: `true` with probability `p` (clamped to [0,1]).
+    /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
     fn random_bool(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;

@@ -13,7 +13,7 @@
 //!   (version `b`). It holds the `values` line always, and the
 //!   `alive` line, the `pos`/`adj` lines and the records of each node
 //!   only when they changed; a changed node lists only its changed
-//!   cache lines (see [`LineChange`]);
+//!   cache lines, each as a `remove`, a whole `line` or an `edit`;
 //! * a **serve state**, opened by `serve …`.
 //!
 //! The i-th checkpoint block of a file (i from 0) is a keyframe exactly

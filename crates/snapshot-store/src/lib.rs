@@ -6,7 +6,7 @@
 //! images ([`ServeStateRecord`]), in a deterministic hand-rolled text
 //! format (no serde — the workspace builds offline).
 //!
-//! * [`format`] — the `snapshot-store v2` block format: a checkpoint is
+//! * [`format`](mod@format) — the `snapshot-store v2` block format: a checkpoint is
 //!   a keyframe or a delta against the checkpoint before it, a keyframe
 //!   every [`format::KEYFRAME_INTERVAL`] checkpoints; f64s as IEEE bit
 //!   patterns, CRC-32 per block, percent-escaped SQL. The codec is

@@ -99,7 +99,7 @@ pub(crate) enum Walked<'a> {
 /// Writes go through [`append_checkpoint`] / [`append_serve_state`],
 /// which extend the file in place. A checkpoint is written as a
 /// keyframe or as a delta against the checkpoint before it (see
-/// [`format`](crate::format)). The store keeps each block's offset,
+/// [`format`](mod@crate::format)). The store keeps each block's offset,
 /// not its text: every read goes back to the file and checks the seal
 /// of each block it needs again before decoding, so damage made after
 /// [`open`] — or a removed file — surfaces as a typed [`StoreError`],

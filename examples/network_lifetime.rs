@@ -24,9 +24,9 @@ use snapshot_queries::netsim::{EnergyModel, LinkModel, NodeId, Topology};
 const BATTERY: f64 = 500.0;
 const N_QUERIES: usize = 6000;
 const BUCKET: usize = 500;
-/// Energy-handoff check cadence: cheap (no messages unless a handoff
-/// fires), so it runs often enough that a representative rotates out
-/// before its battery dies.
+/// Energy-handoff check cadence: cheap (no messages and no delivery
+/// round unless a handoff fires), so it runs often enough that a
+/// representative rotates out before its battery dies.
 const HANDOFF_EVERY: usize = 25;
 /// Full maintenance (heartbeats) cadence: each heartbeat costs the
 /// member a transmission, so this is only a safety net for orphans.
