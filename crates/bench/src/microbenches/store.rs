@@ -2,10 +2,15 @@
 //! costs behind the `store_write` / `store_rebuild` spans — and the
 //! time-travel read, cold (the version's query image not yet built)
 //! and warm. A checkpoint is written as a keyframe or as a delta
-//! against the one before; the `_delta` rows time the delta paths.
+//! against the one before; the `_delta` rows time the delta paths. The
+//! `_history` rows time what a restart pays around the store on e2e's
+//! history deployment: the clone of the pristine deployment, and
+//! `restore_checkpoint` onto it.
 
 use crate::RandomWalkSetup;
-use snapshot_core::{Aggregate, CheckpointState, QueryMode, SnapshotQuery, SpatialPredicate};
+use snapshot_core::{
+    Aggregate, CheckpointState, QueryMode, SensorNetwork, SnapshotQuery, SpatialPredicate,
+};
 use snapshot_microbench::{BatchSize, Criterion};
 use snapshot_netsim::NodeId;
 use snapshot_store::format::{self, KEYFRAME_INTERVAL};
@@ -132,7 +137,42 @@ fn bench_store(c: &mut Criterion) {
     });
 }
 
+/// e2e's history deployment: 500 nodes at range 0.1, K = 5, trained
+/// for 10 ticks and elected at tick 20.
+fn history_deployment() -> SensorNetwork {
+    let mut sn = RandomWalkSetup {
+        n_nodes: 500,
+        k: 5,
+        range: 0.1,
+        steps: 200,
+        elect_at: 20,
+        ..RandomWalkSetup::default()
+    }
+    .build(2005);
+    let _ = sn.elect();
+    sn
+}
+
+fn bench_restart(c: &mut Criterion) {
+    let sn = history_deployment();
+    c.bench_function("deployment_clone_history", |b| {
+        b.iter(|| black_box(sn.clone()))
+    });
+    let cp = sn.checkpoint();
+    c.bench_function("restore_checkpoint_history", |b| {
+        b.iter_batched(
+            || sn.clone(),
+            |mut sn| {
+                sn.restore_checkpoint(&cp).unwrap();
+                black_box(sn)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 /// Run the suite.
 pub fn benches(c: &mut Criterion) {
     bench_store(c);
+    bench_restart(c);
 }

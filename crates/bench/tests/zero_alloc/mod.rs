@@ -1,7 +1,9 @@
-//! The allocation contracts of netsim's per-tick entry points
-//! (DESIGN.md §15), asserted exactly: once warm, with telemetry off,
-//! `deliver`, the inbox drains, the wake-list drain, the scheduler and
-//! fault checks and a node move perform **zero** heap allocations.
+//! The allocation contracts of netsim's per-tick entry points and of
+//! the cache manager (DESIGN.md §15), asserted exactly: once warm, with
+//! telemetry off, `deliver`, the inbox drains, the wake-list drain, the
+//! scheduler and fault checks, a node move, a full cache's decisions
+//! and a training tick on full caches perform **zero** heap
+//! allocations.
 //! Each case drives one path to steady state, then counts the
 //! allocations of a window of further ticks and checks that the window
 //! did the work its case names: a window that delivered nothing would
@@ -15,6 +17,8 @@
 //! exactly one test: a second test on a parallel thread would pollute
 //! the counter.
 
+use snapshot_bench::RandomWalkSetup;
+use snapshot_core::{CacheConfig, CacheDecision, CachePolicy, ModelCache};
 use snapshot_microbench::counting_alloc::{self, CountingAllocator};
 use snapshot_netsim::{
     Delivery, DrainMode, EnergyModel, FaultPlan, GilbertElliott, LinkModel, Network, NodeId, Phase,
@@ -278,12 +282,79 @@ fn finite_batteries() -> Window {
     })
 }
 
+/// Neighbours a bare cache hears from.
+const CACHE_NEIGHBOURS: u32 = 99;
+
+/// One delivery round's observations on a bare cache: every neighbour
+/// in ascending order, on a noisy line per neighbour. Returns how many
+/// went to a line that had emptied and how many evicted a pair.
+fn cache_round(cache: &mut ModelCache, round: u32) -> (usize, usize) {
+    let (mut returned, mut evicted) = (0, 0);
+    for j in 0..CACHE_NEIGHBOURS {
+        let x = f64::from((round * 7 + j) % 23);
+        let y = (1.0 + f64::from(j % 5)) * x + f64::from((round * 3 + j * 5) % 11);
+        returned += usize::from(cache.line(NodeId(j)).is_none());
+        evicted += usize::from(matches!(
+            cache.observe(NodeId(j), x, y),
+            CacheDecision::AdmittedEvicting(_) | CacheDecision::NewcomerEvicting(_)
+        ));
+    }
+    (returned, evicted)
+}
+
+/// A full cache that keeps deciding: 64 pairs shared by 99 neighbours,
+/// so lines empty and come back as newcomers. The first round fills it
+/// and reaches its most lines; the window must evict and bring lines
+/// back.
+fn full_cache(policy: CachePolicy) -> Window {
+    let mut cache = ModelCache::new(CacheConfig {
+        budget_bytes: 512,
+        pair_bytes: 8,
+        policy,
+    });
+    for round in 0..WARM_TICKS as u32 {
+        cache_round(&mut cache, round);
+    }
+    count(|| {
+        let rounds = WARM_TICKS as u32..(WARM_TICKS + WINDOW_TICKS) as u32;
+        let (returned, evicted) = rounds.fold((0, 0), |(r, e), round| {
+            let (dr, de) = cache_round(&mut cache, round);
+            (r + dr, e + de)
+        });
+        returned > 0 && evicted > 0 && cache.is_full()
+    })
+}
+
+/// Training ticks on the paper's 100-node deployment once every cache
+/// is full (it fills during tick 2), counted on the network that ran
+/// the earlier ticks. The window must send, and move pairs.
+fn full_cache_training() -> Window {
+    let mut sn = RandomWalkSetup {
+        k: 10,
+        train_until: 9,
+        ..RandomWalkSetup::default()
+    }
+    .build(42);
+    let warm = 9 + 3;
+    sn.train(9, warm);
+    let digest = |sn: &snapshot_core::SensorNetwork| -> f64 {
+        let lines = sn.nodes().iter().flat_map(|n| n.cache.lines());
+        lines.map(|(_, line)| line.stats().sx).sum()
+    };
+    let (sent, moved) = (sn.stats().total_sent(), digest(&sn));
+    let full = sn.nodes().iter().all(|n| n.cache.is_full());
+    count(|| {
+        sn.train(warm, warm + WINDOW_TICKS);
+        full && sn.stats().total_sent() > sent && digest(&sn) != moved
+    })
+}
+
 /// Run every case whose name starts with `prefix` (all of them for
 /// `""`) and assert that each counted window made zero allocations
 /// and exercised its path. Every selected case runs, and the failure
 /// names each one that failed, not just the first.
 pub fn assert_zero_alloc(prefix: &str) {
-    let cases: [Case; 20] = [
+    let cases: [Case; 23] = [
         ("deliver/perfect", || deliver_under(LinkModel::Perfect)),
         ("deliver/iid", || deliver_under(LinkModel::iid_loss(0.3))),
         ("deliver/per_link", || deliver_under(per_link())),
@@ -342,6 +413,13 @@ pub fn assert_zero_alloc(prefix: &str) {
         ("timer/due", timers),
         ("mobility/cross_cell_pair", moves),
         ("battery/finite_rx_cost", finite_batteries),
+        ("cache/full_model_aware", || {
+            full_cache(CachePolicy::ModelAware)
+        }),
+        ("cache/full_round_robin", || {
+            full_cache(CachePolicy::RoundRobin)
+        }),
+        ("train/full_cache_tick", full_cache_training),
     ];
 
     let selected: Vec<&Case> = cases

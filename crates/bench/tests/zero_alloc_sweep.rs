@@ -1,6 +1,6 @@
 //! The allocation sweep: every zero-alloc case of netsim's per-tick
-//! entry points (DESIGN.md §15), each named in the failure when it
-//! allocates. The cases live in `zero_alloc/mod.rs`, whose counting
+//! entry points and of the cache manager (DESIGN.md §15), each named in
+//! the failure when it allocates. The cases live in `zero_alloc/mod.rs`, whose counting
 //! allocator is process-wide, so this file holds exactly one test.
 
 mod zero_alloc;

@@ -1,4 +1,5 @@
-//! A single cache line: the pairs cached for one neighbor.
+//! Cache lines: the pairs cached for each neighbor, kept as FIFO chains
+//! over one pair slab per cache.
 //!
 //! The paper: "the cache-line for `N_j` (maintained by `N_i`) is a list
 //! of pairs of values of `x_i(t)` and `x_j(t)` collected at the same
@@ -6,208 +7,252 @@
 //! oldest member of a cache-line", which both shifts the cache toward
 //! recent observations and keeps every update linear-time.
 //!
-//! The line maintains its [`SuffStats`] incrementally, so fitting the
-//! model and evaluating benefits is O(1); the raw pairs are retained so
-//! the oldest can be removed exactly (and so tests can recompute
-//! statistics from scratch).
+//! A cache keeps all its pairs in one [`Slab`], and each line is a
+//! [`Chain`] of slab slots from its oldest pair to its newest. The line
+//! maintains its [`SuffStats`] incrementally, so fitting the model and
+//! evaluating benefits is O(1); the raw pairs are retained so the
+//! oldest can be removed exactly (and so tests can recompute statistics
+//! from scratch).
 
 use crate::model::{LinearModel, SuffStats};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// One cached `(x_i, x_j)` measurement pair.
 type Pair = (f64, f64);
 
-/// The cached pairs for one neighbor, oldest first.
+/// The pairs of every line of one cache.
 ///
-/// The pairs sit in a ring buffer: `len` pairs from `ring[head]` on,
-/// wrapping at the end. It grows as a `VecDeque` does (four slots, then
-/// doubling), and its two `u32` cursors keep a line at 72 bytes, eight
-/// fewer than a `VecDeque` of the pairs would take.
-#[derive(Default)]
-pub struct CacheLine {
-    ring: Box<[Pair]>,
+/// Slot `s` holds `pairs[s]`, and `next[s]` is the slot of the next
+/// newer pair on the same line (a line's newest slot has no use for
+/// its link). Both arrays grow by doubling, four slots at first, up to
+/// the cache's pair capacity, so a cache never reserves room beyond its
+/// budget. The slab holds exactly the cache's pairs: a full cache
+/// evicts a pair only to push the new one into the slot it freed.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Slab {
+    pairs: Vec<Pair>,
+    next: Vec<u32>,
+}
+
+/// One line's place in the slab: the slots of its oldest and newest
+/// pairs, and its running statistics, whose `n` is its length.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Chain {
     head: u32,
-    len: u32,
+    tail: u32,
     stats: SuffStats,
 }
 
-impl Clone for CacheLine {
-    /// A clone holds its pairs in a buffer of exactly their number, as a
-    /// cloned `VecDeque` does.
-    fn clone(&self) -> Self {
-        CacheLine {
-            ring: self.pairs().copied().collect(),
-            head: 0,
-            len: self.len,
-            stats: self.stats,
+impl Slab {
+    /// An empty slab with room for exactly `pairs` pairs.
+    pub(crate) fn with_capacity(pairs: usize) -> Self {
+        Slab {
+            pairs: Vec::with_capacity(pairs),
+            next: Vec::with_capacity(pairs),
+        }
+    }
+
+    /// Pairs held.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Pair slots allocated.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.pairs.capacity()
+    }
+
+    /// A read view of `chain`'s line.
+    pub(crate) fn line<'a>(&'a self, chain: &'a Chain) -> LineRef<'a> {
+        LineRef { slab: self, chain }
+    }
+
+    /// Append `(x, y)` to `chain` as its newest pair, in `slot` (one an
+    /// eviction freed) or, for `None`, in a new slot at the end of the
+    /// slab, which grows when full up to `capacity` pairs.
+    pub(crate) fn push(
+        &mut self,
+        chain: &mut Chain,
+        slot: Option<u32>,
+        (x, y): Pair,
+        capacity: usize,
+    ) {
+        let s = match slot {
+            Some(s) => {
+                if let Some(pair) = self.pairs.get_mut(s as usize) {
+                    *pair = (x, y);
+                }
+                s
+            }
+            None => {
+                let len = self.pairs.len();
+                if len == self.pairs.capacity() {
+                    // Double, to at most `capacity` pairs but at least
+                    // one more than the slab holds.
+                    let room = (2 * len).max(4).min(capacity).max(len + 1) - len;
+                    self.pairs.reserve_exact(room);
+                    self.next.reserve_exact(room);
+                }
+                let s = len as u32;
+                self.pairs.push((x, y));
+                self.next.push(s);
+                s
+            }
+        };
+        if chain.stats.n == 0 {
+            chain.head = s;
+        } else if let Some(link) = self.next.get_mut(chain.tail as usize) {
+            *link = s;
+        }
+        chain.tail = s;
+        chain.stats.add(x, y);
+    }
+
+    /// Remove `chain`'s oldest pair and return the slot it freed.
+    pub(crate) fn evict_oldest(&mut self, chain: &mut Chain) -> Option<u32> {
+        if chain.stats.n == 0 {
+            return None;
+        }
+        let s = chain.head;
+        let (x, y) = self.pairs.get(s as usize).copied()?;
+        chain.stats.remove(x, y);
+        if chain.stats.n == 0 {
+            // An emptied line has exactly-zero statistics by definition;
+            // snap off any floating-point residue from the running sums.
+            chain.stats = SuffStats::new();
+        } else {
+            chain.head = self.next.get(s as usize).copied().unwrap_or(s);
+        }
+        Some(s)
+    }
+
+    /// Append a whole line rebuilt from checkpointed parts, in new slots
+    /// at the end of the slab: its pairs, oldest first, and its running
+    /// statistics *as they were* — including any accumulated
+    /// floating-point residue from the historical add/remove sequence.
+    /// Replaying [`Slab::push`] would recompute the sums without that
+    /// residue, so a faithful (byte-identical) restore must carry the
+    /// stats verbatim. Statistics that miscount the pairs cannot be
+    /// theirs, and are recomputed from them.
+    pub(crate) fn restore<'p>(
+        &mut self,
+        pairs: impl IntoIterator<Item = &'p Pair>,
+        stats: SuffStats,
+    ) -> Chain {
+        let head = self.pairs.len();
+        self.pairs.extend(pairs);
+        let end = self.pairs.len();
+        self.next.extend((head + 1..=end).map(|s| s as u32));
+        let restored = self.pairs.get(head..).unwrap_or_default();
+        Chain {
+            head: head as u32,
+            tail: end.saturating_sub(1) as u32,
+            stats: if stats.n as usize == restored.len() {
+                stats
+            } else {
+                SuffStats::from_pairs(restored)
+            },
         }
     }
 }
 
-impl fmt::Debug for CacheLine {
+/// A read view of one cache line: its pairs, oldest first, and its
+/// statistics.
+#[derive(Clone, Copy)]
+pub struct LineRef<'a> {
+    slab: &'a Slab,
+    chain: &'a Chain,
+}
+
+impl fmt::Debug for LineRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CacheLine")
+        f.debug_struct("LineRef")
             .field("pairs", &self.pairs().collect::<Vec<_>>())
-            .field("stats", &self.stats)
+            .field("stats", self.stats())
             .finish()
     }
 }
 
-impl CacheLine {
-    /// An empty line.
-    pub fn new() -> Self {
-        CacheLine::default()
-    }
-
-    /// Rebuild a line from checkpointed parts: the raw pairs plus the
-    /// running statistics *as they were* — including any accumulated
-    /// floating-point residue from the historical add/remove sequence.
-    /// Replaying [`CacheLine::push`] would recompute the sums without
-    /// that residue, so a faithful (byte-identical) restore must carry
-    /// the stats verbatim. The deque's buffer becomes the ring, spare
-    /// capacity included, so nothing is reallocated.
-    pub fn from_parts(pairs: VecDeque<(f64, f64)>, stats: SuffStats) -> Self {
-        let len = u32::try_from(pairs.len()).unwrap_or(u32::MAX);
-        let mut ring = Vec::from(pairs);
-        ring.resize(ring.capacity(), (0.0, 0.0));
-        CacheLine {
-            ring: ring.into_boxed_slice(),
-            head: 0,
-            len,
-            stats,
-        }
-    }
-
+impl<'a> LineRef<'a> {
     /// Number of cached pairs.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.chain.stats.n as usize
     }
 
     /// True when no pairs are cached.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.chain.stats.n == 0
     }
 
-    /// The pairs as two runs, oldest first: from `head` toward the end
-    /// of the ring, then the part that wrapped to its start.
-    fn runs(&self) -> (&[Pair], &[Pair]) {
-        let (wrapped, from_head) = self
-            .ring
-            .split_at_checked(self.head as usize)
-            .unwrap_or_default();
-        match from_head.get(..self.len()) {
-            Some(run) => (run, &[]),
-            None => (
-                from_head,
-                wrapped
-                    .get(..self.len() - from_head.len())
-                    .unwrap_or_default(),
-            ),
+    /// The cached pairs, oldest first: the chain from `head`, one link
+    /// per pair. The count is known up front, so a `collect` allocates
+    /// once.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = &'a (f64, f64)> + 'a {
+        let slab = self.slab;
+        let mut s = self.chain.head as usize;
+        // Every slot a chain links to holds one of the slab's pairs.
+        (0..self.len()).map(move |_| {
+            let pair = &slab.pairs[s];
+            s = slab.next[s] as usize;
+            pair
+        })
+    }
+
+    /// The pair in slot `s`, if the line is not empty.
+    fn pair_at(&self, s: u32) -> Option<(f64, f64)> {
+        if self.is_empty() {
+            return None;
         }
-    }
-
-    /// The cached pairs, oldest first.
-    pub fn pairs(&self) -> impl Iterator<Item = &(f64, f64)> {
-        let (first, second) = self.runs();
-        first.iter().chain(second)
+        self.slab.pairs.get(s as usize).copied()
     }
 
     /// The oldest pair, if any.
     #[inline]
     pub fn oldest(&self) -> Option<(f64, f64)> {
-        if self.is_empty() {
-            return None;
-        }
-        self.ring.get(self.head as usize).copied()
+        self.pair_at(self.chain.head)
     }
 
     /// The newest pair, if any.
     #[inline]
     pub fn newest(&self) -> Option<(f64, f64)> {
-        let (first, second) = self.runs();
-        second.last().or(first.last()).copied()
+        self.pair_at(self.chain.tail)
     }
 
     /// Current sufficient statistics.
     #[inline]
-    pub fn stats(&self) -> &SuffStats {
-        &self.stats
+    pub fn stats(&self) -> &'a SuffStats {
+        &self.chain.stats
     }
 
     /// Fit the line's model (Lemma 1).
     pub fn model(&self) -> LinearModel {
-        self.stats.fit()
-    }
-
-    /// Append a new (most recent) pair.
-    pub fn push(&mut self, x: f64, y: f64) {
-        if self.len() == self.ring.len() {
-            self.grow();
-        }
-        let at = self.head as usize + self.len();
-        let at = at.checked_sub(self.ring.len()).unwrap_or(at);
-        if let Some(slot) = self.ring.get_mut(at) {
-            *slot = (x, y);
-            self.len += 1;
-            self.stats.add(x, y);
-        }
-    }
-
-    /// Double the ring (four slots at first), moving the pairs to its
-    /// start: one allocation, as a `VecDeque` takes to grow.
-    #[cold]
-    fn grow(&mut self) {
-        let capacity = (self.ring.len() * 2).max(4);
-        let mut ring = Vec::with_capacity(capacity);
-        ring.extend(self.pairs().copied());
-        ring.resize(capacity, (0.0, 0.0));
-        self.ring = ring.into_boxed_slice();
-        self.head = 0;
-    }
-
-    /// Remove and return the oldest pair.
-    pub fn evict_oldest(&mut self) -> Option<(f64, f64)> {
-        let (x, y) = self.oldest()?;
-        let next = self.head as usize + 1;
-        self.head = if next < self.ring.len() {
-            next as u32
-        } else {
-            0
-        };
-        self.len -= 1;
-        self.stats.remove(x, y);
-        // An emptied line has exactly-zero statistics by definition;
-        // snap off any floating-point residue from the running sums.
-        if self.is_empty() {
-            self.stats = SuffStats::new();
-        }
-        Some((x, y))
+        self.chain.stats.fit()
     }
 
     /// Statistics of the *time-shifted* line: drop the oldest pair,
     /// append `(x, y)`. Non-destructive; empty lines shift to the
     /// single new pair.
-    pub fn stats_shifted(&self, x: f64, y: f64) -> SuffStats {
+    pub(crate) fn stats_shifted(&self, x: f64, y: f64) -> SuffStats {
         match self.oldest() {
-            Some((ox, oy)) => self.stats.without(ox, oy).with(x, y),
+            Some((ox, oy)) => self.chain.stats.without(ox, oy).with(x, y),
             None => SuffStats::from_pairs(&[(x, y)]),
         }
     }
 
     /// Statistics of the *augmented* line: append `(x, y)` keeping
     /// everything. Non-destructive.
-    pub fn stats_augmented(&self, x: f64, y: f64) -> SuffStats {
-        self.stats.with(x, y)
+    pub(crate) fn stats_augmented(&self, x: f64, y: f64) -> SuffStats {
+        self.chain.stats.with(x, y)
     }
 
     /// Statistics of the line with its oldest pair removed
     /// (the `c''` of the paper's eviction-penalty computation).
-    pub fn stats_without_oldest(&self) -> SuffStats {
+    fn stats_without_oldest(&self) -> SuffStats {
         match self.oldest() {
-            Some((ox, oy)) => self.stats.without(ox, oy),
+            Some((ox, oy)) => self.chain.stats.without(ox, oy),
             None => SuffStats::new(),
         }
     }
@@ -230,7 +275,8 @@ impl CacheLine {
             return (full_model, 0.0);
         }
         let truncated_model = self.stats_without_oldest().fit();
-        let p = self.stats.benefit(&full_model) - self.stats.benefit(&truncated_model);
+        let stats = &self.chain.stats;
+        let p = stats.benefit(&full_model) - stats.benefit(&truncated_model);
         (full_model, p.max(0.0))
     }
 
@@ -244,33 +290,42 @@ impl CacheLine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
-    fn line_of(pairs: &[(f64, f64)]) -> CacheLine {
-        let mut l = CacheLine::new();
-        for &(x, y) in pairs {
-            l.push(x, y);
+    /// One line in a slab of its own.
+    fn line_of(pairs: &[(f64, f64)]) -> (Slab, Chain) {
+        let (mut slab, mut chain) = (Slab::default(), Chain::default());
+        for &pair in pairs {
+            slab.push(&mut chain, None, pair, usize::MAX);
         }
-        l
+        (slab, chain)
     }
 
     #[test]
     fn push_and_evict_preserve_fifo_order() {
-        let mut l = line_of(&[(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]);
-        assert_eq!(l.oldest(), Some((1.0, 10.0)));
-        assert_eq!(l.newest(), Some((3.0, 30.0)));
-        assert_eq!(l.evict_oldest(), Some((1.0, 10.0)));
+        let (mut slab, mut chain) = line_of(&[(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]);
+        assert_eq!(slab.line(&chain).oldest(), Some((1.0, 10.0)));
+        assert_eq!(slab.line(&chain).newest(), Some((3.0, 30.0)));
+        assert_eq!(slab.evict_oldest(&mut chain), Some(0));
+        let l = slab.line(&chain);
         assert_eq!(l.oldest(), Some((2.0, 20.0)));
         assert_eq!(l.len(), 2);
     }
 
     #[test]
     fn incremental_stats_match_recompute() {
-        let mut l = CacheLine::new();
+        let (mut slab, mut chain) = line_of(&[]);
         for i in 0..50 {
-            l.push(i as f64 * 0.7, (i * i) as f64 * 0.01);
-            if i % 3 == 0 {
-                l.evict_oldest();
-            }
+            let pair = (i as f64 * 0.7, (i * i) as f64 * 0.01);
+            // Every third pair reuses the slot the eviction freed, as a
+            // time shift does.
+            let freed = if i % 3 == 0 {
+                slab.evict_oldest(&mut chain)
+            } else {
+                None
+            };
+            slab.push(&mut chain, freed, pair, usize::MAX);
+            let l = slab.line(&chain);
             let inc = *l.stats();
             let ref_ = l.recomputed_stats();
             assert_eq!(inc.n, ref_.n);
@@ -282,17 +337,18 @@ mod tests {
 
     #[test]
     fn emptied_line_resets_stats_exactly() {
-        let mut l = line_of(&[(0.1, 0.2)]);
-        l.evict_oldest();
-        assert_eq!(*l.stats(), SuffStats::new());
-        assert!(l.is_empty());
-        assert_eq!(l.evict_oldest(), None);
+        let (mut slab, mut chain) = line_of(&[(0.1, 0.2)]);
+        slab.evict_oldest(&mut chain);
+        assert_eq!(*slab.line(&chain).stats(), SuffStats::new());
+        assert!(slab.line(&chain).is_empty());
+        assert_eq!(slab.line(&chain).oldest(), None);
+        assert_eq!(slab.evict_oldest(&mut chain), None);
     }
 
     #[test]
     fn shifted_stats_equal_manual_shift() {
-        let l = line_of(&[(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]);
-        let shifted = l.stats_shifted(4.0, 16.0);
+        let (slab, chain) = line_of(&[(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]);
+        let shifted = slab.line(&chain).stats_shifted(4.0, 16.0);
         let manual = SuffStats::from_pairs(&[(2.0, 4.0), (3.0, 9.0), (4.0, 16.0)]);
         assert_eq!(shifted.n, manual.n);
         assert!((shifted.sxy - manual.sxy).abs() < 1e-9);
@@ -300,15 +356,16 @@ mod tests {
 
     #[test]
     fn shifting_an_empty_line_is_just_the_new_pair() {
-        let l = CacheLine::new();
-        let s = l.stats_shifted(2.0, 3.0);
+        let (slab, chain) = line_of(&[]);
+        let s = slab.line(&chain).stats_shifted(2.0, 3.0);
         assert_eq!(s.n, 1);
         assert!((s.sx - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn augmented_stats_add_one_pair() {
-        let l = line_of(&[(1.0, 2.0)]);
+        let (slab, chain) = line_of(&[(1.0, 2.0)]);
+        let l = slab.line(&chain);
         let s = l.stats_augmented(3.0, 4.0);
         assert_eq!(s.n, 2);
         assert!((s.sy - 6.0).abs() < 1e-12);
@@ -322,76 +379,111 @@ mod tests {
             line_of(&[(1.0, 1.0), (2.0, 2.0)]),
             line_of(&[(0.0, 5.0), (1.0, 5.1), (2.0, 4.9), (3.0, 5.05)]),
         ];
-        for l in &lines {
-            assert!(l.eviction_penalty() >= 0.0);
+        for (slab, chain) in &lines {
+            assert!(slab.line(chain).eviction_penalty() >= 0.0);
         }
-        assert_eq!(CacheLine::new().eviction_penalty(), 0.0);
+        let (slab, chain) = line_of(&[]);
+        assert_eq!(slab.line(&chain).eviction_penalty(), 0.0);
     }
 
     #[test]
     fn single_pair_line_has_high_eviction_penalty() {
         // Evicting the only pair destroys a perfect model of y:
         // penalty equals the no-answer cost y².
-        let l = line_of(&[(3.0, 7.0)]);
-        assert!((l.eviction_penalty() - 49.0).abs() < 1e-9);
+        let (slab, chain) = line_of(&[(3.0, 7.0)]);
+        assert!((slab.line(&chain).eviction_penalty() - 49.0).abs() < 1e-9);
     }
 
     #[test]
     fn redundant_pair_has_low_eviction_penalty() {
         // A long line on an exact linear relation loses nothing by
         // dropping one pair: the refit is identical.
-        let l = line_of(&[(1.0, 2.0), (2.0, 4.0), (3.0, 6.0), (4.0, 8.0)]);
-        assert!(l.eviction_penalty() < 1e-9);
+        let (slab, chain) = line_of(&[(1.0, 2.0), (2.0, 4.0), (3.0, 6.0), (4.0, 8.0)]);
+        assert!(slab.line(&chain).eviction_penalty() < 1e-9);
     }
 
     #[test]
-    fn the_ring_keeps_fifo_order_across_wraps_and_growth() {
-        // Against a VecDeque fed the same pushes and evictions: the
-        // ring wraps once the front has moved, and grows while wrapped.
-        let mut l = CacheLine::new();
-        let mut reference = VecDeque::new();
-        for i in 0..200u32 {
-            let p = (f64::from(i), f64::from(i) * 0.5);
-            l.push(p.0, p.1);
-            reference.push_back(p);
-            if i % 3 == 1 {
-                assert_eq!(l.evict_oldest(), reference.pop_front());
+    fn chains_keep_fifo_order_as_slots_pass_between_lines() {
+        // Three lines share a slab of 12 slots. Once it is full, each
+        // step evicts one line's oldest pair and pushes to another line
+        // into the slot that freed, as a full cache does; every line
+        // must read as a VecDeque fed the same pushes and evictions.
+        const CAPACITY: usize = 12;
+        let mut slab = Slab::default();
+        let mut chains = [Chain::default(); 3];
+        let mut reference: [VecDeque<(f64, f64)>; 3] = Default::default();
+        for step in 0..300u32 {
+            let pair = (f64::from(step), f64::from(step) * 0.5);
+            let to = (step * 7 % 3) as usize;
+            let from = (step * 5 % 3) as usize;
+            let freed = if slab.len() == CAPACITY && !reference[from].is_empty() {
+                let freed = slab.evict_oldest(&mut chains[from]);
+                reference[from].pop_front();
+                assert!(freed.is_some());
+                freed
+            } else {
+                None
+            };
+            if slab.len() < CAPACITY || freed.is_some() {
+                slab.push(&mut chains[to], freed, pair, CAPACITY);
+                reference[to].push_back(pair);
             }
-            assert_eq!(l.len(), reference.len());
-            assert_eq!(l.oldest(), reference.front().copied());
-            assert_eq!(l.newest(), reference.back().copied());
-            assert!(l.pairs().eq(reference.iter()));
+            for (chain, reference) in chains.iter().zip(&reference) {
+                let l = slab.line(chain);
+                assert_eq!(l.len(), reference.len());
+                assert_eq!(l.oldest(), reference.front().copied());
+                assert_eq!(l.newest(), reference.back().copied());
+                assert!(l.pairs().eq(reference.iter()));
+            }
+            assert!(slab.capacity() <= CAPACITY);
         }
-        let c = l.clone();
-        assert!(c.pairs().eq(l.pairs()));
-        assert_eq!(c.stats(), l.stats());
+        assert_eq!(slab.len(), CAPACITY);
     }
 
     #[test]
-    fn from_parts_keeps_a_wrapped_deque_in_order() {
-        let mut pairs = VecDeque::with_capacity(4);
-        for i in 0..4 {
-            pairs.push_back((f64::from(i), 1.0));
+    fn a_slab_grows_by_doubling_up_to_its_capacity() {
+        let (mut slab, mut chain) = line_of(&[]);
+        let mut capacities = Vec::new();
+        for i in 0..10 {
+            slab.push(&mut chain, None, (f64::from(i), 1.0), 10);
+            capacities.push(slab.capacity());
         }
-        pairs.pop_front();
-        pairs.push_back((9.0, 1.0));
-        let stats = SuffStats::from_pairs(&pairs);
-        let mut l = CacheLine::from_parts(pairs.clone(), stats);
-        assert!(l.pairs().eq(pairs.iter()));
-        l.push(10.0, 1.0);
+        assert_eq!(capacities, [4, 4, 4, 4, 8, 8, 8, 8, 10, 10]);
+    }
+
+    #[test]
+    fn a_restored_line_keeps_its_order_and_takes_pushes() {
+        let pairs = [(1.0, 1.0), (2.0, 1.0), (9.0, 1.0)];
+        // Statistics carried verbatim, residue included.
+        let stats = SuffStats {
+            sx: 12.000_000_000_000_002,
+            ..SuffStats::from_pairs(&pairs)
+        };
+        let mut slab = Slab::with_capacity(4);
+        let mut chain = slab.restore(&pairs, stats);
+        assert!(slab.line(&chain).pairs().eq(pairs.iter()));
+        assert_eq!(*slab.line(&chain).stats(), stats);
+        slab.push(&mut chain, None, (10.0, 1.0), 4);
+        let l = slab.line(&chain);
         assert_eq!(l.oldest(), Some((1.0, 1.0)));
         assert_eq!(l.newest(), Some((10.0, 1.0)));
+        assert_eq!(slab.capacity(), 4);
+        // Statistics that miscount their pairs are recomputed.
+        let mut slab = Slab::default();
+        let chain = slab.restore(&pairs, SuffStats::new());
+        assert_eq!(*slab.line(&chain).stats(), SuffStats::from_pairs(&pairs));
     }
 
     #[test]
-    fn a_line_takes_72_bytes() {
-        assert_eq!(std::mem::size_of::<CacheLine>(), 72);
+    fn a_pair_slot_takes_20_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Pair>() + size_of::<u32>(), 20);
     }
 
     #[test]
     fn model_tracks_the_cached_relation() {
-        let l = line_of(&[(1.0, 3.0), (2.0, 5.0), (3.0, 7.0)]);
-        let m = l.model();
+        let (slab, chain) = line_of(&[(1.0, 3.0), (2.0, 5.0), (3.0, 7.0)]);
+        let m = slab.line(&chain).model();
         assert!((m.a - 2.0).abs() < 1e-9);
         assert!((m.b - 1.0).abs() < 1e-9);
     }

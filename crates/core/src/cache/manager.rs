@@ -14,9 +14,9 @@
 //! small-amplitude measurements out of a tight cache; the paper
 //! instead picks newcomer victims round-robin over the lines.
 
-use super::line::CacheLine;
+use super::line::{Chain, LineRef, Slab};
 use super::policy::CachePolicy;
-use crate::model::LinearModel;
+use crate::model::{LinearModel, SuffStats};
 use snapshot_netsim::NodeId;
 use std::fmt;
 
@@ -112,11 +112,12 @@ pub enum CacheDecision {
     Rejected,
 }
 
-/// A line with its eviction penalty and the model that penalty's
-/// computation fits on the way, both current while the cache is live.
+/// A line's record: its chain of slab slots with its statistics, its
+/// eviction penalty, and the model that penalty's computation fits on
+/// the way, both current while the cache is live.
 #[derive(Debug, Clone)]
 struct Slot {
-    line: CacheLine,
+    chain: Chain,
     /// The line's eviction penalty; NaN for an empty line, which no
     /// comparison lets become a victim.
     penalty: f64,
@@ -128,17 +129,21 @@ struct Slot {
 ///
 /// Lines live in one flat layout in key order: `keys` is a dense,
 /// strictly ascending array used only for lookups, and `slots` holds
-/// each key's line at the same index. A key and a slot are inserted or
-/// removed only when a line appears or empties. Once the cache first
-/// needs a victim it is *live*: every slot's penalty and fit are
-/// computed, and from then on every push and evict brings its slot's
-/// two up to date, so a victim search is one pass that reads each
-/// slot's penalty and computes nothing.
+/// each key's line record at the same index. A key and a slot are
+/// inserted or removed only when a line appears or empties. The pairs
+/// of every line live in one pair slab, each line a FIFO chain of its
+/// slots, so once the cache is full and has held its most lines, no
+/// decision calls the allocator. Once the cache first needs a victim
+/// it is *live*: every slot's penalty and fit are computed, and from
+/// then on every push and evict brings its slot's two up to date, so a
+/// victim search is one pass that reads each slot's penalty and
+/// computes nothing.
 #[derive(Debug, Clone)]
 pub struct ModelCache {
     config: CacheConfig,
     keys: Vec<LineKey>,
     slots: Vec<Slot>,
+    slab: Slab,
     /// Whether penalties and fits are current (see above).
     live: bool,
     /// Where the next lookup looks first: the slot after the line the
@@ -148,46 +153,52 @@ pub struct ModelCache {
     /// round-robin baseline policy: the key *after* which the search
     /// for the next victim line starts.
     rr_after: Option<LineKey>,
-    total_pairs: usize,
 }
 
 impl ModelCache {
-    /// An empty cache.
+    /// An empty cache. It allocates nothing before its first pair.
     pub fn new(config: CacheConfig) -> Self {
         ModelCache {
             config,
             keys: Vec::new(),
             slots: Vec::new(),
+            slab: Slab::default(),
             live: false,
             hint: 0,
             rr_after: None,
-            total_pairs: 0,
         }
     }
 
-    /// Rebuild a cache from checkpointed parts: the per-line state
-    /// (carrying its exact running statistics, see
-    /// [`CacheLine::from_parts`]) in key order, as [`ModelCache::lines`]
-    /// yields it, plus the round-robin rotation marker. A line out of
-    /// order is sorted into place and a repeated key keeps its last
-    /// line; empty lines are kept. The cache is restored not live: a
-    /// live penalty or fit always equals a recompute from its line's
-    /// current state and carries no history, so the next victim search
-    /// computes them.
-    pub fn from_parts(
-        config: CacheConfig,
-        lines: impl IntoIterator<Item = (LineKey, CacheLine)>,
-        rr_after: Option<LineKey>,
-    ) -> Self {
+    /// Rebuild a cache from checkpointed parts: each line's key, pairs
+    /// (oldest first) and running statistics, in key order as
+    /// [`ModelCache::lines`] yields them, plus the round-robin rotation
+    /// marker. The statistics are carried *as they were*, including any
+    /// floating-point residue from the historical add/remove sequence:
+    /// replaying the pushes would recompute the sums without it, so a
+    /// byte-identical restore must carry them verbatim (statistics that
+    /// miscount their pairs are recomputed). The lines are read twice,
+    /// first to size the pair slab to exactly the pairs they hold. A
+    /// line out of order is sorted into place and a repeated key keeps
+    /// its last line; empty lines are kept. The cache is restored not
+    /// live: a live penalty or fit always equals a recompute from its
+    /// line's current state and carries no history, so the next victim
+    /// search computes them.
+    pub fn from_parts<'p, I>(config: CacheConfig, lines: I, rr_after: Option<LineKey>) -> Self
+    where
+        I: IntoIterator<Item = (LineKey, &'p [(f64, f64)], SuffStats)>,
+        I::IntoIter: Clone,
+    {
         let lines = lines.into_iter();
+        let pairs = lines.clone().map(|(_, pairs, _)| pairs.len()).sum();
         let mut cache = ModelCache {
             keys: Vec::with_capacity(lines.size_hint().0),
             slots: Vec::with_capacity(lines.size_hint().0),
+            slab: Slab::with_capacity(pairs),
             rr_after,
             ..ModelCache::new(config)
         };
-        for (key, line) in lines {
-            let slot = Slot::new(line);
+        for (key, pairs, stats) in lines {
+            let slot = Slot::new(cache.slab.restore(pairs, stats));
             // Lines in key order, the normal case, append.
             let at = match cache.keys.last() {
                 Some(&last) if last >= key => cache.find(key),
@@ -205,8 +216,24 @@ impl ModelCache {
                 }
             }
         }
-        cache.total_pairs = cache.slots.iter().map(|s| s.line.len()).sum();
+        let held = cache.lines().map(|(_, line)| line.len()).sum();
+        if held < cache.slab.len() {
+            cache.compact(held);
+        }
         cache
+    }
+
+    /// Rebuild the slab from the lines, which hold `held` pairs,
+    /// dropping the slots no line holds: those of a repeated key's
+    /// earlier lines.
+    #[cold]
+    fn compact(&mut self, held: usize) {
+        let mut slab = Slab::with_capacity(held);
+        for slot in &mut self.slots {
+            let line = self.slab.line(&slot.chain);
+            slot.chain = slab.restore(line.pairs(), *line.stats());
+        }
+        self.slab = slab;
     }
 
     /// Where `key` is in `keys` (`Ok`), or where it would be inserted
@@ -245,43 +272,50 @@ impl ModelCache {
         &self.config
     }
 
-    /// Number of pairs currently cached (across all lines).
+    /// Number of pairs currently cached (across all lines): the slab
+    /// holds exactly these.
     pub fn total_pairs(&self) -> usize {
-        self.total_pairs
+        self.slab.len()
     }
 
     /// Bytes currently used.
     pub fn used_bytes(&self) -> usize {
-        self.total_pairs * self.config.pair_bytes
+        self.total_pairs() * self.config.pair_bytes
     }
 
     /// True when admitting one more pair would exceed the budget.
     pub fn is_full(&self) -> bool {
-        self.total_pairs + 1 > self.config.capacity_pairs()
+        self.total_pairs() + 1 > self.config.capacity_pairs()
+    }
+
+    /// Pair slots the slab has allocated.
+    #[cfg(test)]
+    pub(crate) fn slab_capacity(&self) -> usize {
+        self.slab.capacity()
     }
 
     /// The cache line for a neighbor's default measurement.
-    pub fn line(&self, j: NodeId) -> Option<&CacheLine> {
+    pub fn line(&self, j: NodeId) -> Option<LineRef<'_>> {
         self.line_for(j)
     }
 
     /// The cache line for one of a neighbor's measurements.
-    pub fn line_for(&self, key: impl Into<LineKey>) -> Option<&CacheLine> {
+    pub fn line_for(&self, key: impl Into<LineKey>) -> Option<LineRef<'_>> {
         let i = self.find(key.into()).ok()?;
-        self.slots.get(i).map(|s| &s.line)
+        self.slots.get(i).map(|s| self.slab.line(&s.chain))
     }
 
     /// Iterate over `(line key, line)` in key order.
-    pub fn lines(&self) -> impl Iterator<Item = (LineKey, &CacheLine)> {
+    pub fn lines(&self) -> impl Iterator<Item = (LineKey, LineRef<'_>)> {
         self.keys
             .iter()
             .copied()
-            .zip(self.slots.iter().map(|s| &s.line))
+            .zip(self.slots.iter().map(|s| self.slab.line(&s.chain)))
     }
 
     /// Number of neighbors with at least one cached pair.
     pub fn populated_lines(&self) -> usize {
-        self.slots.iter().filter(|s| !s.line.is_empty()).count()
+        self.lines().filter(|(_, line)| !line.is_empty()).count()
     }
 
     /// The fitted model for neighbor `j`'s default measurement
@@ -337,7 +371,7 @@ impl ModelCache {
             Err(i) => i,
         };
         if !self.is_full() {
-            self.push_at(at, key, x_own, x_j);
+            self.push_at(at, key, (x_own, x_j), None);
             return CacheDecision::Inserted;
         }
         match self.config.policy {
@@ -378,7 +412,7 @@ impl ModelCache {
         let Some((ji, slot)) = at
             .ok()
             .and_then(|i| Some((i, self.slots.get(i)?)))
-            .filter(|(_, s)| !s.line.is_empty())
+            .filter(|(_, s)| !self.slab.line(&s.chain).is_empty())
         else {
             // Newcomer: round-robin victim "among all the available
             // cache lines" (never the newcomer's own empty line).
@@ -387,7 +421,7 @@ impl ModelCache {
                 None => CacheDecision::Rejected,
             };
         };
-        let line = &slot.line;
+        let line = self.slab.line(&slot.chain);
 
         // All three candidate models are *evaluated* on c_aug — every
         // known observation of x_j including the new one — because the
@@ -451,12 +485,9 @@ impl ModelCache {
     /// Bring the live penalty and fit of the line at `i` up to date.
     fn refresh(&mut self, i: usize) {
         if let Some(slot) = self.slots.get_mut(i) {
-            let (model, penalty) = slot.line.model_and_penalty();
-            slot.penalty = if slot.line.is_empty() {
-                f64::NAN
-            } else {
-                penalty
-            };
+            let line = self.slab.line(&slot.chain);
+            let (model, penalty) = line.model_and_penalty();
+            slot.penalty = if line.is_empty() { f64::NAN } else { penalty };
             slot.model = model;
         }
     }
@@ -465,19 +496,19 @@ impl ModelCache {
     /// line after `rr_after` (cyclically, in key order) that has pairs.
     /// A newcomer's own line is absent or empty, so never chosen.
     fn next_rr_victim(&mut self) -> Option<usize> {
-        let mut eligible = self
-            .keys
-            .iter()
-            .zip(&self.slots)
-            .enumerate()
-            .filter(|(_, (_, slot))| !slot.line.is_empty())
-            .map(|(i, (&key, _))| (i, key));
-        let first = eligible.next()?;
-        let (v, victim) = match self.rr_after {
-            Some(after) if first.1 <= after => {
-                eligible.find(|&(_, key)| key > after).unwrap_or(first)
+        let (v, victim) = {
+            let mut eligible = self
+                .lines()
+                .enumerate()
+                .filter(|(_, (_, line))| !line.is_empty())
+                .map(|(i, (key, _))| (i, key));
+            let first = eligible.next()?;
+            match self.rr_after {
+                Some(after) if first.1 <= after => {
+                    eligible.find(|&(_, key)| key > after).unwrap_or(first)
+                }
+                _ => first,
             }
-            _ => first,
         };
         self.rr_after = Some(victim);
         Some(v)
@@ -485,7 +516,8 @@ impl ModelCache {
 
     /// Move one pair of the budget to `j`, whose lookup gave `at`: evict
     /// the oldest pair of the line at `v` (`j`'s own for a time shift),
-    /// then push `(x, y)` to `j`'s line. Returns the key of `v`.
+    /// then push `(x, y)` to `j`'s line in the slot the eviction freed.
+    /// Returns the key of `v`.
     fn move_pair(
         &mut self,
         v: usize,
@@ -495,25 +527,32 @@ impl ModelCache {
         y: f64,
     ) -> LineKey {
         let victim = self.keys.get(v).copied().unwrap_or(j);
-        let at = self.evict_at(v, at);
-        self.push_at(at, j, x, y);
+        let (at, freed) = self.evict_at(v, at);
+        self.push_at(at, j, (x, y), freed);
         victim
     }
 
-    /// Push `(x, y)` to `key`'s line, which the lookup found at `at`,
-    /// inserting the line there when it is new.
-    fn push_at(&mut self, at: Result<usize, usize>, key: LineKey, x: f64, y: f64) {
+    /// Push `pair` to `key`'s line, which the lookup found at `at`,
+    /// inserting the line there when it is new. The pair goes in
+    /// `freed`, the slot an eviction just freed, or else in a new slot.
+    fn push_at(
+        &mut self,
+        at: Result<usize, usize>,
+        key: LineKey,
+        pair: (f64, f64),
+        freed: Option<u32>,
+    ) {
         let i = match at {
             Ok(i) => i,
             Err(i) => {
                 self.keys.insert(i, key);
-                self.slots.insert(i, Slot::new(CacheLine::new()));
+                self.slots.insert(i, Slot::new(Chain::default()));
                 i
             }
         };
         if let Some(slot) = self.slots.get_mut(i) {
-            slot.line.push(x, y);
-            self.total_pairs += 1;
+            let capacity = self.config.capacity_pairs();
+            self.slab.push(&mut slot.chain, freed, pair, capacity);
             if self.live {
                 self.refresh(i);
             }
@@ -522,38 +561,41 @@ impl ModelCache {
     }
 
     /// Evict the oldest pair of the line at `v`, removing the line when
-    /// it empties, and return `at`, a lookup result for another key, as
-    /// it reads afterwards.
-    fn evict_at(&mut self, v: usize, at: Result<usize, usize>) -> Result<usize, usize> {
+    /// it empties. Returns `at`, a lookup result for another key, as it
+    /// reads afterwards, and the slot the eviction freed.
+    fn evict_at(
+        &mut self,
+        v: usize,
+        at: Result<usize, usize>,
+    ) -> (Result<usize, usize>, Option<u32>) {
         let Some(slot) = self.slots.get_mut(v) else {
-            return at;
+            return (at, None);
         };
-        if slot.line.evict_oldest().is_some() {
-            self.total_pairs -= 1;
-        }
-        if !slot.line.is_empty() {
+        let freed = self.slab.evict_oldest(&mut slot.chain);
+        if !self.slab.line(&slot.chain).is_empty() {
             if self.live {
                 self.refresh(v);
             }
-            return at;
+            return (at, freed);
         }
         self.keys.remove(v);
         self.slots.remove(v);
-        match at {
+        let at = match at {
             Ok(i) if i == v => Err(i),
             Ok(i) if i > v => Ok(i - 1),
             Err(i) if i > v => Err(i - 1),
             at => at,
-        }
+        };
+        (at, freed)
     }
 }
 
 impl Slot {
-    /// A slot for `line`; its penalty and fit are set when the cache is
-    /// live.
-    fn new(line: CacheLine) -> Self {
+    /// A record for `chain`; its penalty and fit are set when the cache
+    /// is live.
+    fn new(chain: Chain) -> Self {
         Slot {
-            line,
+            chain,
             penalty: f64::NAN,
             model: LinearModel::constant(0.0),
         }
@@ -769,40 +811,92 @@ mod tests {
 
     #[test]
     fn from_parts_orders_lines_and_keeps_the_last_of_a_repeated_key() {
-        let line = |pairs: &[(f64, f64)]| {
-            let mut l = CacheLine::new();
-            for &(x, y) in pairs {
-                l.push(x, y);
-            }
-            l
-        };
         let key = |n| LineKey::from(NodeId(n));
-        let c = ModelCache::from_parts(
+        let lines: [(u32, &[(f64, f64)]); 4] = [
+            (3, &[(1.0, 2.0)]),
+            (1, &[(0.0, 1.0)]),
+            (3, &[(5.0, 6.0), (7.0, 8.0)]),
+            (2, &[]),
+        ];
+        let mut c = ModelCache::from_parts(
             CacheConfig::default(),
-            vec![
-                (key(3), line(&[(1.0, 2.0)])),
-                (key(1), line(&[(0.0, 1.0)])),
-                (key(3), line(&[(5.0, 6.0), (7.0, 8.0)])),
-                (key(2), CacheLine::new()),
-            ],
+            lines
+                .iter()
+                .map(|&(n, pairs)| (key(n), pairs, SuffStats::from_pairs(pairs))),
             None,
         );
         let keys: Vec<u32> = c.lines().map(|(k, _)| k.node.0).collect();
         assert_eq!(keys, [1, 2, 3]);
-        assert_eq!(c.line(NodeId(3)).unwrap().len(), 2);
+        assert!(c
+            .line(NodeId(3))
+            .unwrap()
+            .pairs()
+            .eq(&[(5.0, 6.0), (7.0, 8.0)]));
         assert_eq!(c.total_pairs(), 3);
+        assert!(!c.live, "a restored cache computes its penalties afresh");
         // The empty line is kept but models nothing.
         assert_eq!(c.populated_lines(), 2);
-        assert!(c.line(NodeId(2)).is_some_and(CacheLine::is_empty));
+        assert!(c.line(NodeId(2)).is_some_and(|l| l.is_empty()));
         assert!(c.model_for(NodeId(2)).is_none());
+        // The repeated key's first line left no slot behind, and the
+        // compacted lines take pushes in order.
+        assert_eq!(c.slab_capacity(), 3);
+        c.observe(NodeId(3), 9.0, 10.0);
+        let line = c.line(NodeId(3)).unwrap();
+        assert_eq!(
+            (line.oldest(), line.newest()),
+            (Some((5.0, 6.0)), Some((9.0, 10.0)))
+        );
+        assert!(c.line(NodeId(1)).unwrap().pairs().eq(&[(0.0, 1.0)]));
     }
 
     #[test]
-    fn a_cached_line_costs_the_layout_104_bytes() {
-        // A key, and a line with its penalty and fit: no more than a key
-        // and a line with a memo `Option<f64>` took before.
+    fn a_restore_far_under_its_budget_allocates_only_what_it_restores() {
+        let config = CacheConfig {
+            budget_bytes: 1 << 30,
+            ..CacheConfig::default()
+        };
+        assert_eq!(ModelCache::new(config).slab_capacity(), 0);
+        let empty = ModelCache::from_parts(config, std::iter::empty(), None);
+        assert_eq!(empty.slab_capacity(), 0);
+        let pairs = [(1.0, 2.0), (3.0, 4.0), (5.0, 7.0)];
+        let lines = [(1, &pairs[..2]), (2, &pairs[2..])];
+        let c = ModelCache::from_parts(
+            config,
+            lines.iter().map(|&(n, pairs)| {
+                (
+                    LineKey::from(NodeId(n)),
+                    pairs,
+                    SuffStats::from_pairs(pairs),
+                )
+            }),
+            None,
+        );
+        assert_eq!(c.total_pairs(), 3);
+        assert_eq!(c.slab_capacity(), 3);
+    }
+
+    #[test]
+    fn a_full_cache_keeps_its_slab_at_the_budget() {
+        // 8 pairs over 20 neighbours: lines empty and come back, and
+        // every pair lands in the slot its eviction freed.
+        for policy in [CachePolicy::ModelAware, CachePolicy::RoundRobin] {
+            let mut c = cache(64, policy);
+            for i in 0..400u32 {
+                c.observe(NodeId(i * 7 % 20), f64::from(i % 11), f64::from(i % 13));
+                assert!(c.slab_capacity() <= 8);
+            }
+            assert!(c.is_full());
+            assert_eq!(c.slab_capacity(), 8);
+        }
+    }
+
+    #[test]
+    fn a_cached_line_costs_the_layout_88_bytes() {
+        // A key, and a record of the line's chain ends, statistics,
+        // penalty and fit; its pairs take 20 bytes a slot in the slab.
         use std::mem::size_of;
-        assert_eq!(size_of::<LineKey>() + size_of::<Slot>(), 104);
+        assert_eq!(size_of::<LineKey>() + size_of::<Slot>(), 88);
     }
 
     #[test]

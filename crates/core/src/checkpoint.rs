@@ -26,7 +26,7 @@
 //! scratch flags that do survive elections (`forced_active`,
 //! `refusing_invites`) are captured.
 
-use crate::cache::{CacheConfig, CacheLine, CachePolicy, LineKey, MeasurementId, ModelCache};
+use crate::cache::{CacheConfig, CachePolicy, LineKey, MeasurementId, ModelCache};
 use crate::election::ProtocolMsg;
 use crate::error::CoreError;
 use crate::model::SuffStats;
@@ -37,7 +37,7 @@ use snapshot_netsim::{Network, NodeId, Position, Topology};
 use std::sync::Arc;
 
 /// One cached line of one node: the raw pairs plus the running
-/// statistics exactly as they were (see [`CacheLine::from_parts`] for
+/// statistics exactly as they were (see [`ModelCache::from_parts`] for
 /// why the stats are not recomputed from the pairs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LineCheckpoint {
@@ -357,8 +357,7 @@ fn apply_node(nc: &NodeCheckpoint, node: &mut SensorNode, cfg: CacheConfig) {
             node: NodeId(lc.node),
             measurement: MeasurementId(lc.measurement),
         };
-        let line = CacheLine::from_parts(lc.pairs.iter().copied().collect(), lc.stats);
-        (key, line)
+        (key, lc.pairs.as_slice(), lc.stats)
     });
     let rr_after = nc.rr_after.map(|(id, m)| LineKey {
         node: NodeId(id),
@@ -748,6 +747,17 @@ mod tests {
         let q =
             SnapshotQuery::aggregate(SpatialPredicate::All, Aggregate::Avg, QueryMode::Snapshot);
         assert_eq!(twin.query(&q, NodeId(0)), sn.query(&q, NodeId(0)));
+    }
+
+    #[test]
+    fn a_budget_far_above_the_pairs_restores_only_the_pairs() {
+        let mut cp = deployment(23).checkpoint();
+        cp.budget_bytes = 1 << 30;
+        let image = FrozenCheckpoint::new(&cp).expect("valid checkpoint");
+        assert!(image.nodes.iter().all(|n| n.cache.total_pairs() > 0));
+        for node in image.nodes.iter() {
+            assert_eq!(node.cache.slab_capacity(), node.cache.total_pairs());
+        }
     }
 
     #[test]

@@ -284,7 +284,9 @@ impl<'a> Cycle<'a> {
     /// silence counts.
     fn exchange_heartbeats(&mut self) -> (usize, usize, usize) {
         let (values, cfg, epoch) = (self.values, self.cfg, self.epoch);
-        let mut awaiting: Vec<NodeId> = Vec::new();
+        // The heartbeat senders, in ascending id order, each with the
+        // last estimate addressed to it.
+        let mut awaiting: Vec<(NodeId, Option<f64>)> = Vec::new();
         for node in self.nodes.iter() {
             let j = node.id();
             if node.mode() != Mode::Passive || !self.net.is_alive(j) || self.reelect.contains(&j) {
@@ -295,7 +297,7 @@ impl<'a> Cycle<'a> {
                 let msg = ProtocolMsg::Heartbeat { value };
                 let bytes = msg.wire_bytes();
                 self.net.unicast(j, rep, msg, bytes, Phase::Heartbeat);
-                awaiting.push(j);
+                awaiting.push((j, None));
             }
         }
         self.net.deliver();
@@ -346,19 +348,21 @@ impl<'a> Cycle<'a> {
         self.net.deliver();
 
         // Members judge the replies.
-        let mut estimates: Vec<Option<f64>> = vec![None; self.nodes.len()];
         self.net.drain_candidates_into(&mut self.drained);
         for &j in &self.drained {
             self.net.take_inbox_into(j, &mut self.inbox);
+            let at = awaiting.binary_search_by_key(&j, |&(sender, _)| sender);
             for d in self.inbox.drain(..) {
                 if let (ProtocolMsg::Estimate { value }, true) = (d.payload, d.addressed) {
-                    estimates[j.index()] = Some(value);
+                    if let Some((_, estimate)) = at.ok().and_then(|i| awaiting.get_mut(i)) {
+                        *estimate = Some(value);
+                    }
                 }
             }
         }
         let (mut drift, mut silence) = (0, 0);
-        for &j in &awaiting {
-            match estimates[j.index()] {
+        for &(j, estimate) in &awaiting {
+            match estimate {
                 Some(est) if cfg.metric.within(values[j.index()], est, cfg.threshold) => continue,
                 Some(_) => drift += 1,
                 None => silence += 1,

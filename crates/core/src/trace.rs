@@ -13,7 +13,9 @@ use snapshot_netsim::{Event, Network, NodeId};
 /// Record the telemetry events implied by one cache-manager ruling:
 /// a `CacheAdmit` always, a `CacheEvict` when a victim lost a pair,
 /// and a `ModelRefit` when the observation entered the cache (the
-/// line's model is refit on every admission).
+/// line's model is refit on every admission). Only a ring buffer keeps
+/// these events (the metrics registry counts none of them), so without
+/// one nothing is built.
 pub(crate) fn record_cache_decision<P: Clone>(
     net: &mut Network<P>,
     node: NodeId,
@@ -21,7 +23,7 @@ pub(crate) fn record_cache_decision<P: Clone>(
     decision: &CacheDecision,
     cache: &ModelCache,
 ) {
-    if !net.telemetry_enabled() {
+    if net.telemetry().ring().is_none() {
         return;
     }
     let tick = net.round();

@@ -9,9 +9,11 @@
 //! - **`allocs_per_iter` gates hard.** Allocation counts are
 //!   deterministic — independent of CPU load, frequency scaling or the
 //!   shared-runner lottery — so any growth beyond the tolerance fails
-//!   the comparison. A baseline of exactly 0 is a contract: the
-//!   current run must also be 0 (the deliver-path "zero per-envelope
-//!   heap allocation" invariant from DESIGN.md §12).
+//!   the comparison, and every other change is reported: a rise within
+//!   the tolerance warns, and a fall notes that the row wants
+//!   refreshing. A baseline of exactly 0 is a contract: the current run
+//!   must also be 0 (the deliver-path "zero per-envelope heap
+//!   allocation" invariant from DESIGN.md §12).
 //! - **Wall-clock is advisory.** Wall-clock on shared CI runners is
 //!   noisy; regressions beyond the tolerance are reported as warnings
 //!   only and never affect the exit status. The check compares minima
@@ -43,9 +45,11 @@ pub struct BenchRecord {
 pub struct CmpReport {
     /// Hard failures (allocation regressions, missing benches).
     pub failures: Vec<String>,
-    /// Advisory warnings (wall-clock regressions).
+    /// Warnings that do not fail the gate (wall-clock regressions,
+    /// allocation rises within the tolerance).
     pub warnings: Vec<String>,
-    /// Informational notes (new benches, improvements).
+    /// Informational notes (new benches, improvements, allocation
+    /// falls).
     pub notes: Vec<String>,
 }
 
@@ -160,6 +164,16 @@ pub fn compare(baseline: &[BenchRecord], current: &[BenchRecord], tolerance: f64
             report.failures.push(format!(
                 "{}: allocs/iter {} exceeds baseline {} (limit {:.1})",
                 base.name, cur.allocs_per_iter, base.allocs_per_iter, alloc_limit
+            ));
+        } else if cur.allocs_per_iter > base.allocs_per_iter {
+            report.warnings.push(format!(
+                "{}: allocs/iter rose from {} to {} (within the limit {:.1})",
+                base.name, base.allocs_per_iter, cur.allocs_per_iter, alloc_limit
+            ));
+        } else if cur.allocs_per_iter < base.allocs_per_iter {
+            report.notes.push(format!(
+                "{}: allocs/iter fell from {} to {}; refresh the baseline row",
+                base.name, base.allocs_per_iter, cur.allocs_per_iter
             ));
         }
         // Wall-clock is advisory on shared runners.
@@ -313,6 +327,38 @@ mod tests {
         assert!(report.failed());
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.notes.len(), 1);
+    }
+
+    #[test]
+    fn an_allocation_rise_within_the_tolerance_warns() {
+        let report = compare(&[rec("a", 100.0, 10.0)], &[rec("a", 100.0, 11.0)], 0.15);
+        assert!(!report.failed());
+        assert_eq!(
+            report.warnings,
+            ["a: allocs/iter rose from 10 to 11 (within the limit 12.5)"]
+        );
+        assert!(report.notes.is_empty());
+    }
+
+    #[test]
+    fn an_allocation_rise_beyond_the_tolerance_fails_without_a_warning() {
+        let report = compare(&[rec("a", 100.0, 10.0)], &[rec("a", 100.0, 13.0)], 0.15);
+        assert_eq!(
+            report.failures,
+            ["a: allocs/iter 13 exceeds baseline 10 (limit 12.5)"]
+        );
+        assert!(report.warnings.is_empty());
+    }
+
+    #[test]
+    fn an_allocation_fall_notes_a_refresh() {
+        let report = compare(&[rec("a", 100.0, 10.0)], &[rec("a", 100.0, 4.0)], 0.15);
+        assert!(!report.failed());
+        assert!(report.warnings.is_empty());
+        assert_eq!(
+            report.notes,
+            ["a: allocs/iter fell from 10 to 4; refresh the baseline row"]
+        );
     }
 
     #[test]

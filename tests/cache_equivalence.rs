@@ -1,14 +1,15 @@
 //! Equivalence suite for the model-aware cache manager.
 //!
 //! `ModelCache` keeps its lines in one flat layout in key order — a
-//! dense key array for lookups and a parallel array of slots, each a
-//! line with its eviction penalty and fit, kept current once the cache
-//! first needs a victim — looks each observed key up once, starting
-//! after the last one, and finds victims in one pass. This suite holds
-//! it to a reference written the direct way: the same admission
-//! algorithm over a `BTreeMap` of lines and a `BTreeMap` of lazily
-//! memoized penalties, collecting the candidate lines afresh for every
-//! victim search.
+//! dense key array for lookups and a parallel array of line records,
+//! each a FIFO chain over the cache's one pair slab with its eviction
+//! penalty and fit, kept current once the cache first needs a victim —
+//! looks each observed key up once, starting after the last one, and
+//! finds victims in one pass. This suite holds it to a reference
+//! written the direct way: the same admission algorithm over a
+//! `BTreeMap` of lines, each a `VecDeque` of its pairs with its running
+//! statistics, and a `BTreeMap` of lazily memoized penalties,
+//! collecting the candidate lines afresh for every victim search.
 //!
 //! Seeded random observation streams cover both policies, budgets from
 //! zero pairs up to 256 (including one pair per line), 1–60 neighbours
@@ -26,20 +27,67 @@
 //! newcomers joining mid-sweep and a few out-of-order repeats, so the
 //! lookup's start after the last key is both hit and missed.
 
-use snapshot_queries::core::cache::CacheLine;
 use snapshot_queries::core::{
-    CacheConfig, CacheDecision, CachePolicy, LineKey, MeasurementId, ModelCache,
+    CacheConfig, CacheDecision, CachePolicy, LineKey, MeasurementId, ModelCache, SuffStats,
 };
 use snapshot_queries::netsim::rng::{derive_seed, DetRng, RngExt};
 use snapshot_queries::netsim::NodeId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+
+/// One reference line: its pairs oldest first, and its statistics,
+/// updated as pairs come and go.
+#[derive(Debug, Clone, Default)]
+struct ReferenceLine {
+    pairs: VecDeque<(f64, f64)>,
+    stats: SuffStats,
+}
+
+impl ReferenceLine {
+    fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    fn push(&mut self, x: f64, y: f64) {
+        self.pairs.push_back((x, y));
+        self.stats.add(x, y);
+    }
+
+    /// Drop the oldest pair; an emptied line's statistics are exactly
+    /// zero.
+    fn evict_oldest(&mut self) -> bool {
+        let Some((x, y)) = self.pairs.pop_front() else {
+            return false;
+        };
+        self.stats.remove(x, y);
+        if self.pairs.is_empty() {
+            self.stats = SuffStats::new();
+        }
+        true
+    }
+
+    /// The statistics without the oldest pair.
+    fn without_oldest(&self) -> SuffStats {
+        match self.pairs.front() {
+            Some(&(x, y)) => self.stats.without(x, y),
+            None => SuffStats::new(),
+        }
+    }
+
+    /// The paper's eviction penalty: the full line's benefit under its
+    /// own fit minus its benefit under the fit without the oldest pair.
+    fn eviction_penalty(&self) -> f64 {
+        let full = self.stats.benefit(&self.stats.fit());
+        let truncated = self.stats.benefit(&self.without_oldest().fit());
+        (full - truncated).max(0.0)
+    }
+}
 
 /// The cache manager written the direct way: lines and memoized
 /// penalties in ordered maps, candidates collected per search.
 #[derive(Debug, Clone)]
 struct ReferenceCache {
     config: CacheConfig,
-    lines: BTreeMap<LineKey, CacheLine>,
+    lines: BTreeMap<LineKey, ReferenceLine>,
     penalties: BTreeMap<LineKey, f64>,
     rr_after: Option<LineKey>,
     total_pairs: usize,
@@ -58,10 +106,10 @@ impl ReferenceCache {
 
     fn from_parts(
         config: CacheConfig,
-        lines: BTreeMap<LineKey, CacheLine>,
+        lines: BTreeMap<LineKey, ReferenceLine>,
         rr_after: Option<LineKey>,
     ) -> Self {
-        let total_pairs = lines.values().map(CacheLine::len).sum();
+        let total_pairs = lines.values().map(|l| l.pairs.len()).sum();
         ReferenceCache {
             config,
             lines,
@@ -105,7 +153,7 @@ impl ReferenceCache {
     }
 
     fn observe_model_aware(&mut self, j: LineKey, x: f64, y: f64) -> CacheDecision {
-        let line_empty = self.lines.get(&j).is_none_or(CacheLine::is_empty);
+        let line_empty = self.lines.get(&j).is_none_or(ReferenceLine::is_empty);
         if line_empty {
             return match self.next_rr_victim(Some(j)) {
                 Some(victim) => {
@@ -118,9 +166,9 @@ impl ReferenceCache {
         }
 
         let line = &self.lines[&j];
-        let c_aug = line.stats_augmented(x, y);
-        let model_cur = line.model();
-        let model_shift = line.stats_shifted(x, y).fit();
+        let c_aug = line.stats.with(x, y);
+        let model_cur = line.stats.fit();
+        let model_shift = line.without_oldest().with(x, y).fit();
         let model_aug = c_aug.fit();
 
         let b_cur = c_aug.benefit(&model_cur);
@@ -214,7 +262,7 @@ impl ReferenceCache {
 
     fn evict_oldest_of(&mut self, id: LineKey) {
         if let Some(line) = self.lines.get_mut(&id) {
-            if line.evict_oldest().is_some() {
+            if line.evict_oldest() {
                 self.total_pairs -= 1;
             }
             if line.is_empty() {
@@ -240,9 +288,11 @@ enum Values {
     Noisy,
 }
 
-/// One line's statistics and pairs as raw bits.
-fn line_bits(line: &CacheLine) -> (Vec<u64>, Vec<(u64, u64)>) {
-    let s = line.stats();
+/// One line's statistics and pairs (oldest first) as raw bits.
+fn line_bits<'a>(
+    s: &SuffStats,
+    pairs: impl Iterator<Item = &'a (f64, f64)>,
+) -> (Vec<u64>, Vec<(u64, u64)>) {
     let stats = vec![
         u64::from(s.n),
         s.sx.to_bits(),
@@ -251,10 +301,7 @@ fn line_bits(line: &CacheLine) -> (Vec<u64>, Vec<(u64, u64)>) {
         s.sxx.to_bits(),
         s.syy.to_bits(),
     ];
-    let pairs = line
-        .pairs()
-        .map(|&(x, y)| (x.to_bits(), y.to_bits()))
-        .collect();
+    let pairs = pairs.map(|&(x, y)| (x.to_bits(), y.to_bits())).collect();
     (stats, pairs)
 }
 
@@ -265,34 +312,62 @@ fn assert_same(cache: &ModelCache, reference: &ReferenceCache, context: &str) {
         "{context}: total_pairs"
     );
     assert_eq!(cache.rr_after(), reference.rr_after, "{context}: rr_after");
-    let lines: Vec<_> = cache.lines().map(|(k, l)| (k, line_bits(l))).collect();
+    let lines: Vec<_> = cache
+        .lines()
+        .map(|(k, l)| (k, line_bits(l.stats(), l.pairs())))
+        .collect();
     let expected: Vec<_> = reference
         .lines
         .iter()
-        .map(|(&k, l)| (k, line_bits(l)))
+        .map(|(&k, l)| (k, line_bits(&l.stats, l.pairs.iter())))
         .collect();
     assert_eq!(lines, expected, "{context}: lines");
 }
 
 /// Rebuild both caches from `cache.lines()` (equal to the reference's
 /// lines when this is called) through `from_parts`, with up to three
-/// empty lines added at keys not yet cached.
+/// empty lines added at keys not yet cached. When an odd number of
+/// lines results, `ModelCache::from_parts` gets them in reverse order,
+/// behind a stale line for the first key, so that it must sort them
+/// into place and drop the stale line's pair from its slab.
 fn round_trip(
     cache: &ModelCache,
     keys: &[LineKey],
     rng: &mut DetRng,
 ) -> (ModelCache, ReferenceCache) {
-    let mut lines: BTreeMap<LineKey, CacheLine> =
-        cache.lines().map(|(k, l)| (k, l.clone())).collect();
+    let mut lines: BTreeMap<LineKey, (Vec<(f64, f64)>, SuffStats)> = cache
+        .lines()
+        .map(|(k, l)| (k, (l.pairs().copied().collect(), *l.stats())))
+        .collect();
     for _ in 0..rng.random_range(0..4usize) {
         let key = keys[rng.random_range(0..keys.len())];
         lines.entry(key).or_default();
     }
     let config = *cache.config();
     let rr_after = cache.rr_after();
+    let parts = lines
+        .iter()
+        .map(|(&k, (pairs, stats))| (k, pairs.as_slice(), *stats));
+    let restored = if lines.len() % 2 == 1 {
+        let stale: &[(f64, f64)] = &[(0.5, 0.5)];
+        let stale_line = lines
+            .keys()
+            .next()
+            .map(|&k| (k, stale, SuffStats::from_pairs(stale)));
+        ModelCache::from_parts(config, stale_line.into_iter().chain(parts.rev()), rr_after)
+    } else {
+        ModelCache::from_parts(config, parts, rr_after)
+    };
+    let reference = lines
+        .into_iter()
+        .map(|(k, (pairs, stats))| {
+            let pairs = pairs.into_iter().collect();
+            (k, ReferenceLine { pairs, stats })
+        })
+        .collect();
     (
-        ModelCache::from_parts(config, lines.clone(), rr_after),
-        ReferenceCache::from_parts(config, lines, rr_after),
+        restored,
+        ReferenceCache::from_parts(config, reference, rr_after),
     )
 }
 
