@@ -42,15 +42,14 @@ fn dense_network(link: LinkModel) -> Network<u64> {
     Network::new(topo, link, EnergyModel::default(), 11)
 }
 
-fn round(net: &mut Network<u64>, buf: &mut Vec<snapshot_netsim::Delivery<u64>>) -> usize {
+fn round(net: &mut Network<u64>) -> usize {
     for i in 0..N {
         net.broadcast(NodeId(i), u64::from(i) * 3, 16, Phase::Data);
     }
     let delivered = net.deliver();
-    for i in 0..N {
-        net.take_inbox_into(NodeId(i), buf);
-        black_box(buf.len());
-    }
+    net.drain(|_, _, mail| {
+        black_box(mail.len());
+    });
     delivered
 }
 
@@ -65,20 +64,18 @@ fn bench_schedule_overhead(c: &mut Criterion) {
     // measure the residual cost of the fault branch in deliver().
     let mut net = dense_network(LinkModel::Perfect);
     net.set_fault_plan(FaultPlan::parse("0 drain all x1.0\n").expect("valid plan"));
-    let mut buf = Vec::new();
-    round(&mut net, &mut buf);
+    round(&mut net);
     c.bench_function("deliver_exhausted_fault_schedule_100", |b| {
-        b.iter(|| black_box(round(&mut net, &mut buf)))
+        b.iter(|| black_box(round(&mut net)))
     });
 }
 
 fn bench_burst_link(c: &mut Criterion) {
     let params = GilbertElliott::with_average_loss(0.3, 0.1, 0.1);
     let mut net = dense_network(LinkModel::gilbert_elliott(N as usize, params));
-    let mut buf = Vec::new();
-    round(&mut net, &mut buf);
+    round(&mut net);
     c.bench_function("deliver_dense_burst30_100", |b| {
-        b.iter(|| black_box(round(&mut net, &mut buf)))
+        b.iter(|| black_box(round(&mut net)))
     });
 }
 

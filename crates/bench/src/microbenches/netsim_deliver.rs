@@ -25,16 +25,15 @@ fn dense_network(link: LinkModel) -> Network<u64> {
 }
 
 /// One full round: every node broadcasts, the round is delivered, and
-/// every inbox is drained back into a reused buffer.
-fn round(net: &mut Network<u64>, buf: &mut Vec<snapshot_netsim::Delivery<u64>>) -> usize {
+/// the drain hands every receiver its mail.
+fn round(net: &mut Network<u64>) -> usize {
     for i in 0..N {
         net.broadcast(NodeId(i), u64::from(i) * 3, 16, Phase::Data);
     }
     let delivered = net.deliver();
-    for i in 0..N {
-        net.take_inbox_into(NodeId(i), buf);
-        black_box(buf.len());
-    }
+    net.drain(|_, _, mail| {
+        black_box(mail.len());
+    });
     delivered
 }
 
@@ -44,17 +43,16 @@ fn bench_deliver(c: &mut Criterion) {
         ("deliver_dense_lossy30_100", LinkModel::iid_loss(0.3)),
     ] {
         let mut net = dense_network(link);
-        let mut buf = Vec::new();
-        // Warm until every inbox, the outbox and `buf` have grown to
-        // steady-state capacity; after this the path must not touch
-        // the heap at all. One round is enough under perfect links.
-        // Under loss the per-round receive counts are random and
-        // capacities circulate between `buf` and the inboxes, so a
-        // later round can still outgrow one.
+        // Warm until every inbox, the outbox and the drain buffers have
+        // grown to steady-state capacity; after this the path must not
+        // touch the heap at all. One round is enough under perfect
+        // links. Under loss the per-round receive counts are random
+        // and capacities circulate between the mail buffer and the
+        // inboxes, so a later round can still outgrow one.
         for _ in 0..WARM_ROUNDS {
-            round(&mut net, &mut buf);
+            round(&mut net);
         }
-        c.bench_function(name, |b| b.iter(|| black_box(round(&mut net, &mut buf))));
+        c.bench_function(name, |b| b.iter(|| black_box(round(&mut net))));
     }
 }
 
@@ -65,12 +63,11 @@ fn bench_deliver(c: &mut Criterion) {
 /// this bench is the profiler's "free when unused" guarantee.
 fn bench_deliver_spans_disabled(c: &mut Criterion) {
     let mut net = dense_network(LinkModel::Perfect);
-    let mut buf = Vec::new();
-    round(&mut net, &mut buf);
+    round(&mut net);
     c.bench_function("deliver_spans_disabled_100", |b| {
         b.iter(|| {
             let span = net.open_span(SpanKind::Election);
-            let delivered = round(&mut net, &mut buf);
+            let delivered = round(&mut net);
             net.close_span(span);
             black_box(delivered)
         })
@@ -88,12 +85,11 @@ fn bench_deliver_registry(c: &mut Criterion) {
     let mut telemetry = Telemetry::with_registry();
     telemetry.set_wall_clock(crate::wall_clock_ns);
     net.set_telemetry(telemetry);
-    let mut buf = Vec::new();
     for _ in 0..WARM_ROUNDS {
-        round(&mut net, &mut buf);
+        round(&mut net);
     }
     c.bench_function("deliver_registry_100", |b| {
-        b.iter(|| black_box(round(&mut net, &mut buf)))
+        b.iter(|| black_box(round(&mut net)))
     });
 }
 
@@ -111,15 +107,15 @@ fn bench_deliver_quiescent(c: &mut Criterion) {
         let topo = Topology::random_uniform(n, 0.004, 7).expect("valid deployment");
         let mut net: Network<u64> =
             Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 11);
-        let mut ids = Vec::new();
         // Warm one tick so the scratch buffer reaches steady state.
         net.deliver();
-        net.drain_candidates_into(&mut ids);
+        net.drain(|_, _, _| {});
         c.bench_function(name, |b| {
             b.iter(|| {
                 let delivered = net.deliver();
-                net.drain_candidates_into(&mut ids);
-                black_box((delivered, ids.len()))
+                let mut visited = 0;
+                net.drain(|_, _, _| visited += 1);
+                black_box((delivered, visited))
             })
         });
     }

@@ -2,14 +2,14 @@
 //! messages: a `Candidates` or `RepresentAck` broadcast costs one heap
 //! allocation, its shared id list, and nothing per receiver. `deliver`
 //! hands each receiver but the last a clone of the payload, which for
-//! a shared list is a refcount bump, and the inbox drains free nothing
-//! but the last reference. The counting global allocator observes
+//! a shared list is a refcount bump, and the drain frees nothing but
+//! the last reference. The counting global allocator observes
 //! every allocation in the process, so this file holds exactly one
 //! test: a second concurrent test would pollute the counter.
 
 use snapshot_core::ProtocolMsg;
 use snapshot_microbench::counting_alloc::{self, CountingAllocator};
-use snapshot_netsim::{Delivery, EnergyModel, LinkModel, Network, NodeId, Phase, Topology};
+use snapshot_netsim::{EnergyModel, LinkModel, Network, NodeId, Phase, Topology};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -28,11 +28,11 @@ struct Allocs {
 }
 
 /// One round in which every node broadcasts a candidate list and an
-/// acknowledgment, then every inbox is drained and its lists read.
-/// Returns the deliveries and the lists that named node 0.
+/// acknowledgment, then the drain hands every receiver its mail and
+/// its lists are read. Returns the deliveries and the lists that named
+/// node 0.
 fn round(
     net: &mut Network<ProtocolMsg>,
-    inbox: &mut Vec<Delivery<ProtocolMsg>>,
     members: &mut Vec<NodeId>,
     allocs: &mut Allocs,
 ) -> (usize, usize) {
@@ -59,17 +59,15 @@ fn round(
     let delivered = net.deliver();
     let a1 = count();
     let mut named = 0;
-    for i in 0..N {
-        net.take_inbox_into(NodeId(i), inbox);
-        for d in inbox.iter() {
+    net.drain(|_, _, mail| {
+        for d in mail {
             if let ProtocolMsg::Candidates { cand: ids, .. }
             | ProtocolMsg::RepresentAck { members: ids } = &d.payload
             {
                 named += usize::from(ids.contains(&NodeId(0)));
             }
         }
-    }
-    // The last drains' lists are freed by the next round's drains.
+    });
     allocs.deliver += a1 - a0;
     allocs.drains += count() - a1;
     (delivered, named)
@@ -88,19 +86,19 @@ fn a_list_broadcast_costs_one_allocation_and_none_per_receiver() {
             let heard_by = net.topology().neighbors(NodeId(i)).len();
             assert!(heard_by >= 8, "node {i} has {heard_by} neighbours");
         }
-        let (mut inbox, mut members) = (Vec::new(), Vec::new());
+        let mut members = Vec::new();
         // Warm rounds grow the outbox, the delivery scratch, every
-        // inbox, the drain buffer and the member staging buffer to
+        // inbox, the drain buffers and the member staging buffer to
         // steady-state capacity (under loss the receive counts are
         // binomial, so that takes a few dozen rounds).
         for _ in 0..WARM_ROUNDS {
-            round(&mut net, &mut inbox, &mut members, &mut Allocs::default());
+            round(&mut net, &mut members, &mut Allocs::default());
         }
 
         let mut allocs = Allocs::default();
         let (mut delivered, mut named) = (0, 0);
         for _ in 0..MEASURED_ROUNDS {
-            let (d, n) = round(&mut net, &mut inbox, &mut members, &mut allocs);
+            let (d, n) = round(&mut net, &mut members, &mut allocs);
             delivered += d;
             named += n;
         }

@@ -1,28 +1,25 @@
 //! The allocation contracts of netsim's per-tick entry points and of
 //! the cache manager (DESIGN.md §15), asserted exactly: once warm, with
-//! telemetry off, `deliver`, the inbox drains, the wake-list drain, the
-//! scheduler and fault checks, a node move, a full cache's decisions
-//! and a training tick on full caches perform **zero** heap
+//! telemetry off, `deliver`, `Network::drain` under both drain modes,
+//! the scheduler and fault checks, a node move, a full cache's
+//! decisions and a training tick on full caches perform **zero** heap
 //! allocations.
 //! Each case drives one path to steady state, then counts the
 //! allocations of a window of further ticks and checks that the window
 //! did the work its case names: a window that delivered nothing would
 //! read 0 for the wrong reason.
 //!
-//! The cases are shared by three test files: `zero_alloc_sweep.rs`
-//! runs every case, `deliver_zero_alloc.rs` the `deliver/*` cases and
-//! `quiescent_zero_alloc.rs` the `quiescent/*` cases. This module
-//! registers the counting global allocator, which observes every
-//! allocation in the process, so each file that includes it holds
-//! exactly one test: a second test on a parallel thread would pollute
-//! the counter.
+//! `zero_alloc_sweep.rs` runs the cases. This module registers the
+//! counting global allocator, which observes every allocation in the
+//! process, so that file holds exactly one test: a second test on a
+//! parallel thread would pollute the counter.
 
 use snapshot_bench::RandomWalkSetup;
 use snapshot_core::{CacheConfig, CacheDecision, CachePolicy, ModelCache};
 use snapshot_microbench::counting_alloc::{self, CountingAllocator};
 use snapshot_netsim::{
-    Delivery, DrainMode, EnergyModel, FaultPlan, GilbertElliott, LinkModel, Network, NodeId, Phase,
-    Position, SpanKind, Topology,
+    DrainMode, EnergyModel, FaultPlan, GilbertElliott, LinkModel, Network, NodeId, Phase, Position,
+    SpanKind, Topology,
 };
 
 #[global_allocator]
@@ -33,9 +30,9 @@ static ALLOC: CountingAllocator = CountingAllocator;
 const DENSE_N: u32 = 50;
 
 /// Ticks run before a window is counted. Capacities circulate between
-/// the drain buffer and the inboxes, and under loss the per-round
-/// receive counts are random, so every circulating `Vec` is as large
-/// as the worst receive count only after a few dozen rounds.
+/// the network's mail buffer and the inboxes, and under loss the
+/// per-round receive counts are random, so every circulating `Vec` is
+/// as large as the worst receive count only after a few dozen rounds.
 const WARM_TICKS: usize = 30;
 
 /// Ticks in a counted window.
@@ -71,19 +68,17 @@ fn dense(link: LinkModel) -> Network<u64> {
     Network::new(dense_topology(), link, EnergyModel::default(), 11)
 }
 
-/// One round: every node broadcasts, the round is delivered, and every
-/// inbox drains through `buf`. The explicit span pair (and the
-/// `Deliver` span `deliver` opens) must be no-ops with telemetry off.
-/// Returns the deliveries.
-fn round(net: &mut Network<u64>, buf: &mut Vec<Delivery<u64>>) -> usize {
+/// One round: every node broadcasts, the round is delivered, and the
+/// drain hands every receiver its mail. The explicit span pair (and
+/// the `Deliver` span `deliver` opens) must be no-ops with telemetry
+/// off. Returns the deliveries.
+fn round(net: &mut Network<u64>) -> usize {
     let span = net.open_span(SpanKind::Election);
     for i in 0..DENSE_N {
         net.broadcast(NodeId(i), u64::from(i), 16, Phase::Data);
     }
     let delivered = net.deliver();
-    for i in 0..DENSE_N {
-        net.take_inbox_into(NodeId(i), buf);
-    }
+    net.drain(|_, _, _| {});
     net.close_span(span);
     delivered
 }
@@ -91,12 +86,11 @@ fn round(net: &mut Network<u64>, buf: &mut Vec<Delivery<u64>>) -> usize {
 /// Warm `net` with broadcast rounds, then count a window of them. The
 /// window must deliver.
 fn rounds(net: &mut Network<u64>) -> Window {
-    let mut buf = Vec::new();
     for _ in 0..WARM_TICKS {
-        round(net, &mut buf);
+        round(net);
     }
     count(|| {
-        let delivered: usize = (0..WINDOW_TICKS).map(|_| round(net, &mut buf)).sum();
+        let delivered: usize = (0..WINDOW_TICKS).map(|_| round(net)).sum();
         delivered > 0
     })
 }
@@ -119,46 +113,45 @@ fn per_link() -> LinkModel {
     LinkModel::PerLink { p_loss }
 }
 
-/// One tick in which every third node broadcasts, then the wake list
-/// drains: every candidate's inbox is emptied by `take_inbox_into`, or
-/// by `clear_inbox` when `clear` is set. Returns how many nodes were
-/// woken before the drain.
-fn drain_tick(
-    net: &mut Network<u64>,
-    ids: &mut Vec<NodeId>,
-    buf: &mut Vec<Delivery<u64>>,
-    clear: bool,
-) -> usize {
+/// One tick in which every third node broadcasts, then the drain
+/// visits every candidate, reading the mail of every other one and
+/// leaving the rest unread. Returns how many messages were read.
+fn drain_tick(net: &mut Network<u64>) -> usize {
     for i in (0..DENSE_N).step_by(3) {
         net.broadcast(NodeId(i), u64::from(i), 16, Phase::Data);
     }
     net.deliver();
-    let woken = net.scheduler().woken_len();
-    net.drain_candidates_into(ids);
-    for &id in ids.iter() {
-        if clear {
-            net.clear_inbox(id);
-        } else {
-            net.take_inbox_into(id, buf);
+    let mut read = 0;
+    net.drain(|_, id, mail| {
+        if id.0 % 2 == 0 {
+            read += mail.count();
         }
-    }
-    woken
+    });
+    read
 }
 
-fn drain(mode: DrainMode, clear: bool) -> Window {
+fn drain(mode: DrainMode) -> Window {
     let mut net = dense(LinkModel::iid_loss(0.3));
     net.set_drain_mode(mode);
     // A node that never broadcasts is down, so each all-scan drain
     // discards a dead candidate.
     net.kill(NodeId(1));
-    let (mut ids, mut buf) = (Vec::new(), Vec::new());
     for _ in 0..WARM_TICKS {
-        drain_tick(&mut net, &mut ids, &mut buf, clear);
+        drain_tick(&mut net);
     }
     count(|| {
-        (0..WINDOW_TICKS).all(|_| drain_tick(&mut net, &mut ids, &mut buf, clear) > 0)
-            && net.scheduler().woken_len() == 0
+        (0..WINDOW_TICKS).all(|_| drain_tick(&mut net) > 0) && net.scheduler().woken_len() == 0
     })
+}
+
+/// Drain `net`, returning how many nodes it visited and the last one.
+fn visit(net: &mut Network<u64>) -> (usize, Option<NodeId>) {
+    let (mut visited, mut last) = (0, None);
+    net.drain(|_, id, _| {
+        visited += 1;
+        last = Some(id);
+    });
+    (visited, last)
 }
 
 /// Quiescent ticks at `n` nodes: nothing is sent, scheduled or woken,
@@ -167,22 +160,17 @@ fn drain(mode: DrainMode, clear: bool) -> Window {
 fn quiescent(n: usize) -> Window {
     let topo = Topology::random_uniform(n, 0.004, 7).expect("valid deployment");
     let mut net: Network<u64> = Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 11);
-    let mut ids = Vec::new();
-    // One active round grows the outbox, an inbox and the scratch
-    // buffer; one quiescent tick follows it.
+    // One active round grows the outbox, an inbox and the drain
+    // buffers; one quiescent tick follows it.
     net.broadcast(NodeId(0), 1, 16, Phase::Data);
     net.deliver();
-    net.drain_candidates_into(&mut ids);
-    for &id in &ids {
-        net.clear_inbox(id);
-    }
+    visit(&mut net);
     net.deliver();
-    net.drain_candidates_into(&mut ids);
+    visit(&mut net);
     count(|| {
         (0..100).all(|_| {
             net.deliver();
-            net.drain_candidates_into(&mut ids);
-            ids.is_empty()
+            visit(&mut net).0 == 0
         })
     })
 }
@@ -204,27 +192,20 @@ fn after_fault(plan: &str, fired: fn(&Network<u64>) -> bool) -> Window {
 /// opened.
 fn timers() -> Window {
     let mut net = dense(LinkModel::Perfect);
-    let mut ids = Vec::new();
     let ticks = (WARM_TICKS + WINDOW_TICKS) as u64;
     for tick in 1..=ticks {
         for (priority, node) in [(1, tick), (0, tick + 7)] {
             net.schedule_wake(tick, priority, NodeId(node as u32 % DENSE_N));
         }
     }
-    let tick = |net: &mut Network<u64>, ids: &mut Vec<NodeId>| {
+    let tick = |net: &mut Network<u64>| {
         net.deliver();
-        net.drain_candidates_into(ids);
-        for &id in ids.iter() {
-            net.clear_inbox(id);
-        }
-        ids.len() == 2
+        visit(net).0 == 2
     };
     for _ in 0..WARM_TICKS {
-        tick(&mut net, &mut ids);
+        tick(&mut net);
     }
-    count(|| {
-        (0..WINDOW_TICKS).all(|_| tick(&mut net, &mut ids)) && net.scheduler().pending_timers() == 0
-    })
+    count(|| (0..WINDOW_TICKS).all(|_| tick(&mut net)) && net.scheduler().pending_timers() == 0)
 }
 
 /// A node moved to a far cell and back, pair after pair: `move_node`
@@ -238,22 +219,19 @@ fn moves() -> Window {
     let id = NodeId(0);
     let home = net.topology().position(id);
     let away = Position::new((home.x + 0.5).fract(), (home.y + 0.5).fract());
-    let mut ids = Vec::new();
-    let pair = |net: &mut Network<u64>, ids: &mut Vec<NodeId>| {
+    let pair = |net: &mut Network<u64>| {
         net.move_node(id, away);
         let neighbours_away = net.topology().neighbors(id).len();
         net.move_node(id, home);
-        net.drain_candidates_into(ids);
-        for &woken in ids.iter() {
-            net.clear_inbox(woken);
-        }
-        neighbours_away > 0 && !net.topology().neighbors(id).is_empty() && ids[..] == [id]
+        neighbours_away > 0
+            && !net.topology().neighbors(id).is_empty()
+            && visit(net) == (1, Some(id))
     };
     for _ in 0..3 {
-        pair(&mut net, &mut ids);
+        pair(&mut net);
     }
     let far = home.distance(&away) > 2.0 * RANGE;
-    count(|| far && (0..WINDOW_TICKS).all(|_| pair(&mut net, &mut ids)))
+    count(|| far && (0..WINDOW_TICKS).all(|_| pair(&mut net)))
 }
 
 /// Broadcast rounds on finite batteries that also pay to receive. The
@@ -271,13 +249,12 @@ fn finite_batteries() -> Window {
         90.0,
         11,
     );
-    let mut buf = Vec::new();
     for _ in 0..WARM_TICKS {
-        round(&mut net, &mut buf);
+        round(&mut net);
     }
     let alive = net.alive_count();
     count(|| {
-        let delivered: usize = (0..WINDOW_TICKS).map(|_| round(&mut net, &mut buf)).sum();
+        let delivered: usize = (0..WINDOW_TICKS).map(|_| round(&mut net)).sum();
         delivered > 0 && alive == DENSE_N as usize && net.alive_count() < alive
     })
 }
@@ -349,12 +326,11 @@ fn full_cache_training() -> Window {
     })
 }
 
-/// Run every case whose name starts with `prefix` (all of them for
-/// `""`) and assert that each counted window made zero allocations
-/// and exercised its path. Every selected case runs, and the failure
-/// names each one that failed, not just the first.
-pub fn assert_zero_alloc(prefix: &str) {
-    let cases: [Case; 23] = [
+/// Run every case and assert that each counted window made zero
+/// allocations and exercised its path. Every case runs, and the
+/// failure names each one that failed, not just the first.
+pub fn assert_zero_alloc() {
+    let cases: [Case; 21] = [
         ("deliver/perfect", || deliver_under(LinkModel::Perfect)),
         ("deliver/iid", || deliver_under(LinkModel::iid_loss(0.3))),
         ("deliver/per_link", || deliver_under(per_link())),
@@ -368,18 +344,8 @@ pub fn assert_zero_alloc(prefix: &str) {
             let params = GilbertElliott::with_average_loss(0.3, 0.1, 0.1);
             deliver_under(LinkModel::gilbert_elliott(DENSE_N as usize, params))
         }),
-        ("drain/wake_list/take_inbox_into", || {
-            drain(DrainMode::WakeList, false)
-        }),
-        ("drain/wake_list/clear_inbox", || {
-            drain(DrainMode::WakeList, true)
-        }),
-        ("drain/all_scan/take_inbox_into", || {
-            drain(DrainMode::AllScan, false)
-        }),
-        ("drain/all_scan/clear_inbox", || {
-            drain(DrainMode::AllScan, true)
-        }),
+        ("drain/wake_list", || drain(DrainMode::WakeList)),
+        ("drain/all_scan", || drain(DrainMode::AllScan)),
         ("quiescent/1k", || quiescent(1_000)),
         ("quiescent/20k", || quiescent(20_000)),
         ("fault/crash", || {
@@ -422,14 +388,9 @@ pub fn assert_zero_alloc(prefix: &str) {
         ("train/full_cache_tick", full_cache_training),
     ];
 
-    let selected: Vec<&Case> = cases
+    let failures: Vec<String> = cases
         .iter()
-        .filter(|(name, _)| name.starts_with(prefix))
-        .collect();
-    assert!(!selected.is_empty(), "no case is named {prefix}*");
-    let failures: Vec<String> = selected
-        .iter()
-        .filter_map(|&&(name, case)| {
+        .filter_map(|&(name, case)| {
             let window = case();
             match (window.allocs, window.exercised) {
                 (0, true) => None,
@@ -448,7 +409,7 @@ pub fn assert_zero_alloc(prefix: &str) {
         failures.is_empty(),
         "{} of {} cases failed with telemetry off:\n  {}",
         failures.len(),
-        selected.len(),
+        cases.len(),
         failures.join("\n  ")
     );
 }

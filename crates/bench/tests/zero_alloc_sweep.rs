@@ -7,5 +7,5 @@ mod zero_alloc;
 
 #[test]
 fn warm_contracted_entry_points_make_zero_heap_allocations() {
-    zero_alloc::assert_zero_alloc("");
+    zero_alloc::assert_zero_alloc();
 }

@@ -28,7 +28,7 @@ use crate::sensor::{Mode, Offer, SensorNode};
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::rng::DetRng;
 use snapshot_netsim::rng::RngExt;
-use snapshot_netsim::{Delivery, Event, Network, NodeId, Phase, SpanKind};
+use snapshot_netsim::{Event, Network, NodeId, Phase, SpanKind};
 use std::sync::Arc;
 
 /// Rule 4's timeout (the paper's `MAX_WAIT`): refinement rounds a node
@@ -121,8 +121,7 @@ fn run_election(
         maintenance: initiators.is_some(),
         electing: electing_flags(initiators, n),
         old_rep: vec![None; n],
-        drain_ids: Vec::with_capacity(n),
-        inbox: Vec::new(),
+        listed: Vec::with_capacity(n),
     };
     election.reset(initiators);
     election.invite();
@@ -147,10 +146,10 @@ struct Election<'a> {
     electing: Vec<bool>,
     /// The representative each initiator abandons, recalled on a change.
     old_rep: Vec<Option<NodeId>>,
-    /// Drain buffers every round reuses: `take_inbox_into` swaps
-    /// capacity with the inboxes, so steady-state rounds never allocate.
-    drain_ids: Vec<NodeId>,
-    inbox: Vec<Delivery<ProtocolMsg>>,
+    /// The nodes a drain picks to send once it ends: the hearers that
+    /// offer candidacy, then the initiators that chose a
+    /// representative. Sized `n` once per election.
+    listed: Vec<NodeId>,
 }
 
 impl Election<'_> {
@@ -213,12 +212,11 @@ impl Election<'_> {
     /// role, broadcasts that candidate list.
     fn candidates(&mut self) {
         let span = self.open_phase(SpanKind::ElectionCandidates, Phase::Candidates);
-        let (net, cfg) = (&mut *self.net, self.cfg);
-        net.drain_candidates_into(&mut self.drain_ids);
-        // Keep the hearers that offer candidacy; they broadcast once
+        let cfg = self.cfg;
+        // List the hearers that offer candidacy; they broadcast once
         // every hearer has built its list.
-        self.drain_ids.retain(|&i| {
-            net.take_inbox_into(i, &mut self.inbox);
+        self.listed.clear();
+        self.net.drain(|net, i, mail| {
             // Nodes shedding load — or too drained to take on the role —
             // do not offer candidacy ("a representative node that finds
             // its energy capacity fall below a threshold value ... simply
@@ -227,10 +225,10 @@ impl Election<'_> {
                 && net.battery(i).fraction() < cfg.energy_handoff_fraction;
             let node = &mut self.nodes[i.index()];
             if node.refusing_invites || drained {
-                return false;
+                return;
             }
             let own = self.values[i.index()];
-            for d in self.inbox.drain(..) {
+            for d in mail {
                 if let ProtocolMsg::Invite { value, .. } = d.payload {
                     if d.from == i {
                         continue;
@@ -261,7 +259,7 @@ impl Election<'_> {
                 }
             }
             if node.cand_list.is_empty() {
-                return false;
+                return;
             }
             // Energy viability (only when the handoff mechanism is in
             // force): taking on `cand_list.len()` members means paying
@@ -277,22 +275,23 @@ impl Election<'_> {
                     + 0.05 * battery.capacity();
                 battery.remaining() >= need
             };
-            if !viable {
+            if viable {
+                self.listed.push(i);
+            } else {
                 node.cand_list.clear();
             }
-            viable
         });
-        for &i in &self.drain_ids {
+        for &i in &self.listed {
             let node = &self.nodes[i.index()];
             let msg = ProtocolMsg::Candidates {
                 cand: Arc::from(node.cand_list.as_slice()),
                 already: node.member_count(),
             };
             let bytes = msg.wire_bytes();
-            net.broadcast(i, msg, bytes, Phase::Candidates);
+            self.net.broadcast(i, msg, bytes, Phase::Candidates);
         }
-        net.deliver();
-        net.close_span(span);
+        self.net.deliver();
+        self.net.close_span(span);
     }
 
     /// Phase 3, initial selection: every hearer notes each list's
@@ -302,14 +301,20 @@ impl Election<'_> {
     fn accept(&mut self) {
         let span = self.open_phase(SpanKind::ElectionAccept, Phase::Accept);
         let epoch = self.epoch;
-        self.net.drain_candidates_into(&mut self.drain_ids);
-        for &j in &self.drain_ids {
-            self.net.take_inbox_into(j, &mut self.inbox);
+        // Each alive initiator chooses inside its own visit, among the
+        // offers it just heard: offers are cleared at reset and pushed
+        // only here. Nothing else in this drain emits, draws or sends,
+        // so choosing here keeps the trace and the outbox in id order.
+        // The chosen initiators' acceptances are unicast once every
+        // initiator has chosen.
+        self.listed.clear();
+        self.net.drain(|net, j, mail| {
             let node = &mut self.nodes[j.index()];
-            for d in self.inbox.drain(..) {
+            let electing = self.electing[j.index()];
+            for d in mail {
                 if let ProtocolMsg::Candidates { cand, already } = d.payload {
                     node.hear_cand_len(d.from, cand.len());
-                    if self.electing[j.index()] && cand.contains(&j) {
+                    if electing && cand.contains(&j) {
                         node.offers.push(Offer {
                             from: d.from,
                             cand_len: cand.len(),
@@ -318,26 +323,18 @@ impl Election<'_> {
                     }
                 }
             }
-        }
-        // Every alive initiator chooses among the offers it heard.
-        // Offers were cleared at reset and pushed only in the drain
-        // above, so only the drained ids (ascending, alive) can hold
-        // one. (member, chosen representative) pairs are unicast once
-        // every initiator has chosen.
-        let mut accepts: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.drain_ids.len());
-        for &j in &self.drain_ids {
-            if !self.electing[j.index()] {
-                continue;
+            if !electing {
+                return;
             }
             // No offers: rep_of stays None; Rule 1 will set ACTIVE.
-            let Some(best) = self.nodes[j.index()].best_offer(self.maintenance) else {
-                continue;
+            let Some(best) = node.best_offer(self.maintenance) else {
+                return;
             };
-            self.nodes[j.index()].rep_of = Some((best.from, epoch));
-            accepts.push((j, best.from));
-            if self.net.telemetry_enabled() {
-                self.net.emit(Event::InviteAccepted {
-                    tick: self.net.round(),
+            node.rep_of = Some((best.from, epoch));
+            self.listed.push(j);
+            if net.telemetry_enabled() {
+                net.emit(Event::InviteAccepted {
+                    tick: net.round(),
                     member: j.0,
                     rep: best.from.0,
                     epoch: epoch.0,
@@ -349,10 +346,13 @@ impl Election<'_> {
             if let Some(old) = self.old_rep[j.index()].filter(|&old| old != best.from) {
                 let msg = ProtocolMsg::Recall;
                 let bytes = msg.wire_bytes();
-                self.net.unicast(j, old, msg, bytes, Phase::Refinement);
+                net.unicast(j, old, msg, bytes, Phase::Refinement);
             }
-        }
-        for (j, rep) in accepts {
+        });
+        for &j in &self.listed {
+            let Some((rep, _)) = self.nodes[j.index()].rep_of else {
+                continue;
+            };
             let msg = ProtocolMsg::Accept { epoch };
             let bytes = msg.wire_bytes();
             self.net.unicast(j, rep, msg, bytes, Phase::Accept);
@@ -360,11 +360,9 @@ impl Election<'_> {
         self.net.deliver();
 
         // Acceptances arrive.
-        self.net.drain_candidates_into(&mut self.drain_ids);
-        for &i in &self.drain_ids {
-            self.net.take_inbox_into(i, &mut self.inbox);
+        self.net.drain(|_, i, mail| {
             let node = &mut self.nodes[i.index()];
-            for d in self.inbox.drain(..) {
+            for d in mail {
                 if !d.addressed {
                     continue;
                 }
@@ -383,7 +381,7 @@ impl Election<'_> {
                     _ => {}
                 }
             }
-        }
+        });
         self.net.close_span(span);
     }
 
@@ -523,11 +521,9 @@ impl Election<'_> {
     /// Drain one refinement round: recalls, stay-active requests and
     /// member-list acknowledgments.
     fn hear_refinement(&mut self) {
-        self.net.drain_candidates_into(&mut self.drain_ids);
-        for &i in &self.drain_ids {
-            self.net.take_inbox_into(i, &mut self.inbox);
+        self.net.drain(|_, i, mail| {
             let node = &mut self.nodes[i.index()];
-            for d in self.inbox.drain(..) {
+            for d in mail {
                 match d.payload {
                     ProtocolMsg::Recall if d.addressed => {
                         node.represents.remove(&d.from);
@@ -564,7 +560,7 @@ impl Election<'_> {
                     _ => {}
                 }
             }
-        }
+        });
     }
 
     /// Settle the election: the safety valve forces every alive node

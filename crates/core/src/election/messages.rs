@@ -113,7 +113,7 @@ impl ProtocolMsg {
             ProtocolMsg::Heartbeat { .. } => 8,
             ProtocolMsg::Estimate { .. } => 8,
             ProtocolMsg::Data { .. } => 8,
-            ProtocolMsg::Flood(_) => 8,
+            ProtocolMsg::Flood(_) => 4,
             ProtocolMsg::Partial { .. } => 20,
             ProtocolMsg::EnergyHandoff => 4,
         }

@@ -13,9 +13,9 @@
 //! The engine executes these phases as real messages over the lossy
 //! simulator broadcast, so loss perturbs candidate lists, acceptances
 //! and recalls exactly as it would in a deployment — the effect the
-//! paper quantifies in Figures 7 and 13. Each phase drains its rounds
-//! through `Network::drain_candidates_into`, which hands over only the
-//! alive nodes a round woke (DESIGN.md §16).
+//! paper quantifies in Figures 7 and 13. Each phase reads its rounds
+//! through `Network::drain`, which visits only the alive nodes a round
+//! woke (DESIGN.md §16).
 
 mod engine;
 mod messages;

@@ -68,7 +68,7 @@ use crate::sensor::{Mode, SensorNode};
 use snapshot_netsim::clock::Epoch;
 use snapshot_netsim::rng::DetRng;
 use snapshot_netsim::rng::RngExt;
-use snapshot_netsim::{Delivery, Event, Network, NodeId, Phase};
+use snapshot_netsim::{Event, Network, NodeId, Phase};
 use std::collections::BTreeSet;
 
 /// Probability that a node snoops (and caches) a neighbor's broadcast
@@ -160,8 +160,8 @@ pub fn run_handoff_check(
 }
 
 /// The state one maintenance operation's phases share: the deployment
-/// borrows, the re-elect set the phases fill and the election
-/// settles, and the drain buffers every round reuses.
+/// borrows, and the re-elect set the phases fill and the election
+/// settles.
 struct Cycle<'a> {
     net: &'a mut Network<ProtocolMsg>,
     nodes: &'a mut [SensorNode],
@@ -170,13 +170,6 @@ struct Cycle<'a> {
     epoch: Epoch,
     rng: &'a mut DetRng,
     reelect: BTreeSet<NodeId>,
-    /// Wake-list drain candidates (DESIGN.md §16): each drain visits
-    /// only the alive nodes the round actually reached, in ascending
-    /// id order.
-    drained: Vec<NodeId>,
-    /// Reusable delivery buffer: `take_inbox_into` swaps capacity with
-    /// the inboxes, keeping the drains allocation-free.
-    inbox: Vec<Delivery<ProtocolMsg>>,
 }
 
 impl<'a> Cycle<'a> {
@@ -197,8 +190,6 @@ impl<'a> Cycle<'a> {
             epoch,
             rng,
             reelect: BTreeSet::new(),
-            drained: Vec::new(),
-            inbox: Vec::new(),
         }
     }
 
@@ -239,18 +230,16 @@ impl<'a> Cycle<'a> {
             return 0;
         }
         self.net.deliver();
-        self.net.drain_candidates_into(&mut self.drained);
-        for &i in &self.drained {
-            self.net.take_inbox_into(i, &mut self.inbox);
+        self.net.drain(|_, i, mail| {
             let node = &self.nodes[i.index()];
-            for d in self.inbox.drain(..) {
+            for d in mail {
                 if matches!(d.payload, ProtocolMsg::EnergyHandoff)
                     && node.representative() == Some(d.from)
                 {
                     self.reelect.insert(i);
                 }
             }
-        }
+        });
         stepped
     }
 
@@ -308,12 +297,10 @@ impl<'a> Cycle<'a> {
         // to fine-tune its model of N_j" — the reply then reflects the
         // best current model.)
         let mut replies: Vec<(NodeId, NodeId, f64)> = Vec::new();
-        self.net.drain_candidates_into(&mut self.drained);
-        for &i in &self.drained {
-            self.net.take_inbox_into(i, &mut self.inbox);
+        self.net.drain(|net, i, mail| {
             let own = values[i.index()];
             let node = &mut self.nodes[i.index()];
-            for d in self.inbox.drain(..) {
+            for d in mail {
                 let ProtocolMsg::Heartbeat { value } = d.payload else {
                     continue;
                 };
@@ -327,8 +314,8 @@ impl<'a> Cycle<'a> {
                     continue;
                 }
                 let decision = node.cache.observe(d.from, own, value);
-                self.net.charge_cache_update(i);
-                crate::trace::record_cache_decision(self.net, i, d.from, &decision, &node.cache);
+                net.charge_cache_update(i);
+                crate::trace::record_cache_decision(net, i, d.from, &decision, &node.cache);
                 if bystander {
                     continue;
                 }
@@ -339,7 +326,7 @@ impl<'a> Cycle<'a> {
                     replies.push((i, d.from, est));
                 }
             }
-        }
+        });
         for (i, j, est) in replies {
             let msg = ProtocolMsg::Estimate { value: est };
             let bytes = msg.wire_bytes();
@@ -348,18 +335,16 @@ impl<'a> Cycle<'a> {
         self.net.deliver();
 
         // Members judge the replies.
-        self.net.drain_candidates_into(&mut self.drained);
-        for &j in &self.drained {
-            self.net.take_inbox_into(j, &mut self.inbox);
+        self.net.drain(|_, j, mail| {
             let at = awaiting.binary_search_by_key(&j, |&(sender, _)| sender);
-            for d in self.inbox.drain(..) {
+            for d in mail {
                 if let (ProtocolMsg::Estimate { value }, true) = (d.payload, d.addressed) {
                     if let Some((_, estimate)) = at.ok().and_then(|i| awaiting.get_mut(i)) {
                         *estimate = Some(value);
                     }
                 }
             }
-        }
+        });
         let (mut drift, mut silence) = (0, 0);
         for &(j, estimate) in &awaiting {
             match estimate {

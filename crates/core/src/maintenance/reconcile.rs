@@ -34,9 +34,6 @@ pub struct ReconcileReport {
 /// residual stale claims; repeated passes converge.
 pub fn reconcile(net: &mut Network<ProtocolMsg>, nodes: &mut [SensorNode]) -> ReconcileReport {
     let n = nodes.len();
-    // Wake-list drain candidates (DESIGN.md §16): post-deliver drains
-    // visit only reached nodes, in ascending id order.
-    let mut drained: Vec<NodeId> = Vec::new();
     let mut report = ReconcileReport {
         announcements: 0,
         objections: 0,
@@ -61,19 +58,16 @@ pub fn reconcile(net: &mut Network<ProtocolMsg>, nodes: &mut [SensorNode]) -> Re
 
     // Object to stale claims.
     let mut objections: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut inbox = Vec::new();
-    net.drain_candidates_into(&mut drained);
-    for &i in &drained {
-        net.take_inbox_into(i, &mut inbox);
+    net.drain(|_, i, mail| {
         let node = &nodes[i.index()];
-        for d in inbox.drain(..) {
+        for d in mail {
             if let ProtocolMsg::RepresentAck { members } = d.payload {
                 if members.contains(&i) && node.representative() != Some(d.from) {
                     objections.push((i, d.from));
                 }
             }
         }
-    }
+    });
     report.objections = objections.len();
     for (i, claimant) in objections {
         net.unicast(
@@ -87,11 +81,9 @@ pub fn reconcile(net: &mut Network<ProtocolMsg>, nodes: &mut [SensorNode]) -> Re
     net.deliver();
 
     // Corrections.
-    net.drain_candidates_into(&mut drained);
-    for &i in &drained {
-        net.take_inbox_into(i, &mut inbox);
+    net.drain(|_, i, mail| {
         let node = &mut nodes[i.index()];
-        for d in inbox.drain(..) {
+        for d in mail {
             if matches!(d.payload, ProtocolMsg::Recall)
                 && d.addressed
                 && node.represents.remove(&d.from).is_some()
@@ -99,7 +91,7 @@ pub fn reconcile(net: &mut Network<ProtocolMsg>, nodes: &mut [SensorNode]) -> Re
                 report.corrected += 1;
             }
         }
-    }
+    });
     report
 }
 

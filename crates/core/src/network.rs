@@ -29,8 +29,7 @@ use snapshot_netsim::rng::DetRng;
 use snapshot_netsim::rng::RngExt;
 use snapshot_netsim::telemetry::QueryStatus;
 use snapshot_netsim::{
-    Delivery, EnergyModel, Event, LinkModel, NetStats, Network, NodeId, Phase, SpanKind, Telemetry,
-    Topology,
+    EnergyModel, Event, LinkModel, NetStats, Network, NodeId, Phase, SpanKind, Telemetry, Topology,
 };
 
 /// A full sensor-network deployment.
@@ -54,11 +53,6 @@ pub struct SensorNetwork {
     /// (0 = none). Opened by [`Self::kill_representative`], closed by
     /// `observe_repair` when every orphan is re-covered.
     repair_span: u64,
-    /// Recycled drain-candidate buffer for [`Self::broadcast_and_snoop`]
-    /// (pure capacity — always logically empty between steps).
-    scratch_ids: Vec<NodeId>,
-    /// Recycled inbox buffer for [`Self::broadcast_and_snoop`].
-    scratch_inbox: Vec<Delivery<ProtocolMsg>>,
 }
 
 impl Clone for SensorNetwork {
@@ -74,9 +68,6 @@ impl Clone for SensorNetwork {
             query_seq: self.query_seq,
             repair: self.repair.clone(),
             repair_span: self.repair_span,
-            // Scratch buffers are pure capacity; clones start cold.
-            scratch_ids: Vec::new(),
-            scratch_inbox: Vec::new(),
         }
     }
 }
@@ -263,8 +254,6 @@ impl SensorNetwork {
             query_seq: 0,
             repair: RepairTracker::new(),
             repair_span: 0,
-            scratch_ids: Vec::new(),
-            scratch_inbox: Vec::new(),
         }
     }
 
@@ -419,8 +408,8 @@ impl SensorNetwork {
     /// id-list or value-snapshot clones. Measurements are read from a
     /// borrowed trace snapshot, the `participants: None` sender loop is
     /// index-driven, and the receive side visits only the wake-list
-    /// (nodes the delivery round actually reached) through two
-    /// recycled scratch buffers.
+    /// (nodes the delivery round actually reached) through
+    /// [`Network::drain`].
     fn broadcast_and_snoop(&mut self, participants: Option<&[NodeId]>, snoop_prob: f64) {
         let values = self.trace.snapshot_at(self.trace_step());
         match participants {
@@ -436,31 +425,20 @@ impl SensorNetwork {
             }
         }
         self.net.deliver();
-        let mut drain_ids = std::mem::take(&mut self.scratch_ids);
-        self.net.drain_candidates_into(&mut drain_ids);
-        let mut inbox = std::mem::take(&mut self.scratch_inbox);
-        for &i in &drain_ids {
-            self.net.take_inbox_into(i, &mut inbox);
+        self.net.drain(|net, i, mail| {
             let own = values[i.index()];
-            for d in inbox.drain(..) {
+            let cache = &mut self.nodes[i.index()].cache;
+            for d in mail {
                 if let ProtocolMsg::Data { value } = d.payload {
                     if snoop_prob < 1.0 && !self.rng.random_bool(snoop_prob) {
                         continue;
                     }
-                    let decision = self.nodes[i.index()].cache.observe(d.from, own, value);
-                    crate::trace::record_cache_decision(
-                        &mut self.net,
-                        i,
-                        d.from,
-                        &decision,
-                        &self.nodes[i.index()].cache,
-                    );
-                    self.net.charge_cache_update(i);
+                    let decision = cache.observe(d.from, own, value);
+                    crate::trace::record_cache_decision(net, i, d.from, &decision, cache);
+                    net.charge_cache_update(i);
                 }
             }
-        }
-        self.scratch_inbox = inbox;
-        self.scratch_ids = drain_ids;
+        });
     }
 
     // ---- Protocol operations ----------------------------------------------

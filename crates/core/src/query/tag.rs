@@ -150,8 +150,6 @@ pub fn execute_tag(
             levels[depth].push(id);
         }
     }
-    let mut inbox = Vec::new();
-    let mut drained = Vec::new();
     for level in levels.iter().skip(1).rev() {
         for &id in level {
             if !net.is_alive(id) {
@@ -180,10 +178,8 @@ pub fn execute_tag(
         }
         net.deliver();
         // Parents (any node above this depth) fold in delivered partials.
-        net.drain_candidates_into(&mut drained);
-        for &id in &drained {
-            net.take_inbox_into(id, &mut inbox);
-            for d in inbox.drain(..) {
+        net.drain(|_, id, mail| {
+            for d in mail {
                 if let ProtocolMsg::Partial {
                     sum,
                     count,
@@ -201,7 +197,7 @@ pub fn execute_tag(
                     }
                 }
             }
-        }
+        });
     }
 
     let sink_partial = partials[sink.index()];
@@ -219,6 +215,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::query::{execute, QueryMode, SpatialPredicate};
+    use snapshot_netsim::flood::FloodToken;
     use snapshot_netsim::prelude::*;
 
     fn setup(
@@ -328,6 +325,31 @@ mod tests {
         // Lossless: every node floods once (20) and every non-sink
         // tree node sends one partial (19).
         assert_eq!(tag.messages, 20 + 19);
+    }
+
+    /// Every flood message is recorded at the size the message table
+    /// gives a `Flood`.
+    #[test]
+    fn flood_sends_carry_the_flood_wire_size() {
+        let (mut net, nodes, values) = setup(20, 0.5, 0.0, 9);
+        net.set_telemetry(Telemetry::with_ring(1 << 12));
+        let q = SnapshotQuery::aggregate(SpatialPredicate::All, Aggregate::Sum, QueryMode::Regular);
+        execute_tag(&mut net, &nodes, &values, &q, NodeId(1)).expect("aggregate query");
+        let flood_bytes = ProtocolMsg::Flood(FloodToken { hops: 0 }).wire_bytes();
+        let events = net.telemetry().ring().expect("ring attached").events();
+        let sizes: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::MsgSent {
+                    phase: Phase::Flood,
+                    bytes,
+                    ..
+                } => Some(*bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sizes.len(), 20, "every node floods once");
+        assert!(sizes.iter().all(|&b| b == flood_bytes), "{sizes:?}");
     }
 
     #[test]

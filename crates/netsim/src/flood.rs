@@ -7,7 +7,6 @@
 //! to every hop, so under heavy loss parts of the network never join
 //! the tree — exactly the effect the paper's loss experiments exercise.
 
-use crate::message::Delivery;
 use crate::node::NodeId;
 use crate::sim::Network;
 use snapshot_telemetry::Phase;
@@ -59,9 +58,9 @@ impl FloodOutcome {
 ///
 /// The flood runs for at most `max_rounds` delivery rounds (the
 /// network diameter bounds the useful number; `n` is always safe).
-/// Each round drains only the alive nodes its delivery woke
-/// ([`Network::drain_candidates_into`]), so a round costs what the
-/// flood reached, not the deployment.
+/// Each round visits only the alive nodes its delivery woke
+/// ([`Network::drain`]), so a round costs what the flood reached, not
+/// the deployment.
 pub fn flood<P: Clone>(
     net: &mut Network<P>,
     sink: NodeId,
@@ -80,8 +79,6 @@ pub fn flood<P: Clone>(
         net.broadcast(sink, wrap(FloodToken { hops: 0 }), 4, phase);
     }
 
-    let mut inbox: Vec<Delivery<P>> = Vec::new();
-    let mut woken: Vec<NodeId> = Vec::new();
     for _ in 0..max_rounds {
         let delivered = net.deliver();
         if delivered == 0 && net.pending() == 0 {
@@ -89,15 +86,13 @@ pub fn flood<P: Clone>(
         }
         let mut joiners: Vec<(NodeId, u32)> = Vec::new();
         // Only the alive nodes this round woke can have heard the flood.
-        net.drain_candidates_into(&mut woken);
-        for &id in &woken {
-            net.take_inbox_into(id, &mut inbox);
+        net.drain(|_, id, mail| {
             if parent[id.index()].is_some() {
-                continue; // already in the tree
+                return; // already in the tree
             }
             // Join through the lowest-hop sender heard this round.
             let mut best: Option<(NodeId, u32)> = None;
-            for d in &inbox {
+            for d in mail {
                 if let Some(token) = unwrap(&d.payload) {
                     let better = match best {
                         None => true,
@@ -113,7 +108,7 @@ pub fn flood<P: Clone>(
                 hops[id.index()] = Some(h + 1);
                 joiners.push((id, h + 1));
             }
-        }
+        });
         if joiners.is_empty() && net.pending() == 0 {
             break;
         }
@@ -123,10 +118,7 @@ pub fn flood<P: Clone>(
     }
     // Drain any leftover flood traffic so later protocol phases start clean.
     net.deliver();
-    net.drain_candidates_into(&mut woken);
-    for &id in &woken {
-        net.clear_inbox(id);
-    }
+    net.drain(|_, _, _| {});
 
     FloodOutcome { sink, parent, hops }
 }

@@ -38,13 +38,15 @@
 //!
 //! net.broadcast(NodeId(0), "hello", 8, Phase::Test);
 //! net.deliver();
-//! let nodes: Vec<NodeId> = net.node_ids().collect();
-//! for n in nodes {
-//!     let inbox = net.take_inbox(n);
-//!     if n != NodeId(0) && net.topology().in_range(NodeId(0), n) {
-//!         assert_eq!(inbox.len(), 1);
+//! // Every node in range of node 0 heard it; `drain` hands each its mail.
+//! let mut heard = 0;
+//! net.drain(|net, n, mail| {
+//!     for d in mail {
+//!         assert!(d.from == NodeId(0) && net.topology().in_range(NodeId(0), n));
+//!         heard += 1;
 //!     }
-//! }
+//! });
+//! assert_eq!(heard, net.topology().neighbors(NodeId(0)).len());
 //! ```
 
 #![deny(missing_docs)]

@@ -15,18 +15,18 @@
 //!   maintained by every event source — message delivery, timer
 //!   expiry, fault application, and mobility. Marking, unmarking and
 //!   membership tests are O(1) and allocation-free (the backing
-//!   vectors are sized once at construction). Core-layer inbox drains
-//!   read the woken set in **ascending node-id order** (sorted in
-//!   place on read), which is exactly the order the old all-nodes scan
-//!   visited them — the byte-identity argument in DESIGN.md §16.
+//!   vectors are sized once at construction). `Network::drain` reads
+//!   the woken set in **ascending node-id order** (sorted in place on
+//!   read), which is exactly the order the old all-nodes scan visited
+//!   them — the byte-identity argument in DESIGN.md §16.
 //!
 //! The wake-list invariant: **every node with a non-empty inbox is
 //! woken.** `Network::deliver` marks each receiver as it pushes into
-//! the inbox; `take_inbox`/`take_inbox_into`/`clear_inbox` unmark on
-//! drain. A woken node with an *empty* inbox (timer, fault or mobility
-//! wake) is harmless to drain — an empty drain consumes no RNG and
-//! emits no telemetry, so visiting only woken nodes is observably
-//! identical to visiting all of them.
+//! the inbox; `Network::drain` unmarks each candidate as it hands the
+//! node its mail. A woken node with an *empty* inbox (timer, fault or
+//! mobility wake) is harmless to visit — an empty visit consumes no
+//! RNG and emits no telemetry, so visiting only woken nodes is
+//! observably identical to visiting all of them.
 
 use crate::node::NodeId;
 use std::collections::BTreeMap;
@@ -248,7 +248,7 @@ impl Scheduler {
         true
     }
 
-    /// Unmark `node` (called on every inbox drain). Idempotent; O(1).
+    /// Unmark `node` (called as a drain visits it). Idempotent; O(1).
     #[inline]
     pub fn unwake(&mut self, node: NodeId) {
         let i = node.index();
@@ -292,7 +292,7 @@ impl Scheduler {
     /// Sorts the wake-list in place — `sort_unstable` on a `u32` slice
     /// allocates nothing — so the candidate order matches the old
     /// all-nodes ascending scan exactly.
-    pub fn drain_candidates_into(&mut self, buf: &mut Vec<NodeId>) {
+    pub(crate) fn drain_candidates_into(&mut self, buf: &mut Vec<NodeId>) {
         // `buf` is the caller's recycled scratch buffer, so once warm
         // neither extend below allocates.
         buf.clear();

@@ -6,8 +6,7 @@
 //! contract: nodes enqueue transmissions with [`Network::broadcast`] /
 //! [`Network::unicast`]; a call to [`Network::deliver`] moves the round's
 //! traffic into per-node inboxes, applying the link model and energy
-//! accounting; nodes then drain their inboxes with
-//! [`Network::take_inbox`].
+//! accounting; [`Network::drain`] then hands each node its mail.
 //!
 //! Physical-layer semantics: every transmission is physically a
 //! broadcast. Any *alive* node within transmission range receives it
@@ -49,6 +48,10 @@ pub struct Network<P: Clone> {
     /// Drained-outbox buffer recycled across rounds so [`Network::deliver`]
     /// never re-allocates the envelope queue (DESIGN.md §12).
     scratch: Vec<Envelope<P>>,
+    /// [`Network::drain`]'s candidate ids and the mail of the node it
+    /// visits, kept across rounds so a warm drain allocates nothing.
+    drain_ids: Vec<NodeId>,
+    mail: Vec<Delivery<P>>,
     /// Per-node battery drain multiplier (1.0 = nominal), set by
     /// fault injection.
     drain: Vec<f64>,
@@ -118,6 +121,8 @@ impl<P: Clone> Clone for Network<P> {
             outbox: self.outbox.clone(),
             inboxes: self.inboxes.clone(),
             scratch: Vec::new(),
+            drain_ids: Vec::new(),
+            mail: Vec::new(),
             drain: self.drain.clone(),
             faults: self.faults.clone(),
             sched: self.sched.clone(),
@@ -146,6 +151,8 @@ impl<P: Clone> Network<P> {
             outbox: Vec::new(),
             inboxes: vec![Vec::new(); n],
             scratch: Vec::new(),
+            drain_ids: Vec::new(),
+            mail: Vec::new(),
             drain: vec![1.0; n],
             faults: None,
             sched: Scheduler::new(n),
@@ -522,21 +529,49 @@ impl<P: Clone> Network<P> {
         self.sched.set_drain_mode(mode);
     }
 
-    /// Fill `buf` (cleared first) with this tick's alive drain
-    /// candidates in ascending node-id order: the woken nodes under
-    /// [`DrainMode::WakeList`], every node under [`DrainMode::AllScan`].
-    /// A dead candidate's inbox is discarded and its mark cleared here.
-    /// Callers drain each candidate with [`Network::take_inbox_into`]
-    /// or [`Network::clear_inbox`], which unmark it.
-    pub fn drain_candidates_into(&mut self, buf: &mut Vec<NodeId>) {
-        self.sched.drain_candidates_into(buf);
-        buf.retain(|&id| {
+    /// Hand each of this tick's drain candidates its mail: `visit`
+    /// gets the network, the node and a draining iterator over its
+    /// inbox. This is the one way to read what [`Network::deliver`]
+    /// brought.
+    ///
+    /// * Candidates come in ascending node-id order: the woken nodes
+    ///   under [`DrainMode::WakeList`], every node under
+    ///   [`DrainMode::AllScan`]. The set is fixed when the drain
+    ///   starts.
+    /// * A dead candidate's inbox is discarded, and its mark cleared,
+    ///   before the first visit. A candidate that an earlier visit
+    ///   kills is still visited.
+    /// * Just before its visit, each candidate is unmarked and its
+    ///   inbox is swapped into the network's mail buffer. Mail the
+    ///   visitor leaves unread is discarded, and mail it sends waits
+    ///   for the next `deliver`.
+    ///
+    /// The candidate ids and the mail live in two buffers the network
+    /// keeps, and the mail buffer trades capacity with the inboxes, so
+    /// a warm drain allocates nothing (DESIGN.md §15).
+    pub fn drain(
+        &mut self,
+        mut visit: impl FnMut(&mut Network<P>, NodeId, std::vec::Drain<'_, Delivery<P>>),
+    ) {
+        let mut ids = std::mem::take(&mut self.drain_ids);
+        let mut mail = std::mem::take(&mut self.mail);
+        self.sched.drain_candidates_into(&mut ids);
+        ids.retain(|&id| {
             let alive = self.is_alive(id);
             if !alive {
-                self.clear_inbox(id);
+                self.sched.unwake(id);
+                self.inboxes[id.index()].clear();
             }
             alive
         });
+        for &id in &ids {
+            self.sched.unwake(id);
+            // `mail` is empty here: each visit's `Drain` empties it.
+            std::mem::swap(&mut self.inboxes[id.index()], &mut mail);
+            visit(self, id, mail.drain(..));
+        }
+        self.drain_ids = ids;
+        self.mail = mail;
     }
 
     /// Charge `id` for one cache-manager update (the paper's 0.1-tx
@@ -726,9 +761,8 @@ impl<P: Clone> Network<P> {
                     stats.record_receive(dst);
                     sched.wake(dst, WakeReason::Message);
                     if let Some(prev) = last_hit.replace(dst) {
-                        // The inbox keeps the capacity `take_inbox_into`
-                        // and `clear_inbox` recycle, so a warm push
-                        // allocates nothing.
+                        // The inbox keeps the capacity `drain`
+                        // recycles, so a warm push allocates nothing.
                         inboxes[prev.index()].push(Delivery {
                             from: env.src,
                             addressed: env.dst.is_addressed_to(prev),
@@ -764,35 +798,6 @@ impl<P: Clone> Network<P> {
         self.stats
             .record_tick(self.sched.total_wakes() - wakes_before);
         delivered
-    }
-
-    /// Drain the inbox of `id`.
-    ///
-    /// Allocates a fresh vector per call; round-structured protocol
-    /// loops should prefer [`Network::take_inbox_into`] (reuses one
-    /// buffer across nodes) or [`Network::clear_inbox`] (discard
-    /// without giving up capacity).
-    pub fn take_inbox(&mut self, id: NodeId) -> Vec<Delivery<P>> {
-        self.sched.unwake(id);
-        std::mem::take(&mut self.inboxes[id.index()])
-    }
-
-    /// Drain the inbox of `id` into `buf` (cleared first), handing
-    /// `buf`'s capacity to the inbox in exchange. Repeatedly draining
-    /// inboxes through the same buffer circulates capacity between
-    /// the buffer and the inboxes instead of `mem::take`-ing fresh
-    /// allocations every round.
-    pub fn take_inbox_into(&mut self, id: NodeId, buf: &mut Vec<Delivery<P>>) {
-        self.sched.unwake(id);
-        buf.clear();
-        std::mem::swap(&mut self.inboxes[id.index()], buf);
-    }
-
-    /// Discard the inbox of `id` in place, keeping its capacity for
-    /// the next round (for dead or non-participating nodes).
-    pub fn clear_inbox(&mut self, id: NodeId) {
-        self.sched.unwake(id);
-        self.inboxes[id.index()].clear();
     }
 
     /// Number of pending (sent, undelivered) messages.
@@ -871,30 +876,50 @@ mod tests {
         Topology::new(positions, range).unwrap()
     }
 
+    /// A line of `n` nodes over perfect links with infinite batteries.
+    fn perfect_line<P: Clone>(n: usize, spacing: f64, range: f64) -> Network<P> {
+        Network::new(
+            line_topology(n, spacing, range),
+            LinkModel::Perfect,
+            EnergyModel::default(),
+            1,
+        )
+    }
+
+    /// One node's mail, read outside a drain: the inbox is taken and
+    /// the node unmarked.
+    fn take_inbox<P: Clone>(net: &mut Network<P>, id: NodeId) -> Vec<Delivery<P>> {
+        net.sched.unwake(id);
+        std::mem::take(&mut net.inboxes[id.index()])
+    }
+
+    /// The nodes a drain visits, in visit order, their mail unread.
+    fn visited<P: Clone>(net: &mut Network<P>) -> Vec<NodeId> {
+        let mut ids = Vec::new();
+        net.drain(|_, id, _| ids.push(id));
+        ids
+    }
+
     #[test]
     fn broadcast_reaches_only_in_range_nodes() {
         // 0 -- 1 -- 2 -- 3 spaced 0.3 apart, range 0.35: only adjacent
         // nodes hear each other.
-        let topo = line_topology(4, 0.3, 0.35);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(4, 0.3, 0.35);
         net.broadcast(NodeId(1), 7, 4, Phase::Test);
         net.deliver();
-        assert_eq!(net.take_inbox(NodeId(0)).len(), 1);
-        assert!(net.take_inbox(NodeId(1)).is_empty());
-        assert_eq!(net.take_inbox(NodeId(2)).len(), 1);
-        assert!(net.take_inbox(NodeId(3)).is_empty());
+        assert_eq!(take_inbox(&mut net, NodeId(0)).len(), 1);
+        assert!(take_inbox(&mut net, NodeId(1)).is_empty());
+        assert_eq!(take_inbox(&mut net, NodeId(2)).len(), 1);
+        assert!(take_inbox(&mut net, NodeId(3)).is_empty());
     }
 
     #[test]
     fn unicast_is_physically_overheard() {
-        let topo = line_topology(3, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(3, 0.1, 1.0);
         net.unicast(NodeId(0), NodeId(2), 9, 4, Phase::Test);
         net.deliver();
-        let at1 = net.take_inbox(NodeId(1));
-        let at2 = net.take_inbox(NodeId(2));
+        let at1 = take_inbox(&mut net, NodeId(1));
+        let at2 = take_inbox(&mut net, NodeId(2));
         assert_eq!(at1.len(), 1);
         assert!(!at1[0].addressed, "node 1 merely snooped the message");
         assert_eq!(at2.len(), 1);
@@ -903,15 +928,13 @@ mod tests {
 
     #[test]
     fn dead_nodes_neither_send_nor_receive() {
-        let topo = line_topology(3, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(3, 0.1, 1.0);
         net.kill(NodeId(1));
         net.broadcast(NodeId(1), 1, 4, Phase::Test); // ignored
         net.broadcast(NodeId(0), 2, 4, Phase::Test);
         net.deliver();
-        assert!(net.take_inbox(NodeId(1)).is_empty());
-        assert_eq!(net.take_inbox(NodeId(2)).len(), 1);
+        assert!(take_inbox(&mut net, NodeId(1)).is_empty());
+        assert_eq!(take_inbox(&mut net, NodeId(2)).len(), 1);
         assert_eq!(net.stats().total_sent(), 1);
     }
 
@@ -975,7 +998,7 @@ mod tests {
         for _ in 0..5_000 {
             net.broadcast(NodeId(0), 1, 4, Phase::Test);
             net.deliver();
-            net.take_inbox(NodeId(1));
+            net.drain(|_, _, _| {});
         }
         let rate = net.stats().total_received() as f64 / 5_000.0;
         assert!(
@@ -994,11 +1017,11 @@ mod tests {
             for t in 0..50u32 {
                 net.broadcast(NodeId(t % 10), t, 4, Phase::Test);
                 net.deliver();
-                for id in 0..10u32 {
-                    for d in net.take_inbox(NodeId(id)) {
-                        log.push((t, id, d.from.0, d.payload));
+                net.drain(|_, id, mail| {
+                    for d in mail {
+                        log.push((t, id.0, d.from.0, d.payload));
                     }
-                }
+                });
             }
             log
         };
@@ -1022,9 +1045,7 @@ mod tests {
 
         // 5 nodes all in range: a broadcast from node 0 reaches 4
         // receivers; the last one must take the payload by move.
-        let topo = line_topology(5, 0.1, 1.0);
-        let mut net: Network<Counted> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<Counted> = perfect_line(5, 0.1, 1.0);
         net.broadcast(NodeId(0), Counted(9), 4, Phase::Test);
         CLONES.store(0, Ordering::SeqCst);
         let delivered = net.deliver();
@@ -1035,7 +1056,7 @@ mod tests {
             "4 receivers must cost exactly 3 payload clones"
         );
         for i in 1..5u32 {
-            assert_eq!(net.take_inbox(NodeId(i)).len(), 1);
+            assert_eq!(take_inbox(&mut net, NodeId(i)).len(), 1);
         }
     }
 
@@ -1053,34 +1074,36 @@ mod tests {
             }
         }
 
-        let topo = line_topology(2, 0.1, 1.0);
-        let mut net: Network<Counted> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<Counted> = perfect_line(2, 0.1, 1.0);
         net.unicast(NodeId(0), NodeId(1), Counted, 4, Phase::Test);
         CLONES.store(0, Ordering::SeqCst);
         assert_eq!(net.deliver(), 1);
         assert_eq!(CLONES.load(Ordering::SeqCst), 0);
     }
 
+    /// A drain hands each node what its inbox holds, as reading the
+    /// inboxes one by one does, and keeps its buffers for the next
+    /// round.
     #[test]
-    fn take_inbox_into_matches_take_inbox_and_recycles() {
-        let run = |into: bool| {
+    fn drain_hands_each_node_its_inbox_and_keeps_its_buffers() {
+        let run = |drain: bool| {
             let topo = line_topology(6, 0.05, 1.0);
             let mut net: Network<u32> =
                 Network::new(topo, LinkModel::iid_loss(0.4), EnergyModel::default(), 3);
             let mut log = Vec::new();
-            let mut buf = Vec::new();
             for t in 0..30u32 {
                 net.broadcast(NodeId(t % 6), t, 4, Phase::Test);
                 net.deliver();
-                for id in 0..6u32 {
-                    if into {
-                        net.take_inbox_into(NodeId(id), &mut buf);
-                        for d in buf.drain(..) {
-                            log.push((t, id, d.from.0, d.addressed, d.payload));
+                if drain {
+                    net.drain(|_, id, mail| {
+                        for d in mail {
+                            log.push((t, id.0, d.from.0, d.addressed, d.payload));
                         }
-                    } else {
-                        for d in net.take_inbox(NodeId(id)) {
+                    });
+                    assert!(net.drain_ids.capacity() > 0 && net.mail.capacity() > 0);
+                } else {
+                    for id in 0..6u32 {
+                        for d in take_inbox(&mut net, NodeId(id)) {
                             log.push((t, id, d.from.0, d.addressed, d.payload));
                         }
                     }
@@ -1091,23 +1114,120 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
+    /// Mail a visitor leaves unread is discarded with the visit.
     #[test]
-    fn clear_inbox_discards_in_place() {
-        let topo = line_topology(3, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+    fn mail_left_unread_is_discarded() {
+        let mut net: Network<u8> = perfect_line(3, 0.1, 1.0);
         net.broadcast(NodeId(0), 1, 4, Phase::Test);
         net.deliver();
-        net.clear_inbox(NodeId(1));
-        assert!(net.take_inbox(NodeId(1)).is_empty());
-        assert_eq!(net.take_inbox(NodeId(2)).len(), 1);
+        let mut read = Vec::new();
+        net.drain(|_, id, mail| {
+            if id == NodeId(2) {
+                read.extend(mail.map(|d| d.payload));
+            }
+        });
+        assert_eq!(read, vec![1]);
+        assert!(take_inbox(&mut net, NodeId(1)).is_empty());
+        assert!(take_inbox(&mut net, NodeId(2)).is_empty());
+        assert!(net.mail.is_empty() && net.mail.capacity() > 0);
+    }
+
+    /// Candidates come in ascending id order whatever order they were
+    /// woken in: the woken nodes under the wake list, every node under
+    /// the all-nodes scan.
+    #[test]
+    fn drain_visits_candidates_in_ascending_order_under_both_modes() {
+        let mut net: Network<u8> = perfect_line(6, 0.1, 1.0);
+        let wake = |net: &mut Network<u8>| {
+            for id in [4, 1, 5, 3] {
+                let pos = net.topology().position(NodeId(id));
+                net.move_node(NodeId(id), pos);
+            }
+        };
+        wake(&mut net);
+        assert_eq!(
+            visited(&mut net),
+            vec![NodeId(1), NodeId(3), NodeId(4), NodeId(5)]
+        );
+        net.set_drain_mode(DrainMode::AllScan);
+        wake(&mut net);
+        assert_eq!(visited(&mut net), net.node_ids().collect::<Vec<_>>());
+        assert_eq!(net.scheduler().woken_len(), 0);
+    }
+
+    /// A dead candidate's inbox is discarded, and its mark cleared,
+    /// before the first visit, and the dead node is not visited.
+    #[test]
+    fn drain_discards_dead_candidates_before_the_first_visit() {
+        let mut net: Network<u8> = perfect_line(4, 0.1, 1.0);
+        net.broadcast(NodeId(3), 1, 4, Phase::Test);
+        net.deliver();
+        net.kill(NodeId(2));
+        let mut ids = Vec::new();
+        net.drain(|net, id, _| {
+            if ids.is_empty() {
+                assert!(!net.scheduler().is_woken(NodeId(2)));
+                assert!(net.inboxes[2].is_empty());
+            }
+            ids.push(id);
+        });
+        assert_eq!(ids, vec![NodeId(0), NodeId(1)]);
+    }
+
+    /// The candidate set is fixed when the drain starts: a candidate
+    /// that an earlier visit kills is still visited, with its mail.
+    #[test]
+    fn a_candidate_killed_mid_drain_is_still_visited() {
+        let mut net: Network<u8> = perfect_line(4, 0.1, 1.0);
+        net.broadcast(NodeId(3), 1, 4, Phase::Test);
+        net.deliver();
+        let mut seen = Vec::new();
+        net.drain(|net, id, mail| {
+            if id == NodeId(0) {
+                net.kill(NodeId(1));
+            }
+            seen.push((id, mail.count(), net.is_alive(id)));
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (NodeId(0), 1, true),
+                (NodeId(1), 1, false),
+                (NodeId(2), 1, true)
+            ]
+        );
+    }
+
+    /// Mail a visitor sends waits for the next `deliver`, and a node a
+    /// visitor wakes waits for the next drain.
+    #[test]
+    fn mail_sent_during_a_visit_waits_for_the_next_deliver() {
+        // 0 -- 1 -- 2 -- 3, adjacent nodes only.
+        let mut net: Network<u8> = perfect_line(4, 0.3, 0.35);
+        net.broadcast(NodeId(0), 1, 4, Phase::Test);
+        net.deliver();
+        let mut ids = Vec::new();
+        net.drain(|net, id, _| {
+            net.broadcast(id, 2, 4, Phase::Test);
+            let pos = net.topology().position(NodeId(3));
+            net.move_node(NodeId(3), pos);
+            ids.push(id);
+        });
+        assert_eq!(ids, vec![NodeId(1)]);
+        assert_eq!(net.pending(), 1);
+        assert_eq!(visited(&mut net), vec![NodeId(3)]);
+        net.deliver();
+        let mut heard = Vec::new();
+        net.drain(|_, id, mail| heard.extend(mail.map(|d| (id, d.from, d.payload))));
+        assert_eq!(
+            heard,
+            vec![(NodeId(0), NodeId(1), 2), (NodeId(2), NodeId(1), 2)]
+        );
     }
 
     #[test]
     fn alive_count_tracks_kills() {
-        let topo = line_topology(4, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(4, 0.1, 1.0);
         assert_eq!(net.alive_count(), 4);
         net.kill(NodeId(2));
         assert_eq!(net.alive_count(), 3);
@@ -1115,8 +1235,7 @@ mod tests {
 
     #[test]
     fn check_node_rejects_out_of_range_ids() {
-        let topo = line_topology(2, 0.1, 1.0);
-        let net: Network<u8> = Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let net: Network<u8> = perfect_line(2, 0.1, 1.0);
         assert!(net.check_node(NodeId(1)).is_ok());
         assert!(matches!(
             net.check_node(NodeId(2)),
@@ -1163,9 +1282,7 @@ mod tests {
             for t in 0..40u32 {
                 net.broadcast(NodeId(t % 8), t, 4, Phase::Data);
                 net.deliver();
-                for id in 0..8u32 {
-                    net.take_inbox(NodeId(id));
-                }
+                net.drain(|_, _, _| {});
             }
             net.telemetry().export_jsonl().expect("ring attached")
         };
@@ -1190,7 +1307,7 @@ mod tests {
             for _ in 0..50 {
                 net.broadcast(NodeId(0), 1, 4, Phase::Test);
                 net.deliver();
-                net.clear_inbox(NodeId(1));
+                net.drain(|_, _, _| {});
             }
             net.stats().total_received() - before
         };
@@ -1201,9 +1318,7 @@ mod tests {
 
     #[test]
     fn revive_restores_only_killed_nodes() {
-        let topo = line_topology(3, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(3, 0.1, 1.0);
         net.set_telemetry(Telemetry::with_ring(64));
         net.kill(NodeId(1));
         assert!(!net.is_alive(NodeId(1)));
@@ -1254,9 +1369,7 @@ mod tests {
 
     #[test]
     fn fault_plan_crash_applies_at_tick_boundary() {
-        let topo = line_topology(3, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(3, 0.1, 1.0);
         net.set_telemetry(Telemetry::with_ring(256));
         net.set_fault_plan(FaultPlan::parse("2 crash 1\n").expect("parses"));
         net.deliver(); // round 1: nothing due
@@ -1266,8 +1379,8 @@ mod tests {
         net.broadcast(NodeId(0), 7, 4, Phase::Test);
         net.deliver();
         assert!(!net.is_alive(NodeId(1)));
-        assert!(net.take_inbox(NodeId(1)).is_empty());
-        assert_eq!(net.take_inbox(NodeId(2)).len(), 1);
+        assert!(take_inbox(&mut net, NodeId(1)).is_empty());
+        assert_eq!(take_inbox(&mut net, NodeId(2)).len(), 1);
         let events = net.telemetry().ring().expect("ring").events();
         assert!(events
             .iter()
@@ -1276,9 +1389,7 @@ mod tests {
 
     #[test]
     fn fault_plan_outage_recovers_on_schedule() {
-        let topo = line_topology(2, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(2, 0.1, 1.0);
         net.set_telemetry(Telemetry::with_ring(256));
         net.set_fault_plan(FaultPlan::parse("1 outage 1 for 3\n").expect("parses"));
         net.deliver(); // round 1: outage applies
@@ -1297,14 +1408,12 @@ mod tests {
 
     #[test]
     fn fault_plan_link_change_swaps_models() {
-        let topo = line_topology(2, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(2, 0.1, 1.0);
         net.set_fault_plan(FaultPlan::parse("1 link iid 1.0\n").expect("parses"));
         net.broadcast(NodeId(0), 1, 4, Phase::Test);
         net.deliver();
         // The swap happened before this round's traffic moved.
-        assert!(net.take_inbox(NodeId(1)).is_empty());
+        assert!(take_inbox(&mut net, NodeId(1)).is_empty());
         assert!(matches!(net.link_model(), LinkModel::Iid { .. }));
     }
 
@@ -1324,9 +1433,7 @@ mod tests {
             for t in 0..30u32 {
                 net.broadcast(NodeId(t % 8), t, 4, Phase::Data);
                 net.deliver();
-                for id in 0..8u32 {
-                    net.clear_inbox(NodeId(id));
-                }
+                net.drain(|_, _, _| {});
             }
             net.telemetry().export_jsonl().expect("ring attached")
         };
@@ -1402,9 +1509,7 @@ mod tests {
     #[test]
     fn cached_bfs_tree_tracks_liveness_and_topology() {
         // 0 -- 1 -- 2 -- 3, adjacent nodes only; node 3 holds one charge.
-        let topo = line_topology(4, 0.1, 0.15);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(4, 0.1, 0.15);
         net.batteries[3] = Battery::finite(1.0);
         let cached = |net: &mut Network<u8>| {
             net.refresh_bfs_tree(NodeId(0));
@@ -1434,47 +1539,34 @@ mod tests {
     /// Delivery marks exactly the receiving nodes; draining unmarks.
     #[test]
     fn deliver_wakes_receivers_and_drains_unwake() {
-        let topo = line_topology(4, 0.3, 0.35);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(4, 0.3, 0.35);
         net.broadcast(NodeId(1), 7, 4, Phase::Test);
         net.deliver();
-        let mut woken = Vec::new();
-        net.drain_candidates_into(&mut woken);
-        assert_eq!(woken, vec![NodeId(0), NodeId(2)]);
         assert_eq!(net.scheduler().wakes_by(WakeReason::Message), 2);
         // Candidates stay woken until drained.
-        net.drain_candidates_into(&mut woken);
-        assert_eq!(woken, vec![NodeId(0), NodeId(2)]);
-        net.take_inbox(NodeId(0));
-        net.clear_inbox(NodeId(2));
-        net.drain_candidates_into(&mut woken);
-        assert!(woken.is_empty(), "drained nodes sleep again");
+        assert_eq!(net.scheduler().woken_len(), 2);
+        assert!(net.scheduler().is_woken(NodeId(0)) && net.scheduler().is_woken(NodeId(2)));
+        assert_eq!(visited(&mut net), vec![NodeId(0), NodeId(2)]);
+        assert!(visited(&mut net).is_empty(), "drained nodes sleep again");
         // A receiver that dies before the drain is left out of it, its
         // inbox discarded and its wake cleared.
         net.broadcast(NodeId(1), 7, 4, Phase::Test);
         net.deliver();
         net.kill(NodeId(2));
-        net.drain_candidates_into(&mut woken);
-        assert_eq!(woken, vec![NodeId(0)]);
+        assert_eq!(visited(&mut net), vec![NodeId(0)]);
         assert!(!net.scheduler().is_woken(NodeId(2)));
-        assert!(net.take_inbox(NodeId(2)).is_empty());
+        assert!(take_inbox(&mut net, NodeId(2)).is_empty());
     }
 
     /// Timers wake their node at (or after) the scheduled tick.
     #[test]
     fn scheduled_timer_wakes_node_at_tick() {
-        let topo = line_topology(3, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(3, 0.1, 1.0);
         net.schedule_wake(2, 0, NodeId(1));
-        let mut woken = Vec::new();
         net.deliver(); // tick 1: nothing due
-        net.drain_candidates_into(&mut woken);
-        assert!(woken.is_empty());
+        assert!(visited(&mut net).is_empty());
         net.deliver(); // tick 2: timer fires
-        net.drain_candidates_into(&mut woken);
-        assert_eq!(woken, vec![NodeId(1)]);
+        assert_eq!(visited(&mut net), vec![NodeId(1)]);
         assert_eq!(net.scheduler().wakes_by(WakeReason::Timer), 1);
         assert_eq!(net.scheduler().pending_timers(), 0);
         // The tick-activity counters saw exactly one fresh wake in two
@@ -1488,52 +1580,40 @@ mod tests {
     /// differ in *which no-op nodes get visited*.
     #[test]
     fn drain_modes_differ_only_in_visited_sleepers() {
-        let topo = line_topology(5, 0.3, 0.35);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(5, 0.3, 0.35);
         net.deliver(); // quiescent tick
-        let mut buf = Vec::new();
-        net.drain_candidates_into(&mut buf);
-        assert!(buf.is_empty(), "quiescent wake-list is empty");
+        assert!(visited(&mut net).is_empty(), "quiescent wake-list is empty");
         net.set_drain_mode(DrainMode::AllScan);
         assert_eq!(net.drain_mode(), DrainMode::AllScan);
-        net.drain_candidates_into(&mut buf);
-        assert_eq!(buf.len(), 5, "reference path scans everyone");
         // Every extra candidate has an empty inbox: visiting it is a
         // no-op, which is the byte-identity argument in DESIGN.md §16.
-        for id in buf {
-            assert!(net.take_inbox(id).is_empty());
-        }
+        let mut sizes = Vec::new();
+        net.drain(|_, _, mail| sizes.push(mail.len()));
+        assert_eq!(sizes, vec![0; 5], "reference path scans everyone");
     }
 
     /// Mobility steps wake the moved nodes.
     #[test]
     fn move_node_registers_mobility_wake() {
-        let topo = line_topology(3, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(3, 0.1, 1.0);
         net.move_node(NodeId(2), Position::new(0.5, 0.5));
         assert!(net.scheduler().is_woken(NodeId(2)));
         assert_eq!(net.scheduler().wakes_by(WakeReason::Mobility), 1);
-        let mut buf = Vec::new();
-        net.drain_candidates_into(&mut buf);
-        assert_eq!(buf, vec![NodeId(2)]);
+        assert_eq!(visited(&mut net), vec![NodeId(2)]);
     }
 
     /// Fault application wakes the affected nodes (kill, revive, and
     /// targeted drains all register `WakeReason::Fault`).
     #[test]
     fn faults_register_fault_wakes() {
-        let topo = line_topology(4, 0.1, 1.0);
-        let mut net: Network<u8> =
-            Network::new(topo, LinkModel::Perfect, EnergyModel::default(), 1);
+        let mut net: Network<u8> = perfect_line(4, 0.1, 1.0);
         net.set_fault_plan(FaultPlan::parse("1 outage 2 for 3\n2 drain 0 x4.0\n").expect("parses"));
         net.deliver(); // tick 1: node 2 goes down
         assert!(net.scheduler().is_woken(NodeId(2)));
-        net.clear_inbox(NodeId(2));
+        assert!(visited(&mut net).is_empty(), "the down node is discarded");
         net.deliver(); // tick 2: targeted drain on node 0
         assert!(net.scheduler().is_woken(NodeId(0)));
-        net.clear_inbox(NodeId(0));
+        assert_eq!(visited(&mut net), vec![NodeId(0)]);
         net.deliver();
         net.deliver(); // tick 4: node 2 recovers -> fault wake again
         assert!(net.scheduler().is_woken(NodeId(2)));
